@@ -104,6 +104,8 @@ class RadialWavefunction:
         values = np.asarray(self.values)
         if values.shape != self.grid.r.shape:
             raise DomainError("values must match the grid shape")
+        if not np.all(np.isfinite(values)):
+            raise DomainError("wavefunction values must be finite")
         if self.target_norm <= 0 or not np.isfinite(self.target_norm):
             raise DomainError("target_norm must be positive and finite")
         if self.angular_weight <= 0:

@@ -1,21 +1,30 @@
-"""Imaginary-time (gradient-flow) relaxation to ground states.
+"""Ground states: imaginary-time relaxation (nonlinear), direct solve (linear).
 
-The flow integrates
+Both work on the substituted variable u = r*psi, which turns the radial
+Laplacian into a plain second derivative D2 with u -> 0 at both ends; on
+grids built by RadialGrid.uniform_from_origin the left ghost node sits at
+r = 0 where u vanishes by regularity, so that boundary is exact.
 
-    d_tau psi = lap psi + b(r) ln(max(|psi|^2, floor)) psi      (nonlinear)
-    d_tau psi = lap psi - V_ext(r) psi                          (linear)
+The nonlinear ground state comes from the gradient flow
 
-by explicit Euler steps on the substituted variable u = r*psi, renormalizing
-to the target norm after every step.  The substitution turns the radial
-Laplacian into a plain second derivative with u -> 0 at both ends; on grids
-built by RadialGrid.uniform_from_origin the left ghost node sits at r = 0
-where u vanishes by regularity, so that boundary is exact.
+    d_tau psi = lap psi + b(r) ln(max(|psi|^2, floor)) psi
 
-The flow decreases the constrained energy functional
+integrated by explicit Euler steps and renormalized after every step.  The
+flow decreases the constrained energy functional
 
     E[psi] = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr
 
 whose variation reproduces the stationary equation; see relaxation_energy.
+
+The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
+the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
+solved directly.
+
+Quadrature: the flow renormalizes each step with the trapezoid rule on the
+stored nodes; returned states and observables use composite Simpson plus the
+analytic [0, r_min] panel (RadialWavefunction.norm).  The real-time
+propagator instead conserves h * sum |u|^2, the inner product in which its
+Cayley step is unitary.
 """
 
 from __future__ import annotations
@@ -25,9 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg import eigh_tridiagonal
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction
+from ..observables import _xlogx
 from ..scales import CouplingProfile
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
@@ -37,6 +48,8 @@ _DT_SAFETY = 0.2
 # per-node cap on dt * (log term); inactive near a fixed point, it only
 # guards the underflow tail and rough initial transients
 _STEP_CLIP = 0.4
+# steps between rows of the relaxation history
+_LOG_EVERY = 500
 
 
 @dataclass
@@ -62,108 +75,36 @@ def _auto_dt(h: float, coupling_max: float) -> float:
     return dt
 
 
-def _default_guess(r: np.ndarray, r_max: float) -> np.ndarray:
-    sigma = r_max / 8.0
-    return np.exp(-0.5 * (r / sigma) ** 2)
-
-
-def _relax(
-    grid: RadialGrid,
-    term,  # term(rho) -> W array; the step is u += dt*(u'' + W u)
-    coupling_max: float,
-    target_norm: float,
-    angular_weight: float,
-    opts: SolverOptions,
-    psi0=None,
-    max_steps=None,
-    check_convergence=True,
-    log_every: int = 500,
-):
-    if grid.spacing != "uniform":
-        raise DomainError("imaginary-time relaxation requires a uniform grid")
-    r = grid.r
-    h = grid.h
-    dt = opts.dt if opts.dt is not None else _auto_dt(h, coupling_max)
-    steps_budget = opts.max_steps if max_steps is None else max_steps
-
+def _initial_guess(grid: RadialGrid, psi0) -> np.ndarray:
+    """|psi0| on the grid; a Gaussian of width r_max/8 when psi0 is None."""
     if psi0 is None:
-        psi = _default_guess(r, grid.r_max)
-    elif isinstance(psi0, RadialWavefunction):
-        psi = np.abs(np.asarray(psi0.values, dtype=complex)).astype(float)
-    else:
-        psi = np.abs(np.asarray(psi0, dtype=complex)).astype(float)
-    u = r * psi
-    u *= math.sqrt(target_norm / (angular_weight * np.trapezoid(u * u, r)))
-
-    history = []
-    rate = math.inf
-    step = 0
-    for step in range(1, steps_budget + 1):
-        lap = second_difference_dirichlet(u, h)
-        rho = (u / r) ** 2
-        w_term = np.clip(dt * term(rho), -_STEP_CLIP, _STEP_CLIP)
-        u_new = u + dt * lap + w_term * u
-        norm = angular_weight * np.trapezoid(u_new * u_new, r)
-        u_new *= math.sqrt(target_norm / norm)
-        rate = float(np.max(np.abs(u_new - u))) / (dt * float(np.max(np.abs(u))))
-        if step % log_every == 0 or rate < opts.convergence_tol:
-            omega_est = _omega_from_u(r, u_new, lap=None, term=term, h=h)
-            history.append((step, rate, float(norm), omega_est))
-        u = u_new
-        if check_convergence and rate < opts.convergence_tol:
-            break
-
-    converged = rate < opts.convergence_tol
-    return u, dt, step, converged, rate, history
+        sigma = grid.r_max / 8.0
+        return np.exp(-0.5 * (grid.r / sigma) ** 2)
+    if isinstance(psi0, RadialWavefunction):
+        psi0 = psi0.values
+    psi = np.abs(np.asarray(psi0, dtype=complex))
+    if psi.shape != grid.r.shape:
+        raise DomainError("psi0 must provide one value per grid node")
+    return psi
 
 
-def _omega_from_u(r, u, lap, term, h):
-    """Density-weighted mean of the local eigenvalue -(u'' + W u)/u."""
-    if lap is None:
-        lap = second_difference_dirichlet(u, h)
-    rho = (u / r) ** 2
-    w = term(rho)
-    num = -simpson((lap + w * u) * u, x=r)
-    den = simpson(u * u, x=r)
-    return float(num / den)
+def _check_target_norm(N) -> None:
+    if not (np.isfinite(N) and N > 0):
+        raise DomainError(f"N must be positive and finite (got {N})")
 
 
-def _omega_profile(r, u, term, h):
-    lap = second_difference_dirichlet(u, h)
-    rho = (u / r) ** 2
-    w = term(rho)
-    eps = np.zeros_like(u)
+def _local_eigenvalue(r, u, w, h):
+    """Local eigenvalue -(u'' + w u)/u and its density-weighted mean.
+
+    The profile is left at zero where |u| is negligible; the mean is the
+    Simpson Rayleigh quotient -<u, u'' + w u> / <u, u>.
+    """
+    hu = second_difference_dirichlet(u, h) + w * u
+    mean = float(-simpson(hu * u, x=r) / simpson(u * u, x=r))
+    profile = np.zeros_like(u)
     mask = np.abs(u) > 1e-10 * np.max(np.abs(u))
-    eps[mask] = -(lap[mask] + w[mask] * u[mask]) / u[mask]
-    return eps
-
-
-def _finish(grid, u, term, h, target_norm, angular_weight, step, converged, rate,
-            history, opts) -> GroundStateResult:
-    psi = RadialWavefunction(
-        grid=grid,
-        values=u / grid.r,
-        target_norm=target_norm,
-        angular_weight=angular_weight,
-    ).normalized()
-    u_n = grid.r * psi.values.real
-    omega = _omega_from_u(grid.r, u_n, lap=None, term=term, h=h)
-    result = GroundStateResult(
-        psi=psi,
-        omega=omega,
-        converged=converged,
-        steps=step,
-        history=history,
-        omega_profile=_omega_profile(grid.r, u_n, term, h),
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"relaxation did not reach rate < {opts.convergence_tol:g} within "
-            f"{step} steps (last rate {rate:.3e})",
-            last=result,
-            history=history,
-        )
-    return result
+    profile[mask] = -hu[mask] / u[mask]
+    return profile, mean
 
 
 def ground_state_imaginary_time(
@@ -185,7 +126,6 @@ def ground_state_imaginary_time(
     Raises ConvergenceError (carrying the last iterate and the residual
     history) when max_steps is exhausted.
     """
-    opts = opts or SolverOptions()
     result = ground_state_from_coupling_values(
         profile.evaluate(grid.r), N, grid, opts, angular_weight=angular_weight, psi0=psi0
     )
@@ -205,26 +145,72 @@ def ground_state_from_coupling_values(
     """Same relaxation with the coupling given as values on the grid.
 
     This is the inner engine of the self-consistent model, where b(r) is the
-    numerical gradient of the auxiliary field rather than a closed form.
+    numerical gradient of the auxiliary field rather than a closed form; it
+    runs there in fixed-sweep mode (check_convergence=False, max_steps steps).
     """
     opts = opts or SolverOptions()
     coupling = np.asarray(coupling, dtype=float)
     if coupling.shape != grid.r.shape or not np.all(np.isfinite(coupling)):
         raise DomainError("coupling must be finite with one value per grid node")
+    _check_target_norm(N)
+    if grid.spacing != "uniform":
+        raise DomainError("imaginary-time relaxation requires a uniform grid")
+    r = grid.r
+    h = grid.h
     floor = opts.log_floor
+    tol = opts.convergence_tol
+    dt = opts.dt if opts.dt is not None else _auto_dt(h, float(np.max(np.abs(coupling))))
+    steps_budget = opts.max_steps if max_steps is None else max_steps
 
-    def term(rho):
-        return coupling * np.log(np.maximum(rho, floor))
+    def log_term(u):
+        return coupling * np.log(np.maximum((u / r) ** 2, floor))
 
-    u, dt, step, converged, rate, history = _relax(
-        grid, term, float(np.max(np.abs(coupling))), N, angular_weight, opts,
-        psi0=psi0, max_steps=max_steps,
-        check_convergence=check_convergence,
+    u = r * _initial_guess(grid, psi0)
+    norm = angular_weight * np.trapezoid(u * u, r)
+    if not (np.isfinite(norm) and norm > 0):
+        raise DomainError("the initial guess must have a finite, nonzero norm")
+    u *= math.sqrt(N / norm)
+
+    history = []
+    rate = math.inf
+    step = 0
+    for step in range(1, steps_budget + 1):
+        lap = second_difference_dirichlet(u, h)
+        w_term = np.clip(dt * log_term(u), -_STEP_CLIP, _STEP_CLIP)
+        u_new = u + dt * lap + w_term * u
+        norm = angular_weight * np.trapezoid(u_new * u_new, r)
+        u_new *= math.sqrt(N / norm)
+        rate = float(np.max(np.abs(u_new - u))) / (dt * float(np.max(np.abs(u))))
+        if step % _LOG_EVERY == 0 or rate < tol:
+            omega_est = _local_eigenvalue(r, u_new, log_term(u_new), h)[1]
+            history.append((step, rate, float(norm), omega_est))
+        u = u_new
+        if check_convergence and rate < tol:
+            break
+
+    psi = RadialWavefunction(
+        grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
+    ).normalized()
+    u = r * psi.values.real
+    omega_profile, omega = _local_eigenvalue(r, u, log_term(u), h)
+    # in fixed-sweep mode the caller owns the convergence test
+    converged = rate < tol or not check_convergence
+    result = GroundStateResult(
+        psi=psi,
+        omega=omega,
+        converged=converged,
+        steps=step,
+        history=history,
+        omega_profile=omega_profile,
     )
-    if not check_convergence:
-        converged = True  # fixed-sweep mode: caller owns the convergence test
-    return _finish(grid, u, term, grid.h, N, angular_weight, step, converged,
-                   rate, history, opts)
+    if not converged:
+        raise ConvergenceError(
+            f"relaxation did not reach rate < {tol:g} within "
+            f"{step} steps (last rate {rate:.3e})",
+            last=result,
+            history=history,
+        )
+    return result
 
 
 def linear_ground_state(
@@ -235,28 +221,35 @@ def linear_ground_state(
     angular_weight: float = FULL_SPHERE,
     psi0=None,
 ) -> tuple[RadialWavefunction, float]:
-    """Ground state of the linear equation with external potential V_ext.
+    """Ground state of the linear equation -lap psi + V_ext psi = omega psi.
 
     V_ext may be an array on the grid or a callable of r and must be bounded
-    below on the grid.  Used to check that a linear problem with the
+    below on the grid.  Solved directly as the lowest eigenpair of
+    -D2 + diag(V_ext) on u = r*psi (diagonal 2/h^2 + V, off-diagonals -1/h^2:
+    the Dirichlet ghosts of second_difference_dirichlet); omega is that
+    eigenvalue.  opts and psi0 are accepted, for call compatibility with the
+    relaxation, and unused.  Used to check that a linear problem with the
     effective potential of a nonlinear solution reproduces that solution.
     """
-    opts = opts or SolverOptions()
     v = np.asarray(V_ext(grid.r) if callable(V_ext) else V_ext, dtype=float)
     if v.shape != grid.r.shape:
         raise DomainError("V_ext must provide one value per grid node")
     if not np.all(np.isfinite(v)):
         raise DomainError("V_ext must be finite (bounded below) on the grid")
-
-    def term(rho):
-        return -v
-
-    u, dt, step, converged, rate, history = _relax(
-        grid, term, float(np.max(np.abs(v))), N, angular_weight, opts, psi0=psi0
+    _check_target_norm(N)
+    if grid.spacing != "uniform":
+        raise DomainError("the linear ground-state solve requires a uniform grid")
+    inv_h2 = 1.0 / (grid.h * grid.h)
+    omega, vec = eigh_tridiagonal(
+        2.0 * inv_h2 + v, np.full(v.size - 1, -inv_h2), select="i", select_range=(0, 0)
     )
-    result = _finish(grid, u, term, grid.h, N, angular_weight, step, converged,
-                     rate, history, opts)
-    return result.psi, result.omega
+    u = vec[:, 0]
+    if u[np.argmax(np.abs(u))] < 0.0:
+        u = -u  # the ground state is nodeless; take it positive
+    psi = RadialWavefunction(
+        grid=grid, values=u / grid.r, target_norm=N, angular_weight=angular_weight
+    ).normalized()
+    return psi, float(omega[0])
 
 
 def relaxation_energy(psi: RadialWavefunction, profile_or_values) -> float:
@@ -273,9 +266,6 @@ def relaxation_energy(psi: RadialWavefunction, profile_or_values) -> float:
     else:
         b = np.asarray(profile_or_values, dtype=float)
     rho = psi.density()
-    xlogx = np.zeros_like(rho)
-    mask = rho > 1e-300
-    xlogx[mask] = rho[mask] * np.log(rho[mask])
     dpsi = np.gradient(psi.values.real, r, edge_order=2)
-    integrand = dpsi**2 - b * (xlogx - rho)
+    integrand = dpsi**2 - b * (_xlogx(rho) - rho)
     return float(psi.angular_weight * simpson(r**2 * integrand, x=r))

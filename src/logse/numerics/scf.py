@@ -9,7 +9,15 @@ with a caller-supplied source map f (its physical form is model-dependent).
 The stationary problem is solved by damped fixed-point iteration: solve the
 Poisson equation for phi given the current density, take the coupling
 b(r) = d phi/dr (mixed linearly with the previous sweep), relax psi for one
-short imaginary-time sweep under that coupling, repeat.
+short imaginary-time sweep under that coupling, repeat.  The coupling then
+depends on psi, so this is the nonlinear flow of imagtime; a linear problem
+with a given potential is a direct tridiagonal eigensolve instead
+(linear_ground_state).
+
+Every sweep hands over and gets back a state normalized by
+RadialWavefunction (Simpson plus the origin panel), so the sweep-to-sweep
+change compares like with like; the flow's own per-step trapezoid
+renormalization stays inside imagtime (see its docstring).
 """
 
 from __future__ import annotations
@@ -21,22 +29,11 @@ import numpy as np
 
 from ..errors import ConvergenceError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction
-from .imagtime import ground_state_from_coupling_values
+from .imagtime import _initial_guess, ground_state_from_coupling_values
 from .options import SolverOptions
 from .poisson import FieldState, solve_radial_poisson
 
 _OSCILLATION_WINDOW = 50
-
-
-def _flow_normalize(r: np.ndarray, values: np.ndarray, N: float, weight: float) -> np.ndarray:
-    """Rescale to the trapezoid norm used inside the relaxation flow.
-
-    Keeping every sweep in the same quadrature convention avoids a constant
-    renormalization kick per sweep (the Simpson and trapezoid norms differ at
-    O(h^2), which would otherwise masquerade as a never-decaying residual).
-    """
-    norm = weight * np.trapezoid((r * values) ** 2, r)
-    return values * math.sqrt(N / norm)
 
 
 @dataclass
@@ -106,12 +103,11 @@ def self_consistent_minimal_model(
     """
     opts = opts or SolverOptions()
     r = grid.r
-
-    psi_vals = None
-    if psi0 is not None:
-        psi_vals = np.abs(np.asarray(
-            psi0.values if isinstance(psi0, RadialWavefunction) else psi0, dtype=complex
-        )).astype(float)
+    # the Poisson step needs a density, so the guess is set up here, once
+    psi_vals = RadialWavefunction(
+        grid=grid, values=_initial_guess(grid, psi0), target_norm=N,
+        angular_weight=angular_weight,
+    ).normalized().values
 
     coupling = None
     field = None
@@ -121,14 +117,6 @@ def self_consistent_minimal_model(
     converged = False
     sweep = 0
     for sweep in range(1, max_sweeps + 1):
-        if result is not None:
-            psi_vals = _flow_normalize(r, result.psi.values.real, N, angular_weight)
-        if psi_vals is None:
-            # the Poisson step needs a density; start from the solver's default guess
-            sigma = grid.r_max / 8.0
-            psi_vals = np.exp(-0.5 * (r / sigma) ** 2)
-        psi_vals = _flow_normalize(r, psi_vals, N, angular_weight)
-
         rho = psi_vals**2
         source = 4.0 * math.pi * np.asarray(f(rho, r), dtype=float)
         field = solve_radial_poisson(source, grid, point_charge=point_charge)
@@ -146,9 +134,10 @@ def self_consistent_minimal_model(
             angular_weight=angular_weight, psi0=psi_vals,
             max_steps=inner_steps, check_convergence=False,
         )
-        psi_new = _flow_normalize(r, result.psi.values.real, N, angular_weight)
+        psi_new = result.psi.values.real
         psi_change = float(np.max(np.abs(psi_new - psi_vals)))
         psi_change /= float(np.max(np.abs(psi_vals)))
+        psi_vals = psi_new
         coupling = coupling_mixed
 
         history.append((sweep, psi_change, coupling_change))

@@ -100,6 +100,8 @@ def test_report_coarse_grid_control_fails_with_explanation(tmp_path, capsys):
 
 def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "analytic", "--case", "general", "--N", "1", "--q", "0") == 2
+    assert run(tmp_path, "groundstate", "--N", "-1") == 2
+    assert run(tmp_path, "evolve", "--steps", "-3") == 2
 
 
 def test_exit_code_3_on_nonconvergence(tmp_path, capsys):

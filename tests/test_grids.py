@@ -58,3 +58,11 @@ def test_wavefunction_shape_mismatch_rejected():
     grid = RadialGrid.uniform_from_origin(10.0, 64)
     with pytest.raises(DomainError):
         RadialWavefunction(grid, np.ones(32), target_norm=1.0)
+
+
+def test_wavefunction_nonfinite_values_rejected():
+    grid = RadialGrid.uniform_from_origin(10.0, 64)
+    values = np.ones(64)
+    values[5] = np.nan
+    with pytest.raises(DomainError):
+        RadialWavefunction(grid, values, target_norm=1.0)

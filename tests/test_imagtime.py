@@ -81,6 +81,26 @@ def test_relax_requires_uniform_grid():
     grid = RadialGrid.log(1e-3, 8.0, 256)
     with pytest.raises(DomainError):
         ground_state_imaginary_time(CouplingProfile(PI, 0.0), 1.0, grid, SolverOptions())
+    with pytest.raises(DomainError):
+        linear_ground_state(np.zeros_like(grid.r), 1.0, grid, SolverOptions())
+
+
+@pytest.mark.parametrize("N", [0.0, -1.0, math.inf, math.nan])
+def test_relax_and_linear_reject_bad_norm(N):
+    from logse.numerics import ground_state_from_coupling_values
+
+    with pytest.raises(DomainError):
+        ground_state_from_coupling_values(np.full_like(GRID8.r, PI), N, GRID8)
+    with pytest.raises(DomainError):
+        linear_ground_state(np.zeros_like(GRID8.r), N, GRID8)
+
+
+@pytest.mark.parametrize("psi0", [np.zeros_like(GRID8.r), np.full_like(GRID8.r, np.nan)])
+def test_relax_rejects_guess_without_finite_norm(psi0):
+    from logse.numerics import ground_state_from_coupling_values
+
+    with pytest.raises(DomainError):
+        ground_state_from_coupling_values(np.full_like(GRID8.r, PI), 1.0, GRID8, psi0=psi0)
 
 
 def test_omega_profile_flat_where_converged():
@@ -171,6 +191,9 @@ def test_linear_free_box_mode_not_gaussian():
     box /= math.sqrt(4 * PI * np.trapezoid((r * box) ** 2, r))
     assert l2_distance(psi, box) < 1e-2
     assert omega == pytest.approx((PI / span) ** 2, rel=1e-2)
+    # the direct solve returns the discrete Dirichlet eigenvalue itself
+    h = grid.h
+    assert omega == pytest.approx((4 / h**2) * math.sin(PI * h / (2 * span)) ** 2, rel=1e-10)
     # nothing Gaussian about it: the peak of r*psi sits mid-box
     assert abs(r[np.argmax(r * psi.values.real)] - span / 2) < 0.1
 

@@ -85,3 +85,8 @@ def test_evolve_preconditions():
     grid = RadialGrid.uniform_from_origin(8.0, 256)
     with pytest.raises(DomainError):
         evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(), 10)
+    with pytest.raises(DomainError):
+        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4), -3)
+    with pytest.raises(DomainError):
+        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4), 10,
+                         snapshot_stride=-1)
