@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b0", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument("--tol", type=float, help="convergence tolerance on the flow rate")
+    p.add_argument("--tol", type=float, help="tolerance on the stationary residual")
     p.add_argument("--log-floor", type=float, dest="log_floor")
     p.add_argument("--weight", choices=["sphere", "radial"],
                    help="norm convention: 4*pi*r^2 (sphere) or r^2 (radial)")

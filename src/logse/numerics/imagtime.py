@@ -5,12 +5,23 @@ Laplacian into a plain second derivative D2 with u -> 0 at both ends; on
 grids built by RadialGrid.uniform_from_origin the left ghost node sits at
 r = 0 where u vanishes by regularity, so that boundary is exact.
 
-The nonlinear ground state comes from the gradient flow
+The nonlinear ground state comes from the normalized gradient flow
 
     d_tau psi = lap psi + b(r) ln(max(|psi|^2, floor)) psi
 
-integrated by explicit Euler steps and renormalized after every step.  The
-flow decreases the constrained energy functional
+with a backward-Euler kinetic term (Bao & Du, SIAM J. Sci. Comput. 25, 2004).
+With w = b ln max((u/r)^2, floor), H u = D2 u + w u, the Rayleigh quotient
+omega_n = -<Hu, u>/<u, u> and stiff = min(w + 2b, 0), each step solves
+
+    (I - dt D2 - dt diag(stiff)) u_new = u + dt (w - stiff + omega_n) u
+
+and renormalizes.  w + 2b = d(w u)/du is the log term's Jacobian; taking its
+non-positive part (the -2q/r^2 stiffness near the origin) implicitly lifts
+the h^2 step limit and keeps the matrix SPD and diagonally dominant.  omega_n
+makes the fixed point H u + omega u = 0 for every dt, where renormalization
+alone drifts with dt when b(r) varies.  The run stops once the stationary
+residual max|H u + omega_n u| / max|u| is below tol.  The flow decreases the
+constrained energy functional
 
     E[psi] = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr
 
@@ -34,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solveh_banded
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction
@@ -43,13 +54,10 @@ from ..scales import CouplingProfile
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
-# fraction of each stability limit used by the automatic time step
-_DT_SAFETY = 0.2
-# per-node cap on dt * (log term); inactive near a fixed point, it only
-# guards the underflow tail and rough initial transients
-_STEP_CLIP = 0.4
-# steps between rows of the relaxation history
-_LOG_EVERY = 500
+# relaxation step when opts.dt is None; larger steps save steps but can end
+# in a period-2 oscillation (a ConvergenceError), e.g. at 0.1 for the
+# general N = 1, q = 6 state on a (8, 640) grid
+_RELAX_DT = 0.01
 
 
 @dataclass
@@ -58,21 +66,8 @@ class GroundStateResult:
     omega: float
     converged: bool
     steps: int
-    history: list  # rows (step, rate, norm, omega_estimate)
+    history: list  # rows (step, residual, norm, omega_estimate), one per step
     omega_profile: np.ndarray  # pointwise local eigenvalue (diagnostics)
-
-
-def _auto_dt(h: float, coupling_max: float) -> float:
-    """Stability-limited explicit-Euler step.
-
-    Kinetic limit dt < h^2/2; the logarithmic term feeds back on the local
-    amplitude with gain 2*dt*|b(r)|, which the same bound keeps contractive
-    because max|b| <= q/r_min^2 = 1/h^2-type values on our grids.
-    """
-    dt = _DT_SAFETY * h * h
-    if coupling_max > 0.0:
-        dt = min(dt, _DT_SAFETY / coupling_max)
-    return dt
 
 
 def _initial_guess(grid: RadialGrid, psi0) -> np.ndarray:
@@ -94,17 +89,9 @@ def _check_target_norm(N) -> None:
 
 
 def _local_eigenvalue(r, u, w, h):
-    """Local eigenvalue -(u'' + w u)/u and its density-weighted mean.
-
-    The profile is left at zero where |u| is negligible; the mean is the
-    Simpson Rayleigh quotient -<u, u'' + w u> / <u, u>.
-    """
+    """H u = u'' + w u and its Simpson Rayleigh quotient omega = -<Hu, u>/<u, u>."""
     hu = second_difference_dirichlet(u, h) + w * u
-    mean = float(-simpson(hu * u, x=r) / simpson(u * u, x=r))
-    profile = np.zeros_like(u)
-    mask = np.abs(u) > 1e-10 * np.max(np.abs(u))
-    profile[mask] = -hu[mask] / u[mask]
-    return profile, mean
+    return hu, float(-simpson(hu * u, x=r) / simpson(u * u, x=r))
 
 
 def ground_state_imaginary_time(
@@ -159,7 +146,7 @@ def ground_state_from_coupling_values(
     h = grid.h
     floor = opts.log_floor
     tol = opts.convergence_tol
-    dt = opts.dt if opts.dt is not None else _auto_dt(h, float(np.max(np.abs(coupling))))
+    dt = opts.dt if opts.dt is not None else _RELAX_DT
     steps_budget = opts.max_steps if max_steps is None else max_steps
 
     def log_term(u):
@@ -171,30 +158,39 @@ def ground_state_from_coupling_values(
         raise DomainError("the initial guess must have a finite, nonzero norm")
     u *= math.sqrt(N / norm)
 
+    # I - dt D2 - dt diag(stiff) in upper banded storage (Dirichlet ghosts
+    # as in second_difference_dirichlet); row 0 holds the off-diagonal
+    matrix = np.full((2, u.size), -dt / (h * h))
+    kinetic_diagonal = 1.0 + 2.0 * dt / (h * h)
+
+    w = log_term(u)
+    omega = _local_eigenvalue(r, u, w, h)[1]
     history = []
-    rate = math.inf
+    residual = math.inf
     step = 0
     for step in range(1, steps_budget + 1):
-        lap = second_difference_dirichlet(u, h)
-        w_term = np.clip(dt * log_term(u), -_STEP_CLIP, _STEP_CLIP)
-        u_new = u + dt * lap + w_term * u
-        norm = angular_weight * np.trapezoid(u_new * u_new, r)
-        u_new *= math.sqrt(N / norm)
-        rate = float(np.max(np.abs(u_new - u))) / (dt * float(np.max(np.abs(u))))
-        if step % _LOG_EVERY == 0 or rate < tol:
-            omega_est = _local_eigenvalue(r, u_new, log_term(u_new), h)[1]
-            history.append((step, rate, float(norm), omega_est))
-        u = u_new
-        if check_convergence and rate < tol:
+        stiff = np.minimum(w + 2.0 * coupling, 0.0)
+        matrix[1] = kinetic_diagonal - dt * stiff
+        u = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
+        norm = angular_weight * np.trapezoid(u * u, r)
+        u *= math.sqrt(N / norm)
+        w = log_term(u)
+        hu, omega = _local_eigenvalue(r, u, w, h)
+        residual = float(np.max(np.abs(hu + omega * u))) / float(np.max(np.abs(u)))
+        history.append((step, residual, float(norm), omega))
+        if check_convergence and residual < tol:
             break
 
     psi = RadialWavefunction(
         grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
     ).normalized()
     u = r * psi.values.real
-    omega_profile, omega = _local_eigenvalue(r, u, log_term(u), h)
+    hu, omega = _local_eigenvalue(r, u, log_term(u), h)
+    omega_profile = np.zeros_like(u)
+    mask = np.abs(u) > 1e-10 * np.max(np.abs(u))
+    omega_profile[mask] = -hu[mask] / u[mask]
     # in fixed-sweep mode the caller owns the convergence test
-    converged = rate < tol or not check_convergence
+    converged = residual < tol or not check_convergence
     result = GroundStateResult(
         psi=psi,
         omega=omega,
@@ -205,8 +201,8 @@ def ground_state_from_coupling_values(
     )
     if not converged:
         raise ConvergenceError(
-            f"relaxation did not reach rate < {tol:g} within "
-            f"{step} steps (last rate {rate:.3e})",
+            f"relaxation did not reach residual < {tol:g} within "
+            f"{step} steps (last residual {residual:.3e})",
             last=result,
             history=history,
         )

@@ -11,7 +11,8 @@ from ..errors import DomainError
 class SolverOptions:
     """Knobs shared by the relaxation / propagation / SCF drivers.
 
-    dt=None lets each solver pick a stability-limited step for its grid.
+    dt=None selects the relaxation's fixed pseudo-time step; real-time
+    evolution still needs an explicit dt.
     log_floor regularizes ln|psi|^2 where the density underflows; it only
     touches regions that contribute negligibly to norm and observables.
     mixing is the linear damping factor of the self-consistent iteration.
@@ -25,7 +26,7 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0:
-            raise DomainError("dt must be positive (or None for automatic)")
+            raise DomainError("dt must be positive (or None for the relaxation default)")
         if self.max_steps < 1:
             raise DomainError("max_steps must be at least 1")
         if not self.convergence_tol > 0:

@@ -77,6 +77,12 @@ def test_field_constant_over_r(tmp_path):
     assert data["extracted_b0"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_field_linear_rho_converges_at_defaults(tmp_path):
+    assert run(tmp_path, "field", "--f-model", "linear-rho") == 0
+    data = json.loads((tmp_path / "field_result.json").read_text())
+    assert data["converged"] is True
+
+
 def test_report_subset_and_json(tmp_path, capsys):
     code = run(tmp_path, "report", "--only", "9,10", "--json")
     out = capsys.readouterr().out

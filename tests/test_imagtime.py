@@ -27,6 +27,15 @@ from logse.numerics.stencils import second_difference_dirichlet
 
 PI = math.pi
 GRID8 = RadialGrid.uniform_from_origin(8.0, 640)
+# (profile, grid, angular weight) of a b > 0 and a b < 0 relaxation
+GAUSSON_AND_INVERSE_SQUARE = pytest.mark.parametrize(
+    "profile, grid, weight",
+    [
+        (CouplingProfile(PI, 0.0), GRID8, 4 * PI),
+        (CouplingProfile(0.0, 1.0), RadialGrid.uniform_from_origin(30.0, 800), 1.0),
+    ],
+    ids=["gausson", "inverse_square"],
+)
 
 
 def test_relax_constant_coupling_reaches_gausson():
@@ -66,7 +75,23 @@ def test_relax_nonconvergence_carries_iterate_and_history():
         )
     assert err.value.last is not None
     assert err.value.last.psi.values.shape == GRID8.r.shape
-    assert len(err.value.history) >= 0
+    # one history row per step
+    assert len(err.value.history) == 40
+    assert [row[0] for row in err.value.history] == list(range(1, 41))
+
+
+@GAUSSON_AND_INVERSE_SQUARE
+def test_relaxed_state_independent_of_dt(profile, grid, weight):
+    # the Rayleigh quotient inside the step makes the fixed point the discrete
+    # stationary state for every dt, also where b(r) is not constant
+    coarse, omega_coarse = ground_state_imaginary_time(
+        profile, 1.0, grid, SolverOptions(), angular_weight=weight
+    )
+    fine, omega_fine = ground_state_imaginary_time(
+        profile, 1.0, grid, SolverOptions(dt=0.005), angular_weight=weight
+    )
+    assert l2_distance(coarse, fine) < 1e-6
+    assert omega_coarse == pytest.approx(omega_fine, rel=1e-8)
 
 
 def test_coupling_array_must_be_finite():
@@ -159,6 +184,24 @@ def test_relaxation_energy_monotone_along_flow():
         energies.append(energy_of(u))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-10 * max(1.0, abs(energies[0])))
+
+
+@GAUSSON_AND_INVERSE_SQUARE
+def test_relaxation_energy_monotone_along_engine_iterates(profile, grid, weight):
+    from logse.numerics import ground_state_from_coupling_values
+
+    b = profile.evaluate(grid.r)
+    energies = [
+        relaxation_energy(
+            ground_state_from_coupling_values(
+                b, 1.0, grid, SolverOptions(), angular_weight=weight,
+                max_steps=k, check_convergence=False,
+            ).psi,
+            b,
+        )
+        for k in range(1, 51)
+    ]
+    assert np.all(np.diff(energies) <= 1e-10 * max(1.0, abs(energies[0])))
 
 
 # ---------------------------------------------------- linear ground states
