@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import DomainError
@@ -25,8 +26,10 @@ class SolverOptions:
     mixing: float = 0.5
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0:
-            raise DomainError("dt must be positive (or None for the relaxation default)")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise DomainError(
+                "dt must be positive and finite (or None for the relaxation default)"
+            )
         if self.max_steps < 1:
             raise DomainError("max_steps must be at least 1")
         if not self.convergence_tol > 0:

@@ -26,10 +26,10 @@ def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ValueError("columns must have equal length")
+    row_format = ",".join([CSV_FORMAT] * len(arrays)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(CSV_FORMAT % a[i] for a in arrays) + "\n")
+        fh.writelines(map(row_format.__mod__, zip(*arrays)))
 
 
 def write_json(path, payload: dict) -> None:

@@ -108,11 +108,19 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "analytic", "--case", "general", "--N", "1", "--q", "0") == 2
     assert run(tmp_path, "groundstate", "--N", "-1") == 2
     assert run(tmp_path, "evolve", "--steps", "-3") == 2
+    assert run(tmp_path, "evolve", "--dt", "inf", "--steps", "3") == 2
 
 
 def test_exit_code_3_on_nonconvergence(tmp_path, capsys):
     assert run(tmp_path, "groundstate", "--b0", "3.14", "--q", "0",
                "--max-steps", "25") == 3
+
+
+def test_default_evolve_reruns_byte_identical(tmp_path):
+    for out in ("a", "b"):
+        assert main(["evolve", "--out", str(tmp_path / out)]) == 0
+    for name in ("evolve_result.json", "evolve_trajectory.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_config_file_roundtrip_and_override(tmp_path):

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from logse import CouplingProfile, DomainError, RadialGrid, case_constant, case_general
+from logse import (
+    ConvergenceError,
+    CouplingProfile,
+    DomainError,
+    RadialGrid,
+    case_constant,
+    case_general,
+)
 from logse.numerics import SolverOptions, evolve_real_time
 
 PI = math.pi
@@ -90,3 +98,73 @@ def test_evolve_preconditions():
     with pytest.raises(DomainError):
         evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4), 10,
                          snapshot_stride=-1)
+
+
+def _plain_strang(psi0, profile, dt, n_steps, stride, floor=1e-30):
+    """Reference loop: half kick, banded Crank-Nicolson solve, half kick."""
+    psi0 = psi0.normalized()
+    r, h = psi0.grid.r, psi0.grid.h
+    n = r.size
+    u = r * psi0.values.astype(complex)
+    u0 = u.copy()
+    coupling = profile.evaluate(r)
+    lam = 1j * dt / (2.0 * h * h)
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = -lam
+    ab[1, :] = 1.0 + 2.0 * lam
+    ab[2, :-1] = -lam
+
+    def half_kick(vec):
+        theta = 0.5 * dt * coupling * np.log(np.maximum(np.abs(vec / r) ** 2, floor))
+        return vec * np.exp(1j * theta)
+
+    def norm(vec):
+        return psi0.angular_weight * h * float(np.sum(np.abs(vec) ** 2))
+
+    times, norms, phases, snapshots = [0.0], [norm(u)], [0.0], [u / r]
+    for step in range(1, n_steps + 1):
+        u = half_kick(u)
+        rhs = (1.0 - 2.0 * lam) * u
+        rhs[:-1] += lam * u[1:]
+        rhs[1:] += lam * u[:-1]
+        u = half_kick(solve_banded((1, 1), ab, rhs))
+        if step % stride == 0 or step == n_steps:
+            times.append(step * dt)
+            norms.append(norm(u))
+            phases.append(float(np.angle(np.vdot(u0, u))))
+            snapshots.append(u / r)
+    return np.array(times), np.array(norms), np.unwrap(phases), snapshots, u / r
+
+
+def test_fused_kicks_match_plain_strang_loop():
+    # 1100 steps cross the 1000-step norm check (not a multiple of the stride
+    # 7) and end off-stride, so every way a step can be closed is exercised
+    sol = case_constant(1, PI)
+    grid = RadialGrid.uniform_from_origin(8.0, 512)
+    psi0 = sol.sample(grid)
+    res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=1e-4), n_steps=1100,
+                           snapshot_stride=7, keep_snapshots=True)
+    times, norms, phases, snapshots, final = _plain_strang(
+        psi0, sol.profile, 1e-4, 1100, 7)
+    assert len(res.snapshots) == len(snapshots) == 1100 // 7 + 2
+    np.testing.assert_array_equal(res.times, times)
+    np.testing.assert_allclose(res.norms, norms, rtol=1e-12)
+    np.testing.assert_allclose(res.phases, phases, rtol=0, atol=1e-10)
+    for (t, got), want, t_ref in zip(res.snapshots, snapshots, times):
+        assert t == t_ref
+        assert np.max(np.abs(got - want)) < 1e-10
+    assert np.max(np.abs(res.psi.values - final)) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("n_steps, failing_step", [(3, 3), (1500, 1000)])
+def test_nonfinite_state_raises_convergence_error(n_steps, failing_step):
+    # finite inputs whose phase dt * b * ln(rho) overflows to inf: the kick
+    # turns the state into NaN, caught at the norm check or the final step
+    grid = RadialGrid.uniform_from_origin(8.0, 64)
+    psi0 = case_constant(1, PI).sample(grid)
+    with pytest.warns(UserWarning, match="stiff"):
+        with pytest.raises(ConvergenceError, match=f"after {failing_step} steps"):
+            evolve_real_time(psi0, CouplingProfile(1e308, 0.0), SolverOptions(dt=1.0),
+                             n_steps=n_steps)
