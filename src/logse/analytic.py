@@ -6,8 +6,9 @@ The stationary problem in dimensionless units is
 
 with four exactly solvable coupling regimes, tagged by CaseTag:
 
-* GENERAL        b0 != 0, q not in {0, 1}: Gaussian ground state; both omega
-                 and b0 are forced eigenvalues (b0 = pi / N^(2/3)).
+* GENERAL        b0 != 0, q not in {0, 1}: Gaussian stationary state; both
+                 omega and b0 are forced eigenvalues (b0 = pi / N^(2/3)).
+                 For q < 0 it is not the energy minimizer the relaxation finds.
 * Q_ONE          b0 > 0,  q = 1: Gaussian times exp(k r); k solves a
                  transcendental equation equivalent to the normalization.
 * CONSTANT       q = 0: the Gausson of the constant-coupling equation.
@@ -161,11 +162,12 @@ class AnalyticSolution:
 
 
 def case_general(N: float, q_tilde: float) -> AnalyticSolution:
-    """Ground state for b0 != 0 and q not in {0, 1}.
+    """Stationary state for b0 != 0 and q not in {0, 1}.
 
     psi = exp(-pi r^2 / (2 N^(2/3))); the coupling constant is not free but
     locked to the eigenvalue b0 = pi / N^(2/3), and
-    omega = pi (3 - q) / N^(2/3).
+    omega = pi (3 - q) / N^(2/3).  For q < 0 this is not the energy minimizer
+    that the relaxation finds: the flow reaches a state of lower energy.
     """
     _check_norm(N)
     if q_tilde in (0.0, 1.0):

@@ -22,6 +22,16 @@ from .errors import DomainError
 FULL_SPHERE = 4.0 * math.pi
 
 
+def integrate_radial(r: np.ndarray, f: np.ndarray, origin_power: int = 2) -> float:
+    """The grid rule: composite Simpson plus the analytic [0, r_min] panel.
+
+    The panel assumes f ~ r^origin_power near the origin, the behaviour of
+    r^2-weighted densities (power 2) and of bare density-log terms (power 0).
+    Every norm and distance of a state uses this rule.
+    """
+    return float(simpson(f, x=r) + f[0] * r[0] / (origin_power + 1.0))
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing radial nodes with r_min > 0."""
@@ -116,18 +126,14 @@ class RadialWavefunction:
         return np.abs(self.values) ** 2
 
     def norm(self) -> float:
-        """Quadrature norm int w r^2 |psi|^2 dr (composite Simpson).
+        """Quadrature norm int w r^2 |psi|^2 dr by the grid rule.
 
-        The missing [0, r_min] panel is restored analytically using the r^2
-        behaviour of the integrand at the origin (density finite there), so
-        sampled exact states reproduce their norm to quadrature accuracy
-        rather than to O(r_min^3).
+        The [0, r_min] panel uses the r^2 behaviour of the integrand at the
+        origin (density finite there), so sampled exact states reproduce
+        their norm to quadrature accuracy rather than to O(r_min^3).
         """
-        integrand = self.grid.r**2 * self.density()
-        return float(
-            self.angular_weight
-            * (simpson(integrand, x=self.grid.r) + integrand[0] * self.grid.r_min / 3.0)
-        )
+        r = self.grid.r
+        return self.angular_weight * integrate_radial(r, r**2 * self.density())
 
     def normalized(self) -> "RadialWavefunction":
         """Copy rescaled so the quadrature norm equals target_norm."""
@@ -142,17 +148,19 @@ class RadialWavefunction:
 
 
 def l2_distance(psi: RadialWavefunction, other) -> float:
-    """Weighted L2 distance sqrt(int w r^2 |psi - other|^2 dr).
+    """Weighted L2 distance sqrt(int w r^2 |psi - other|^2 dr), grid rule.
 
     `other` may be another RadialWavefunction on the same grid, a callable
-    evaluated on the grid, or an array of samples.
+    evaluated on the grid, or an array of samples, one per node.
     """
     r = psi.grid.r
     if isinstance(other, RadialWavefunction):
+        if not np.array_equal(other.grid.r, r):
+            raise DomainError("l2_distance needs both states on the same grid")
         ref = other.values
-    elif callable(other):
-        ref = other(r)
     else:
-        ref = np.asarray(other)
+        ref = np.asarray(other(r) if callable(other) else other)
+    if ref.shape != r.shape:
+        raise DomainError("the reference must provide one value per grid node")
     diff = np.abs(psi.values - ref) ** 2
-    return math.sqrt(psi.angular_weight * simpson(r**2 * diff, x=r))
+    return math.sqrt(psi.angular_weight * integrate_radial(r, r**2 * diff))

@@ -11,7 +11,7 @@ The nonlinear ground state comes from the normalized gradient flow
 
 with a backward-Euler kinetic term (Bao & Du, SIAM J. Sci. Comput. 25, 2004).
 With w = b ln max((u/r)^2, floor), H u = D2 u + w u, the Rayleigh quotient
-omega_n = -<Hu, u>/<u, u> and stiff = min(w + 2b, 0), each step solves
+omega_n = -(Hu . u)/(u . u) and stiff = min(w + 2b, 0), each step solves
 
     (I - dt D2 - dt diag(stiff)) u_new = u + dt (w - stiff + omega_n) u
 
@@ -20,8 +20,8 @@ non-positive part (the -2q/r^2 stiffness near the origin) implicitly lifts
 the h^2 step limit and keeps the matrix SPD and diagonally dominant.  omega_n
 makes the fixed point H u + omega u = 0 for every dt, where renormalization
 alone drifts with dt when b(r) varies.  The run stops once the stationary
-residual max|H u + omega_n u| / max|u| is below tol.  The flow decreases the
-constrained energy functional
+residual max|H u + omega_n u| / max|u| is below tol, and returns that
+iterate as it is.  The flow decreases the constrained energy functional
 
     E[psi] = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr
 
@@ -31,11 +31,13 @@ The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
 solved directly.
 
-Quadrature: the flow renormalizes each step with the trapezoid rule on the
-stored nodes; returned states and observables use composite Simpson plus the
-analytic [0, r_min] panel (RadialWavefunction.norm).  The real-time
-propagator instead conserves h * sum |u|^2, the inner product in which its
-Cayley step is unitary.
+Two inner products, each for its reason.  Every norm and distance of a state
+uses the grid rule (grids.integrate_radial: Simpson plus the [0, r_min]
+panel); as b(r) ln rho makes the stationary state depend on its amplitude,
+the flow renormalizes each step in it, the norm its returned state is held
+to.  The Rayleigh quotient uses h * sum u v, in which D2 is symmetric; it
+also defines linear_ground_state's eigenvalue, and the real-time propagator
+conserves it as the norm in which its Cayley step is unitary.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
 from ..errors import ConvergenceError, DomainError
-from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction
+from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, integrate_radial
 from ..observables import _xlogx
 from ..scales import CouplingProfile
 from .options import SolverOptions
@@ -70,17 +72,16 @@ class GroundStateResult:
     omega_profile: np.ndarray  # pointwise local eigenvalue (diagnostics)
 
 
-def _initial_guess(grid: RadialGrid, psi0) -> np.ndarray:
-    """|psi0| on the grid; a Gaussian of width r_max/8 when psi0 is None."""
+def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> np.ndarray:
+    """|psi0| normalized to N by the grid rule; a Gaussian of width r_max/8 if None."""
     if psi0 is None:
         sigma = grid.r_max / 8.0
-        return np.exp(-0.5 * (grid.r / sigma) ** 2)
-    if isinstance(psi0, RadialWavefunction):
-        psi0 = psi0.values
-    psi = np.abs(np.asarray(psi0, dtype=complex))
-    if psi.shape != grid.r.shape:
-        raise DomainError("psi0 must provide one value per grid node")
-    return psi
+        psi = np.exp(-0.5 * (grid.r / sigma) ** 2)
+    else:
+        if isinstance(psi0, RadialWavefunction):
+            psi0 = psi0.values
+        psi = np.abs(np.asarray(psi0, dtype=complex))
+    return RadialWavefunction(grid, psi, N, angular_weight).normalized().values
 
 
 def _check_target_norm(N) -> None:
@@ -88,10 +89,10 @@ def _check_target_norm(N) -> None:
         raise DomainError(f"N must be positive and finite (got {N})")
 
 
-def _local_eigenvalue(r, u, w, h):
-    """H u = u'' + w u and its Simpson Rayleigh quotient omega = -<Hu, u>/<u, u>."""
+def _local_eigenvalue(u, w, h):
+    """H u = u'' + w u and its Rayleigh quotient omega = -(Hu . u)/(u . u)."""
     hu = second_difference_dirichlet(u, h) + w * u
-    return hu, float(-simpson(hu * u, x=r) / simpson(u * u, x=r))
+    return hu, float(-(hu @ u) / (u @ u))
 
 
 def ground_state_imaginary_time(
@@ -148,15 +149,13 @@ def ground_state_from_coupling_values(
     tol = opts.convergence_tol
     dt = opts.dt if opts.dt is not None else _RELAX_DT
     steps_budget = opts.max_steps if max_steps is None else max_steps
+    if steps_budget < 1:
+        raise DomainError("max_steps must be at least 1")
 
     def log_term(u):
         return coupling * np.log(np.maximum((u / r) ** 2, floor))
 
-    u = r * _initial_guess(grid, psi0)
-    norm = angular_weight * np.trapezoid(u * u, r)
-    if not (np.isfinite(norm) and norm > 0):
-        raise DomainError("the initial guess must have a finite, nonzero norm")
-    u *= math.sqrt(N / norm)
+    u = r * _initial_guess(grid, psi0, N, angular_weight)
 
     # I - dt D2 - dt diag(stiff) in upper banded storage (Dirichlet ghosts
     # as in second_difference_dirichlet); row 0 holds the off-diagonal
@@ -164,18 +163,16 @@ def ground_state_from_coupling_values(
     kinetic_diagonal = 1.0 + 2.0 * dt / (h * h)
 
     w = log_term(u)
-    omega = _local_eigenvalue(r, u, w, h)[1]
+    omega = _local_eigenvalue(u, w, h)[1]
     history = []
-    residual = math.inf
-    step = 0
     for step in range(1, steps_budget + 1):
         stiff = np.minimum(w + 2.0 * coupling, 0.0)
         matrix[1] = kinetic_diagonal - dt * stiff
         u = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
-        norm = angular_weight * np.trapezoid(u * u, r)
+        norm = angular_weight * integrate_radial(r, u * u)
         u *= math.sqrt(N / norm)
         w = log_term(u)
-        hu, omega = _local_eigenvalue(r, u, w, h)
+        hu, omega = _local_eigenvalue(u, w, h)
         residual = float(np.max(np.abs(hu + omega * u))) / float(np.max(np.abs(u)))
         history.append((step, residual, float(norm), omega))
         if check_convergence and residual < tol:
@@ -183,9 +180,7 @@ def ground_state_from_coupling_values(
 
     psi = RadialWavefunction(
         grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
-    ).normalized()
-    u = r * psi.values.real
-    hu, omega = _local_eigenvalue(r, u, log_term(u), h)
+    )
     omega_profile = np.zeros_like(u)
     mask = np.abs(u) > 1e-10 * np.max(np.abs(u))
     omega_profile[mask] = -hu[mask] / u[mask]

@@ -32,9 +32,9 @@ class SolverOptions:
             )
         if self.max_steps < 1:
             raise DomainError("max_steps must be at least 1")
-        if not self.convergence_tol > 0:
-            raise DomainError("convergence_tol must be positive")
-        if not self.log_floor > 0:
-            raise DomainError("log_floor must be positive")
+        if not 0 < self.convergence_tol < math.inf:
+            raise DomainError("convergence_tol must be positive and finite")
+        if not 0 < self.log_floor < math.inf:
+            raise DomainError("log_floor must be positive and finite")
         if not 0.0 < self.mixing <= 1.0:
             raise DomainError("mixing must lie in (0, 1]")

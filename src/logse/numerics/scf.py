@@ -14,10 +14,10 @@ depends on psi, so this is the nonlinear flow of imagtime; a linear problem
 with a given potential is a direct tridiagonal eigensolve instead
 (linear_ground_state).
 
-Every sweep hands over and gets back a state normalized by
-RadialWavefunction (Simpson plus the origin panel), so the sweep-to-sweep
-change compares like with like; the flow's own per-step trapezoid
-renormalization stays inside imagtime (see its docstring).
+Every sweep hands over and gets back a state held to the grid rule (Simpson
+plus the origin panel), the norm the flow renormalizes each step in, so the
+sweep-to-sweep change compares like with like; only the flow's Rayleigh
+quotient uses h * sum u v, in which D2 is symmetric (see imagtime).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, DomainError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction
 from .imagtime import _initial_guess, ground_state_from_coupling_values
 from .options import SolverOptions
@@ -102,12 +102,11 @@ def self_consistent_minimal_model(
     progress for 50 sweeps aborts with a suggestion to reduce opts.mixing.
     """
     opts = opts or SolverOptions()
+    if inner_steps < 1 or max_sweeps < 1:
+        raise DomainError("inner_steps and max_sweeps must be at least 1")
     r = grid.r
     # the Poisson step needs a density, so the guess is set up here, once
-    psi_vals = RadialWavefunction(
-        grid=grid, values=_initial_guess(grid, psi0), target_norm=N,
-        angular_weight=angular_weight,
-    ).normalized().values
+    psi_vals = _initial_guess(grid, psi0, N, angular_weight)
 
     coupling = None
     field = None

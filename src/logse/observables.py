@@ -3,8 +3,10 @@
 The entropy of a state is S = -int w r^2 rho ln(rho) dr + S_Y * N / w with
 rho = |psi|^2, where w is the wavefunction's angular weight and S_Y its
 angular entropy constant; both reductions (spherically symmetric and
-separable-radial) are covered by the same expressions.  Quadrature is
-composite Simpson on the stored grid throughout.
+separable-radial) are covered by the same expressions.  Entropies use the
+grid rule (grids.integrate_radial: composite Simpson plus the analytic
+[0, r_min] panel); the kinetic and potential integrals of internal_energy
+are plain Simpson on the stored grid.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import DomainError
-from .grids import RadialGrid, RadialWavefunction  # re-exported: the grid and
-# wavefunction types live here from a user's point of view
+from .grids import RadialGrid, RadialWavefunction, integrate_radial  # the grid and
+# wavefunction types are re-exported: they live here from a user's point of view
 from .scales import CouplingProfile
 
 # Densities below this are treated as exact zeros in x*ln(x) terms
@@ -68,18 +70,8 @@ def entropy_density(psi: RadialWavefunction) -> np.ndarray:
     return -psi.angular_weight * r2 * _xlogx(rho) + psi.angular_entropy * r2 * rho
 
 
-def _integrate_radial(r: np.ndarray, f: np.ndarray, origin_power: int) -> float:
-    """Simpson quadrature plus the analytic [0, r_min] panel.
-
-    The panel assumes f ~ r^origin_power near the origin, the behaviour of
-    r^2-weighted densities (power 2) and of bare density-log terms (power 0).
-    """
-    panel = f[0] * r[0] / (origin_power + 1.0)
-    return float(simpson(f, x=r) + panel)
-
-
 def entropy(psi: RadialWavefunction, boundary_tol: float = 1e-8) -> float:
-    """Integrated entropy via Simpson quadrature of the entropy density.
+    """Integrated entropy: the grid rule on the entropy density.
 
     Warns when the entropy density at the outer grid edge is not yet
     negligible, which signals a truncated integral (grid too small).
@@ -92,7 +84,7 @@ def entropy(psi: RadialWavefunction, boundary_tol: float = 1e-8) -> float:
             "the quadrature is truncated (enlarge the grid)",
             stacklevel=2,
         )
-    return _integrate_radial(psi.grid.r, s, origin_power=2)
+    return integrate_radial(psi.grid.r, s)
 
 
 def quantum_temperature(profile: CouplingProfile, r):
@@ -151,12 +143,12 @@ def internal_energy(
     potential = float(w * simpson(r**2 * v * psi.density(), x=r))
     s = entropy_density(psi)
     temp = profile.evaluate(r) - temperature_offset
-    total_entropy = _integrate_radial(r, s, origin_power=2)
+    total_entropy = integrate_radial(r, s)
     # split T(r) s(r) = (b0 - T0) s(r) - q s(r)/r^2 so each integrand stays
     # regular at the origin (s ~ r^2 makes s/r^2 finite there)
     entropy_term = (profile.b0_tilde - temperature_offset) * total_entropy
     if profile.q_tilde != 0.0:
-        entropy_term -= profile.q_tilde * _integrate_radial(r, s / r**2, origin_power=0)
+        entropy_term -= profile.q_tilde * integrate_radial(r, s / r**2, origin_power=0)
     return ObservableReport(
         entropy=total_entropy,
         entropy_density=s,

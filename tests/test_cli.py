@@ -109,6 +109,11 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "groundstate", "--N", "-1") == 2
     assert run(tmp_path, "evolve", "--steps", "-3") == 2
     assert run(tmp_path, "evolve", "--dt", "inf", "--steps", "3") == 2
+    assert run(tmp_path, "groundstate", "--log-floor", "inf") == 2
+    assert run(tmp_path, "groundstate", "--tol", "inf", "--max-steps", "5") == 2
+    assert run(tmp_path, "field", "--inner-steps", "0") == 2
+    assert run(tmp_path, "field", "--inner-steps", "-1") == 2
+    assert run(tmp_path, "field", "--max-sweeps", "0") == 2
 
 
 def test_exit_code_3_on_nonconvergence(tmp_path, capsys):

@@ -54,6 +54,16 @@ def test_l2_distance_accepts_callable_and_array():
                                                       rel=1e-5)
 
 
+def test_l2_distance_rejects_other_grid_or_shape():
+    sol = case_constant(1, PI)
+    psi = sol.sample(RadialGrid.uniform_from_origin(8.0, 640)).normalized()
+    wider = sol.sample(RadialGrid.uniform_from_origin(16.0, 640)).normalized()
+    coarser = sol.sample(RadialGrid.uniform_from_origin(8.0, 320))
+    for other in (wider, coarser, coarser.values):
+        with pytest.raises(DomainError):
+            l2_distance(psi, other)
+
+
 def test_wavefunction_shape_mismatch_rejected():
     grid = RadialGrid.uniform_from_origin(10.0, 64)
     with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ from logse import (
     RadialGrid,
     RadialWavefunction,
     case_constant,
+    case_general,
     case_inverse_square,
     case_q1,
     l2_distance,
@@ -94,6 +95,43 @@ def test_relaxed_state_independent_of_dt(profile, grid, weight):
     assert omega_coarse == pytest.approx(omega_fine, rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "profile, grid, weight",
+    [
+        (CouplingProfile(PI, 0.0), GRID8, 4 * PI),
+        (CouplingProfile(PI, 1.0), GRID8, 4 * PI),
+        (CouplingProfile(0.0, 1.0), RadialGrid.uniform_from_origin(30.0, 800), 1.0),
+    ],
+    ids=["gausson", "q1", "inverse_square"],
+)
+def test_returned_state_is_stationary(profile, grid, weight):
+    # the flow projects onto the norm the returned state is held to, so the
+    # state it hands back meets the stopping residual itself
+    from logse.numerics import ground_state_from_coupling_values
+
+    opts = SolverOptions()
+    b = profile.evaluate(grid.r)
+    res = ground_state_from_coupling_values(b, 1.0, grid, opts, angular_weight=weight)
+    u = grid.r * res.psi.values.real
+    w = b * np.log(np.maximum(res.psi.density(), opts.log_floor))
+    hu = second_difference_dirichlet(u, grid.h) + w * u
+    assert np.max(np.abs(hu + res.omega * u)) / np.max(np.abs(u)) < opts.convergence_tol
+    assert res.psi.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_negative_q_closed_form_is_not_the_minimizer():
+    # for q < 0 the catalog state is stationary, but the flow finds a state
+    # of lower energy far from it
+    from logse.numerics import ground_state_from_coupling_values
+
+    sol = case_general(1, -0.5)
+    b = sol.profile.evaluate(GRID8.r)
+    res = ground_state_from_coupling_values(b, 1.0, GRID8, SolverOptions())
+    assert res.converged
+    assert relaxation_energy(res.psi, b) < relaxation_energy(sol.sample(GRID8), b) - 0.1
+    assert l2_distance(res.psi, sol.psi) > 0.1
+
+
 def test_coupling_array_must_be_finite():
     from logse.numerics import ground_state_from_coupling_values
 
@@ -118,6 +156,17 @@ def test_relax_and_linear_reject_bad_norm(N):
         ground_state_from_coupling_values(np.full_like(GRID8.r, PI), N, GRID8)
     with pytest.raises(DomainError):
         linear_ground_state(np.zeros_like(GRID8.r), N, GRID8)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_relax_rejects_empty_step_budget(max_steps):
+    from logse.numerics import ground_state_from_coupling_values
+
+    with pytest.raises(DomainError):
+        ground_state_from_coupling_values(
+            np.full_like(GRID8.r, PI), 1.0, GRID8, max_steps=max_steps,
+            check_convergence=False,
+        )
 
 
 @pytest.mark.parametrize("psi0", [np.zeros_like(GRID8.r), np.full_like(GRID8.r, np.nan)])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from logse import ConvergenceError, RadialGrid, case_constant, l2_distance
+from logse import ConvergenceError, DomainError, RadialGrid, case_constant, l2_distance
 from logse.numerics import (
     SolverOptions,
     f_constant_over_r,
@@ -114,3 +114,11 @@ def test_oscillation_detector_on_synthetic_sequences():
     assert oscillation_detected(ringing)
     short = [1.0, 0.5, 0.25]
     assert not oscillation_detected(short)
+
+
+@pytest.mark.parametrize("budget", [{"inner_steps": 0}, {"inner_steps": -1}, {"max_sweeps": 0}])
+def test_zero_step_budgets_rejected(budget):
+    # an empty budget would report the unrelaxed guess as converged
+    grid = RadialGrid.uniform_from_origin(8.0, 128)
+    with pytest.raises(DomainError):
+        self_consistent_minimal_model(f_constant_over_r(PI), 1.0, grid, **budget)
