@@ -154,6 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma-separated criterion ids, e.g. 2,9,10")
     p.add_argument("--c1-n", type=int, dest="c1_n",
                    help="grid size for the residual criterion (discretization control)")
+
+    # each subcommand's flags by key, to check config-file values against
+    for p in sub.choices.values():
+        p.set_defaults(flag_actions={action.dest: action for action in p._actions})
     return parser
 
 
@@ -167,6 +171,15 @@ def _resolve(args) -> dict:
             raise DomainError(
                 f"unknown config keys for '{args.command}': {sorted(unknown)}"
             )
+        for key, value in file_conf.items():
+            # checked against the flag owning the key, not converted
+            action = args.flag_actions[key]
+            kinds = {float: (int, float), int: (int,)}.get(action.type, object)
+            if (not isinstance(value, kinds) or isinstance(value, bool) and action.type
+                    or action.choices is not None and value not in action.choices):
+                raise DomainError(f"config key {key!r}: {value!r} is not a valid "
+                                  f"{action.option_strings[0]} "
+                                  f"({action.choices or action.type.__name__})")
         table.update(file_conf)
     for key in table:
         cli_value = getattr(args, key, None)
@@ -447,7 +460,10 @@ def cmd_report(args) -> int:
     conf = _resolve(args)
     only = None
     if conf["only"]:
-        only = [int(tok) for tok in str(conf["only"]).split(",") if tok.strip()]
+        only = [tok.strip() for tok in str(conf["only"]).split(",") if tok.strip()]
+        if not only or not set(only) <= set(map(str, acceptance.ALL_CRITERIA)):
+            raise DomainError(f"--only takes criterion ids 1-10, got {conf['only']!r}")
+        only = [int(tok) for tok in only]
     results = acceptance.run_all(only=only, c1_n_points=conf["c1_n"])
     print(acceptance.format_report(results))
     if conf["json"]:

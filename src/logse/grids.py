@@ -89,9 +89,12 @@ class RadialGrid:
             raise DomainError("spacing h is defined for uniform grids only")
         return float(self.r[1] - self.r[0])
 
-    def starts_at_origin_step(self, rtol: float = 1e-12) -> bool:
-        """True when r_min == h, i.e. the r=0 ghost node is exact."""
-        return self.spacing == "uniform" and abs(self.r_min - self.h) <= rtol * self.h
+    def origin_step(self) -> float:
+        """h on the solvers' grid (r_min == h: ghost node at r = 0); else DomainError."""
+        if self.spacing != "uniform" or abs(self.r_min - self.h) > 1e-12 * self.h:
+            raise DomainError("the solvers need a uniform grid with r_min == h "
+                              "(RadialGrid.uniform_from_origin; omit --r-min)")
+        return self.h
 
 
 @dataclass

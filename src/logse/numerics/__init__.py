@@ -5,7 +5,6 @@ from .residual import residual, residual_profile
 from .imagtime import (
     GroundStateResult,
     ground_state_from_coupling_values,
-    ground_state_imaginary_time,
     linear_ground_state,
     relaxation_energy,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "residual_profile",
     "GroundStateResult",
     "ground_state_from_coupling_values",
-    "ground_state_imaginary_time",
     "linear_ground_state",
     "relaxation_energy",
     "EvolutionResult",

@@ -1,9 +1,9 @@
 """Ground states: imaginary-time relaxation (nonlinear), direct solve (linear).
 
 Both work on the substituted variable u = r*psi, which turns the radial
-Laplacian into a plain second derivative D2 with u -> 0 at both ends; on
-grids built by RadialGrid.uniform_from_origin the left ghost node sits at
-r = 0 where u vanishes by regularity, so that boundary is exact.
+Laplacian into a plain second derivative D2 with u -> 0 at both ends; both
+need r_min == h (RadialGrid.origin_step), which puts the left ghost node at
+r = 0, where u vanishes by regularity, so that boundary is exact.
 
 The nonlinear ground state comes from the normalized gradient flow
 
@@ -31,13 +31,14 @@ The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
 solved directly.
 
-Two inner products, each for its reason.  Every norm and distance of a state
-uses the grid rule (grids.integrate_radial: Simpson plus the [0, r_min]
-panel); as b(r) ln rho makes the stationary state depend on its amplitude,
-the flow renormalizes each step in it, the norm its returned state is held
-to.  The Rayleigh quotient uses h * sum u v, in which D2 is symmetric; it
-also defines linear_ground_state's eigenvalue, and the real-time propagator
-conserves it as the norm in which its Cayley step is unitary.
+Two inner products, each for its reason.  Every norm, distance and energy
+of a state uses the grid rule (grids.integrate_radial: Simpson plus the
+[0, r_min] panel); as b(r) ln rho makes the stationary state depend on its
+amplitude, the flow renormalizes each step in it, the norm its returned
+state is held to.  The Rayleigh quotient uses h * sum u v, in which D2 is
+symmetric; it also defines linear_ground_state's eigenvalue, and the
+real-time propagator conserves it as the norm in which its Cayley step is
+unitary.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, integrate_radial
-from ..observables import _xlogx
-from ..scales import CouplingProfile
+from ..observables import _kinetic_energy, _xlogx
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
@@ -69,7 +68,6 @@ class GroundStateResult:
     converged: bool
     steps: int
     history: list  # rows (step, residual, norm, omega_estimate), one per step
-    omega_profile: np.ndarray  # pointwise local eigenvalue (diagnostics)
 
 
 def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> np.ndarray:
@@ -84,40 +82,10 @@ def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> n
     return RadialWavefunction(grid, psi, N, angular_weight).normalized().values
 
 
-def _check_target_norm(N) -> None:
-    if not (np.isfinite(N) and N > 0):
-        raise DomainError(f"N must be positive and finite (got {N})")
-
-
 def _local_eigenvalue(u, w, h):
     """H u = u'' + w u and its Rayleigh quotient omega = -(Hu . u)/(u . u)."""
     hu = second_difference_dirichlet(u, h) + w * u
     return hu, float(-(hu @ u) / (u @ u))
-
-
-def ground_state_imaginary_time(
-    profile: CouplingProfile,
-    N: float,
-    grid: RadialGrid,
-    opts: SolverOptions | None = None,
-    angular_weight: float = FULL_SPHERE,
-    psi0=None,
-) -> tuple[RadialWavefunction, float]:
-    """Relax to the nonlinear ground state for a coupling profile.
-
-    Returns (wavefunction, omega) with omega the density-weighted Rayleigh
-    estimate of the stationary frequency.  Use angular_weight=1 for the
-    radial-only normalization of the separable (b0 = 0, q = 1) family: the
-    amplitude matters to the logarithmic term, so the weight selects which
-    member of the family the flow converges to.
-
-    Raises ConvergenceError (carrying the last iterate and the residual
-    history) when max_steps is exhausted.
-    """
-    result = ground_state_from_coupling_values(
-        profile.evaluate(grid.r), N, grid, opts, angular_weight=angular_weight, psi0=psi0
-    )
-    return result.psi, result.omega
 
 
 def ground_state_from_coupling_values(
@@ -130,21 +98,22 @@ def ground_state_from_coupling_values(
     max_steps=None,
     check_convergence=True,
 ) -> GroundStateResult:
-    """Same relaxation with the coupling given as values on the grid.
+    """Relax to the nonlinear ground state for b(r) given as values on the grid.
 
-    This is the inner engine of the self-consistent model, where b(r) is the
-    numerical gradient of the auxiliary field rather than a closed form; it
-    runs there in fixed-sweep mode (check_convergence=False, max_steps steps).
+    Pass profile.evaluate(grid.r) for a closed-form coupling.  Use
+    angular_weight=1 for the radial-only normalization of the separable
+    (b0 = 0, q = 1) family: the amplitude matters to the logarithmic term,
+    so the weight selects which member of the family the flow converges to.
+    The SCF runs it in fixed-sweep mode (check_convergence=False, max_steps
+    steps).  Raises ConvergenceError (carrying the last iterate and the
+    residual history) when max_steps is exhausted.
     """
     opts = opts or SolverOptions()
     coupling = np.asarray(coupling, dtype=float)
     if coupling.shape != grid.r.shape or not np.all(np.isfinite(coupling)):
         raise DomainError("coupling must be finite with one value per grid node")
-    _check_target_norm(N)
-    if grid.spacing != "uniform":
-        raise DomainError("imaginary-time relaxation requires a uniform grid")
     r = grid.r
-    h = grid.h
+    h = grid.origin_step()
     floor = opts.log_floor
     tol = opts.convergence_tol
     dt = opts.dt if opts.dt is not None else _RELAX_DT
@@ -181,9 +150,6 @@ def ground_state_from_coupling_values(
     psi = RadialWavefunction(
         grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
     )
-    omega_profile = np.zeros_like(u)
-    mask = np.abs(u) > 1e-10 * np.max(np.abs(u))
-    omega_profile[mask] = -hu[mask] / u[mask]
     # in fixed-sweep mode the caller owns the convergence test
     converged = residual < tol or not check_convergence
     result = GroundStateResult(
@@ -192,7 +158,6 @@ def ground_state_from_coupling_values(
         converged=converged,
         steps=step,
         history=history,
-        omega_profile=omega_profile,
     )
     if not converged:
         raise ConvergenceError(
@@ -227,10 +192,8 @@ def linear_ground_state(
         raise DomainError("V_ext must provide one value per grid node")
     if not np.all(np.isfinite(v)):
         raise DomainError("V_ext must be finite (bounded below) on the grid")
-    _check_target_norm(N)
-    if grid.spacing != "uniform":
-        raise DomainError("the linear ground-state solve requires a uniform grid")
-    inv_h2 = 1.0 / (grid.h * grid.h)
+    h = grid.origin_step()
+    inv_h2 = 1.0 / (h * h)
     omega, vec = eigh_tridiagonal(
         2.0 * inv_h2 + v, np.full(v.size - 1, -inv_h2), select="i", select_range=(0, 0)
     )
@@ -243,20 +206,20 @@ def linear_ground_state(
     return psi, float(omega[0])
 
 
-def relaxation_energy(psi: RadialWavefunction, profile_or_values) -> float:
+def relaxation_energy(psi: RadialWavefunction, coupling) -> float:
     """Energy functional decreased by the imaginary-time flow.
 
-    E = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr.
+    E = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr, with the
+    coupling b(r) given as values on psi's grid.  Both terms use the grid
+    rule; the log term's [0, r_min] panel has origin power 0, since
+    r^2 b(r) -> -q at the origin.
 
     Its finite-difference variation reproduces the stationary-equation
     residual, which is what makes the flow a gradient descent.
     """
     r = psi.grid.r
-    if isinstance(profile_or_values, CouplingProfile):
-        b = profile_or_values.evaluate(r)
-    else:
-        b = np.asarray(profile_or_values, dtype=float)
     rho = psi.density()
-    dpsi = np.gradient(psi.values.real, r, edge_order=2)
-    integrand = dpsi**2 - b * (_xlogx(rho) - rho)
-    return float(psi.angular_weight * simpson(r**2 * integrand, x=r))
+    log_term = r**2 * np.asarray(coupling, dtype=float) * (_xlogx(rho) - rho)
+    return _kinetic_energy(psi) - psi.angular_weight * integrate_radial(
+        r, log_term, origin_power=0
+    )

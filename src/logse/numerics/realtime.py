@@ -61,18 +61,17 @@ def evolve_real_time(
     snapshot_stride > 0 records diagnostics every that many steps (plus the
     initial and final states), 0 only those two; keep_snapshots additionally
     stores the field values for trajectory output.  Negative n_steps or
-    snapshot_stride raise DomainError.  Aborts with ConvergenceError if the
-    conserved discrete norm drifts by more than 1e-6 per 1000 steps.
+    snapshot_stride, or a grid without r_min == h, raise DomainError.  Aborts
+    with ConvergenceError if the conserved discrete norm drifts by more than
+    1e-6 per 1000 steps.
     """
     if opts.dt is None:
         raise DomainError("real-time evolution needs an explicit dt")
     if n_steps < 0 or snapshot_stride < 0:
         raise DomainError("n_steps and snapshot_stride must be non-negative")
     grid = psi0.grid
-    if grid.spacing != "uniform":
-        raise DomainError("real-time evolution requires a uniform grid")
     r = grid.r
-    h = grid.h
+    h = grid.origin_step()
     n = r.size
     dt = opts.dt
 

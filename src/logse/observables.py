@@ -3,10 +3,10 @@
 The entropy of a state is S = -int w r^2 rho ln(rho) dr + S_Y * N / w with
 rho = |psi|^2, where w is the wavefunction's angular weight and S_Y its
 angular entropy constant; both reductions (spherically symmetric and
-separable-radial) are covered by the same expressions.  Entropies use the
-grid rule (grids.integrate_radial: composite Simpson plus the analytic
-[0, r_min] panel); the kinetic and potential integrals of internal_energy
-are plain Simpson on the stored grid.
+separable-radial) are covered by the same expressions.  Entropies and the
+kinetic energy use the grid rule (grids.integrate_radial: Simpson plus the
+[0, r_min] panel); the potential integral is plain Simpson, as the origin
+behaviour of its integrand depends on the caller's V_ext.
 """
 
 from __future__ import annotations
@@ -56,6 +56,13 @@ def _xlogx(rho: np.ndarray) -> np.ndarray:
     mask = rho > DENSITY_FLOOR
     out[mask] = rho[mask] * np.log(rho[mask])
     return out
+
+
+def _kinetic_energy(psi: RadialWavefunction) -> float:
+    """int w r^2 |d psi/dr|^2 dr by the grid rule (the integrand ~ r^2 or faster)."""
+    r = psi.grid.r
+    dpsi = np.gradient(psi.values, r, edge_order=2)
+    return psi.angular_weight * integrate_radial(r, r**2 * np.abs(dpsi) ** 2)
 
 
 def entropy_density(psi: RadialWavefunction) -> np.ndarray:
@@ -132,8 +139,7 @@ def internal_energy(
         )
     r = psi.grid.r
     w = psi.angular_weight
-    dpsi = np.gradient(psi.values, r, edge_order=2)
-    kinetic = float(w * simpson(r**2 * np.abs(dpsi) ** 2, x=r))
+    kinetic = _kinetic_energy(psi)
     if V_ext is None:
         v = np.zeros_like(r)
     elif callable(V_ext):

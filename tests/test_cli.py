@@ -114,6 +114,22 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "field", "--inner-steps", "0") == 2
     assert run(tmp_path, "field", "--inner-steps", "-1") == 2
     assert run(tmp_path, "field", "--max-sweeps", "0") == 2
+    assert run(tmp_path, "groundstate", "--r-min", "0.5") == 2
+    assert run(tmp_path, "evolve", "--r-min", "0.05") == 2
+    assert run(tmp_path, "field", "--r-min", "0.05") == 2
+    for only in ("11", "0", "x"):
+        assert run(tmp_path, "report", "--only", only) == 2
+        assert "criterion ids 1-10" in capsys.readouterr().err
+
+
+def test_groundstate_accepts_explicit_origin_step(tmp_path):
+    # --r-min 0.0125 is the default grid's h = 8 / 640, so r_min == h holds
+    assert run(tmp_path / "a", "groundstate") == 0
+    assert run(tmp_path / "b", "groundstate", "--r-min", "0.0125") == 0
+    default, explicit = (json.loads((tmp_path / d / "groundstate_result.json").read_text())
+                         for d in "ab")
+    assert explicit["converged"]
+    assert explicit["omega"] == pytest.approx(default["omega"], rel=1e-10)
 
 
 def test_exit_code_3_on_nonconvergence(tmp_path, capsys):
@@ -134,6 +150,7 @@ def test_config_file_roundtrip_and_override(tmp_path):
     assert main(["analytic", "--config", str(conf), "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "analytic_result.json").read_text())
     assert data["N"] == 8
+    assert type(data["config"]["N"]) is int  # file values are checked, not converted
 
     # command line wins over the file
     assert main(["analytic", "--config", str(conf), "--N", "1",
@@ -146,6 +163,21 @@ def test_unknown_config_key_rejected(tmp_path):
     conf = tmp_path / "bad.conf"
     conf.write_text("nonsense = 1\n")
     assert main(["analytic", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command, line", [
+    ("analytic", "case = foo"),
+    ("field", "f_model = nope"),
+    ("groundstate", "weight = cube"),
+    ("analytic", "spacing = cubic"),
+    ("evolve", "steps = 2.5"),
+    ("analytic", "n = abc"),
+])
+def test_config_file_values_checked_like_flags(tmp_path, capsys, command, line):
+    conf = tmp_path / "bad.conf"
+    conf.write_text(line + "\n")
+    assert main([command, "--config", str(conf), "--out", str(tmp_path)]) == 2
+    assert repr(line.split(" = ")[0]) in capsys.readouterr().err
 
 
 def test_saved_config_reruns_byte_identical(tmp_path):

@@ -19,8 +19,11 @@ def test_grid_constructors_and_properties():
         lg.h  # spacing undefined on log grids
 
     og = RadialGrid.uniform_from_origin(8.0, 512)
-    assert og.starts_at_origin_step()
+    assert og.origin_step() == og.h
     assert og.r_min == pytest.approx(og.h)
+    for other in (g, lg):  # r_min != h, and no h at all
+        with pytest.raises(DomainError):
+            other.origin_step()
 
 
 def test_grid_validation():

@@ -20,7 +20,8 @@ from logse import (
 )
 from logse.numerics import (
     SolverOptions,
-    ground_state_imaginary_time,
+    evolve_real_time,
+    ground_state_from_coupling_values,
     linear_ground_state,
     relaxation_energy,
 )
@@ -40,9 +41,10 @@ GAUSSON_AND_INVERSE_SQUARE = pytest.mark.parametrize(
 
 
 def test_relax_constant_coupling_reaches_gausson():
-    psi, omega = ground_state_imaginary_time(
-        CouplingProfile(PI, 0.0), 1.0, GRID8, SolverOptions()
+    res = ground_state_from_coupling_values(
+        CouplingProfile(PI, 0.0).evaluate(GRID8.r), 1.0, GRID8, SolverOptions()
     )
+    psi, omega = res.psi, res.omega
     sol = case_constant(1, PI)
     assert l2_distance(psi, sol.psi) < 3e-4
     assert omega == pytest.approx(3 * PI, rel=1e-3)
@@ -50,9 +52,10 @@ def test_relax_constant_coupling_reaches_gausson():
 
 
 def test_relax_q1_at_closure_point():
-    psi, omega = ground_state_imaginary_time(
-        CouplingProfile(PI, 1.0), 1.0, GRID8, SolverOptions()
+    res = ground_state_from_coupling_values(
+        CouplingProfile(PI, 1.0).evaluate(GRID8.r), 1.0, GRID8, SolverOptions()
     )
+    psi, omega = res.psi, res.omega
     sol = case_q1(1, PI)  # k = 0: pure Gaussian
     assert l2_distance(psi, sol.psi) < 3e-4
     assert omega == pytest.approx(2 * PI, rel=1e-3)
@@ -60,9 +63,11 @@ def test_relax_q1_at_closure_point():
 
 def test_relax_inverse_square_coupling():
     grid = RadialGrid.uniform_from_origin(30.0, 800)
-    psi, omega = ground_state_imaginary_time(
-        CouplingProfile(0.0, 1.0), 1.0, grid, SolverOptions(), angular_weight=1.0
+    res = ground_state_from_coupling_values(
+        CouplingProfile(0.0, 1.0).evaluate(grid.r), 1.0, grid, SolverOptions(),
+        angular_weight=1.0,
     )
+    psi, omega = res.psi, res.omega
     sol = case_inverse_square(1)
     assert l2_distance(psi, sol.psi) < 3e-4
     assert omega == pytest.approx(sol.omega, rel=1e-3)
@@ -70,8 +75,8 @@ def test_relax_inverse_square_coupling():
 
 def test_relax_nonconvergence_carries_iterate_and_history():
     with pytest.raises(ConvergenceError) as err:
-        ground_state_imaginary_time(
-            CouplingProfile(PI, 0.0), 1.0, GRID8,
+        ground_state_from_coupling_values(
+            CouplingProfile(PI, 0.0).evaluate(GRID8.r), 1.0, GRID8,
             SolverOptions(max_steps=40, convergence_tol=1e-14),
         )
     assert err.value.last is not None
@@ -85,14 +90,15 @@ def test_relax_nonconvergence_carries_iterate_and_history():
 def test_relaxed_state_independent_of_dt(profile, grid, weight):
     # the Rayleigh quotient inside the step makes the fixed point the discrete
     # stationary state for every dt, also where b(r) is not constant
-    coarse, omega_coarse = ground_state_imaginary_time(
-        profile, 1.0, grid, SolverOptions(), angular_weight=weight
+    b = profile.evaluate(grid.r)
+    coarse = ground_state_from_coupling_values(
+        b, 1.0, grid, SolverOptions(), angular_weight=weight
     )
-    fine, omega_fine = ground_state_imaginary_time(
-        profile, 1.0, grid, SolverOptions(dt=0.005), angular_weight=weight
+    fine = ground_state_from_coupling_values(
+        b, 1.0, grid, SolverOptions(dt=0.005), angular_weight=weight
     )
-    assert l2_distance(coarse, fine) < 1e-6
-    assert omega_coarse == pytest.approx(omega_fine, rel=1e-8)
+    assert l2_distance(coarse.psi, fine.psi) < 1e-6
+    assert coarse.omega == pytest.approx(fine.omega, rel=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -107,8 +113,6 @@ def test_relaxed_state_independent_of_dt(profile, grid, weight):
 def test_returned_state_is_stationary(profile, grid, weight):
     # the flow projects onto the norm the returned state is held to, so the
     # state it hands back meets the stopping residual itself
-    from logse.numerics import ground_state_from_coupling_values
-
     opts = SolverOptions()
     b = profile.evaluate(grid.r)
     res = ground_state_from_coupling_values(b, 1.0, grid, opts, angular_weight=weight)
@@ -122,8 +126,6 @@ def test_returned_state_is_stationary(profile, grid, weight):
 def test_negative_q_closed_form_is_not_the_minimizer():
     # for q < 0 the catalog state is stationary, but the flow finds a state
     # of lower energy far from it
-    from logse.numerics import ground_state_from_coupling_values
-
     sol = case_general(1, -0.5)
     b = sol.profile.evaluate(GRID8.r)
     res = ground_state_from_coupling_values(b, 1.0, GRID8, SolverOptions())
@@ -133,8 +135,6 @@ def test_negative_q_closed_form_is_not_the_minimizer():
 
 
 def test_coupling_array_must_be_finite():
-    from logse.numerics import ground_state_from_coupling_values
-
     bad = np.full_like(GRID8.r, np.nan)
     with pytest.raises(DomainError):
         ground_state_from_coupling_values(bad, 1.0, GRID8, SolverOptions())
@@ -143,15 +143,27 @@ def test_coupling_array_must_be_finite():
 def test_relax_requires_uniform_grid():
     grid = RadialGrid.log(1e-3, 8.0, 256)
     with pytest.raises(DomainError):
-        ground_state_imaginary_time(CouplingProfile(PI, 0.0), 1.0, grid, SolverOptions())
+        ground_state_from_coupling_values(
+            CouplingProfile(PI, 0.0).evaluate(grid.r), 1.0, grid, SolverOptions()
+        )
     with pytest.raises(DomainError):
         linear_ground_state(np.zeros_like(grid.r), 1.0, grid, SolverOptions())
 
 
+def test_engines_require_origin_step_grid():
+    # a uniform grid whose r_min is not h puts the left ghost node off r = 0
+    grid = RadialGrid.uniform(0.5, 8.0, 640)
+    sol = case_constant(1, PI)
+    with pytest.raises(DomainError):
+        ground_state_from_coupling_values(sol.profile.evaluate(grid.r), 1.0, grid)
+    with pytest.raises(DomainError):
+        linear_ground_state(np.zeros_like(grid.r), 1.0, grid)
+    with pytest.raises(DomainError):
+        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4), 10)
+
+
 @pytest.mark.parametrize("N", [0.0, -1.0, math.inf, math.nan])
 def test_relax_and_linear_reject_bad_norm(N):
-    from logse.numerics import ground_state_from_coupling_values
-
     with pytest.raises(DomainError):
         ground_state_from_coupling_values(np.full_like(GRID8.r, PI), N, GRID8)
     with pytest.raises(DomainError):
@@ -160,8 +172,6 @@ def test_relax_and_linear_reject_bad_norm(N):
 
 @pytest.mark.parametrize("max_steps", [0, -1])
 def test_relax_rejects_empty_step_budget(max_steps):
-    from logse.numerics import ground_state_from_coupling_values
-
     with pytest.raises(DomainError):
         ground_state_from_coupling_values(
             np.full_like(GRID8.r, PI), 1.0, GRID8, max_steps=max_steps,
@@ -171,22 +181,8 @@ def test_relax_rejects_empty_step_budget(max_steps):
 
 @pytest.mark.parametrize("psi0", [np.zeros_like(GRID8.r), np.full_like(GRID8.r, np.nan)])
 def test_relax_rejects_guess_without_finite_norm(psi0):
-    from logse.numerics import ground_state_from_coupling_values
-
     with pytest.raises(DomainError):
         ground_state_from_coupling_values(np.full_like(GRID8.r, PI), 1.0, GRID8, psi0=psi0)
-
-
-def test_omega_profile_flat_where_converged():
-    grid = RadialGrid.uniform_from_origin(8.0, 512)
-    from logse.numerics import ground_state_from_coupling_values
-
-    res = ground_state_from_coupling_values(
-        CouplingProfile(PI, 0.0).evaluate(grid.r), 1.0, grid, SolverOptions()
-    )
-    rho = res.psi.density()
-    bulk = rho > 0.05 * rho.max()
-    assert np.max(np.abs(res.omega_profile[bulk] - res.omega)) < 0.05 * abs(res.omega)
 
 
 # ------------------------------------------------------- energy functional
@@ -204,11 +200,21 @@ def test_energy_variation_reproduces_stationary_identity():
 
     def energy(vals):
         wf = RadialWavefunction(grid, vals, target_norm=1.0)
-        return relaxation_energy(wf, sol.profile)
+        return relaxation_energy(wf, sol.profile.evaluate(r))
 
     derivative = (energy(psi + eps * delta) - energy(psi - eps * delta)) / (2 * eps)
     overlap = 4 * PI * simpson(r**2 * delta * psi, x=r)
     assert derivative == pytest.approx(2 * sol.omega * overlap, rel=1e-5)
+
+
+@pytest.mark.parametrize("N, q", [(1, 2.0), (1, -0.5), (8, 3.0)])
+def test_relaxation_energy_matches_general_closed_form(N, q):
+    # E = a N (4 - 3q) with a = pi / N^(2/3); for q != 0 the log term's
+    # integrand tends to a nonzero constant at the origin
+    sol = case_general(N, q)
+    exact = PI / N ** (2.0 / 3.0) * N * (4.0 - 3.0 * q)
+    energy = relaxation_energy(sol.sample(GRID8), sol.profile.evaluate(GRID8.r))
+    assert abs(energy - exact) / abs(exact) < 2e-4
 
 
 def test_relaxation_energy_monotone_along_flow():
@@ -237,8 +243,6 @@ def test_relaxation_energy_monotone_along_flow():
 
 @GAUSSON_AND_INVERSE_SQUARE
 def test_relaxation_energy_monotone_along_engine_iterates(profile, grid, weight):
-    from logse.numerics import ground_state_from_coupling_values
-
     b = profile.evaluate(grid.r)
     energies = [
         relaxation_energy(
