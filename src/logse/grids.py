@@ -7,6 +7,9 @@ machinery covers both conventions used by the analytic catalog:
 * spherically symmetric states: norm = int 4 pi r^2 |psi|^2 dr  (weight 4 pi),
 * separable radial factors R(r): norm = int r^2 |R|^2 dr        (weight 1),
   with the angular entropy constant S_Y carried alongside.
+
+Integrals use one grid rule, integrate_radial; grid_rule_weights returns the
+same rule as a weight vector for loops that integrate on one grid.
 """
 
 from __future__ import annotations
@@ -30,6 +33,31 @@ def integrate_radial(r: np.ndarray, f: np.ndarray, origin_power: int = 2) -> flo
     Every norm and distance of a state uses this rule.
     """
     return float(simpson(f, x=r) + f[0] * r[0] / (origin_power + 1.0))
+
+
+def grid_rule_weights(grid: RadialGrid, origin_power: int = 2) -> np.ndarray:
+    """The grid rule as weights w: w @ f == integrate_radial(r, f, origin_power).
+
+    Defined on the solvers' grid (r_min == h, else DomainError), where the
+    rule's Simpson part has constant weights h/3 (1, 4, 2, ..., 4, 1); for
+    even n, scipy's convention applies them to the first n - 1 nodes and
+    closes the last interval with h (-1/12, 8/12, 5/12).  The [0, r_min]
+    panel adds r_min / (origin_power + 1) to the first weight.  O(n) to
+    build; a loop that integrates on one grid builds it once.
+    """
+    h = grid.origin_step()
+    n = grid.n_points
+    m = n if n % 2 else n - 1  # nodes under the plain Simpson panels
+    weights = np.empty(n)
+    weights[:m] = 2.0 * h / 3.0
+    weights[1:m:2] = 4.0 * h / 3.0
+    weights[0] = weights[m - 1] = h / 3.0
+    if m < n:
+        weights[-3] -= h / 12.0
+        weights[-2] += 2.0 * h / 3.0
+        weights[-1] = 5.0 * h / 12.0
+    weights[0] += grid.r_min / (origin_power + 1.0)
+    return weights
 
 
 @dataclass(frozen=True)

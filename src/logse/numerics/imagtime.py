@@ -15,9 +15,12 @@ omega_n = -(Hu . u)/(u . u) and stiff = min(w + 2b, 0), each step solves
 
     (I - dt D2 - dt diag(stiff)) u_new = u + dt (w - stiff + omega_n) u
 
-and renormalizes.  w + 2b = d(w u)/du is the log term's Jacobian; taking its
-non-positive part (the -2q/r^2 stiffness near the origin) implicitly lifts
-the h^2 step limit and keeps the matrix SPD and diagonally dominant.  omega_n
+(an SPD tridiagonal system: one LAPACK ptsv call on its diagonal and
+off-diagonal) and renormalizes.  w + 2b = d(w u)/du is the log term's
+Jacobian; taking its non-positive part (the -2q/r^2 stiffness near the
+origin) implicitly lifts the h^2 step limit and keeps the matrix SPD and
+diagonally dominant.  A step that leaves no finite positive norm raises
+ConvergenceError with the iterate before it.  omega_n
 makes the fixed point H u + omega u = 0 for every dt, where renormalization
 alone drifts with dt when b(r) varies.  The run stops once the stationary
 residual max|H u + omega_n u| / max|u| is below tol, and returns that
@@ -35,10 +38,11 @@ Two inner products, each for its reason.  Every norm, distance and energy
 of a state uses the grid rule (grids.integrate_radial: Simpson plus the
 [0, r_min] panel); as b(r) ln rho makes the stationary state depend on its
 amplitude, the flow renormalizes each step in it, the norm its returned
-state is held to.  The Rayleigh quotient uses h * sum u v, in which D2 is
-symmetric; it also defines linear_ground_state's eigenvalue, and the
-real-time propagator conserves it as the norm in which its Cayley step is
-unitary.
+state is held to, as one dot product with the rule's weight vector
+(grids.grid_rule_weights).  The Rayleigh quotient uses h * sum u v, in
+which D2 is symmetric; it also defines linear_ground_state's eigenvalue,
+and the real-time propagator conserves it as the norm in which its Cayley
+step is unitary.
 """
 
 from __future__ import annotations
@@ -47,10 +51,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dptsv
 
 from ..errors import ConvergenceError, DomainError
-from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, integrate_radial
+from ..grids import (
+    FULL_SPHERE,
+    RadialGrid,
+    RadialWavefunction,
+    grid_rule_weights,
+    integrate_radial,
+)
 from ..observables import _kinetic_energy, _xlogx
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
@@ -106,7 +117,8 @@ def ground_state_from_coupling_values(
     so the weight selects which member of the family the flow converges to.
     The SCF runs it in fixed-sweep mode (check_convergence=False, max_steps
     steps).  Raises ConvergenceError (carrying the last iterate and the
-    residual history) when max_steps is exhausted.
+    residual history) when max_steps is exhausted, or when a step leaves no
+    finite positive norm (then the last iterate is the one before it).
     """
     opts = opts or SolverOptions()
     coupling = np.asarray(coupling, dtype=float)
@@ -125,48 +137,57 @@ def ground_state_from_coupling_values(
         return coupling * np.log(np.maximum((u / r) ** 2, floor))
 
     u = r * _initial_guess(grid, psi0, N, angular_weight)
+    quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
 
-    # I - dt D2 - dt diag(stiff) in upper banded storage (Dirichlet ghosts
-    # as in second_difference_dirichlet); row 0 holds the off-diagonal
-    matrix = np.full((2, u.size), -dt / (h * h))
+    # I - dt D2 - dt diag(stiff): a constant off-diagonal (Dirichlet ghosts
+    # as in second_difference_dirichlet) and the diagonal below
+    off_diagonal = np.full(u.size - 1, -dt / (h * h))
     kinetic_diagonal = 1.0 + 2.0 * dt / (h * h)
+
+    history = []
+
+    def result(u, omega, steps, converged):
+        psi = RadialWavefunction(
+            grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
+        )
+        return GroundStateResult(psi, omega, converged, steps, history)
 
     w = log_term(u)
     omega = _local_eigenvalue(u, w, h)[1]
-    history = []
     for step in range(1, steps_budget + 1):
         stiff = np.minimum(w + 2.0 * coupling, 0.0)
-        matrix[1] = kinetic_diagonal - dt * stiff
-        u = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
-        norm = angular_weight * integrate_radial(r, u * u)
+        _, _, u_new, info = dptsv(
+            kinetic_diagonal - dt * stiff, off_diagonal,
+            u + dt * (w - stiff + omega) * u, overwrite_d=1, overwrite_b=1,
+        )
+        norm = angular_weight * float(quad @ (u_new * u_new))
+        if info != 0 or not 0.0 < norm < math.inf:
+            raise ConvergenceError(
+                f"relaxation step {step} left no finite positive norm "
+                f"(norm {norm:.3e}, ptsv info {info})",
+                last=result(u, omega, step - 1, False),
+                history=history,
+            )
+        u = u_new
         u *= math.sqrt(N / norm)
         w = log_term(u)
         hu, omega = _local_eigenvalue(u, w, h)
-        residual = float(np.max(np.abs(hu + omega * u))) / float(np.max(np.abs(u)))
-        history.append((step, residual, float(norm), omega))
+        residual = float(np.abs(hu + omega * u).max()) / float(np.abs(u).max())
+        history.append((step, residual, norm, omega))
         if check_convergence and residual < tol:
             break
 
-    psi = RadialWavefunction(
-        grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
-    )
     # in fixed-sweep mode the caller owns the convergence test
     converged = residual < tol or not check_convergence
-    result = GroundStateResult(
-        psi=psi,
-        omega=omega,
-        converged=converged,
-        steps=step,
-        history=history,
-    )
+    final = result(u, omega, step, converged)
     if not converged:
         raise ConvergenceError(
             f"relaxation did not reach residual < {tol:g} within "
             f"{step} steps (last residual {residual:.3e})",
-            last=result,
+            last=final,
             history=history,
         )
-    return result
+    return final
 
 
 def linear_ground_state(

@@ -137,6 +137,18 @@ def test_exit_code_3_on_nonconvergence(tmp_path, capsys):
                "--max-steps", "25") == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("groundstate", "--b0", "1e300", "--max-steps", "50"),
+    ("groundstate", "--q", "1e300", "--max-steps", "50"),
+    ("field", "--b0", "1e300", "--max-sweeps", "20"),
+    ("field", "--point-charge", "1e300", "--max-sweeps", "20"),
+], ids=["groundstate-b0", "groundstate-q", "field-b0", "field-point-charge"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_exit_code_3_when_relaxation_blows_up(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 3
+    assert "left no finite positive norm" in capsys.readouterr().err
+
+
 def test_default_evolve_reruns_byte_identical(tmp_path):
     for out in ("a", "b"):
         assert main(["evolve", "--out", str(tmp_path / out)]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from logse import DomainError, RadialGrid, RadialWavefunction, case_constant, l2_distance
+from logse.grids import grid_rule_weights, integrate_radial
 
 PI = math.pi
 
@@ -24,6 +25,23 @@ def test_grid_constructors_and_properties():
     for other in (g, lg):  # r_min != h, and no h at all
         with pytest.raises(DomainError):
             other.origin_step()
+
+
+@pytest.mark.parametrize("n", [64, 65, 512, 640, 641, 4000])
+def test_grid_rule_weights_match_integrate_radial(n):
+    # odd n: plain Simpson; even n: scipy's last-interval correction.  The
+    # integrands stay large at r_max, where that correction acts.
+    grid = RadialGrid.uniform_from_origin(8.0, n)
+    r = grid.r
+    for power, f in ((2, r**2 * np.exp(-r / 4.0)), (0, np.cos(r) + 2.0)):
+        exact = integrate_radial(r, f, origin_power=power)
+        assert abs(grid_rule_weights(grid, power) @ f - exact) <= 1e-13 * abs(exact)
+
+
+def test_grid_rule_weights_need_origin_step_grid():
+    for grid in (RadialGrid.uniform(0.5, 8.0, 640), RadialGrid.log(1e-3, 8.0, 640)):
+        with pytest.raises(DomainError):
+            grid_rule_weights(grid)
 
 
 def test_grid_validation():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import solveh_banded
 
 from logse import (
     ConvergenceError,
@@ -18,6 +19,7 @@ from logse import (
     case_q1,
     l2_distance,
 )
+from logse.grids import integrate_radial
 from logse.numerics import (
     SolverOptions,
     evolve_real_time,
@@ -84,6 +86,82 @@ def test_relax_nonconvergence_carries_iterate_and_history():
     # one history row per step
     assert len(err.value.history) == 40
     assert [row[0] for row in err.value.history] == list(range(1, 41))
+
+
+def _default_guess(grid):
+    """The engine's guess when psi0 is None: a Gaussian of width r_max/8."""
+    return np.exp(-0.5 * (grid.r / (grid.r_max / 8.0)) ** 2)
+
+
+def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
+    """psi after each step of the flow, solved by solveh_banded on the banded
+    matrix and renormalized by integrate_radial; stops early below tol."""
+    opts = SolverOptions()
+    r, h, dt = grid.r, grid.h, 0.01
+    u = r * RadialWavefunction(grid, guess, 1.0, weight).normalized().values
+
+    def log_term(u):
+        return b * np.log(np.maximum((u / r) ** 2, opts.log_floor))
+
+    def h_and_omega(u, w):
+        hu = second_difference_dirichlet(u, h) + w * u
+        return hu, -(hu @ u) / (u @ u)
+
+    matrix = np.full((2, r.size), -dt / h**2)
+    w = log_term(u)
+    omega = h_and_omega(u, w)[1]
+    iterates = []
+    for _ in range(n_steps):
+        stiff = np.minimum(w + 2.0 * b, 0.0)
+        matrix[1] = 1.0 + 2.0 * dt / h**2 - dt * stiff
+        u = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
+        u *= math.sqrt(1.0 / (weight * integrate_radial(r, u * u)))
+        w = log_term(u)
+        hu, omega = h_and_omega(u, w)
+        iterates.append(u / r)
+        if tol is not None and np.max(np.abs(hu + omega * u)) / np.max(np.abs(u)) < tol:
+            break
+    return iterates
+
+
+@GAUSSON_AND_INVERSE_SQUARE
+@pytest.mark.parametrize("guess", ["default", "broad"])
+def test_engine_iterates_match_banded_reference_step(profile, grid, weight, guess):
+    # the default guess vanishes at both ends; the broad one keeps u large at
+    # r_max, where the even-n last-interval weights of the norm act
+    r = grid.r
+    psi0 = None if guess == "default" else np.exp(-r / grid.r_max)
+    b = profile.evaluate(r)
+    reference = _reference_iterates(
+        b, grid, weight, _default_guess(grid) if psi0 is None else psi0, 50
+    )
+    for k, ref in enumerate(reference, start=1):
+        psi = ground_state_from_coupling_values(
+            b, 1.0, grid, SolverOptions(), angular_weight=weight, psi0=psi0,
+            max_steps=k, check_convergence=False,
+        ).psi.values
+        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+def test_gausson_takes_reference_step_count():
+    b = CouplingProfile(PI, 0.0).evaluate(GRID8.r)
+    reference = _reference_iterates(b, GRID8, 4 * PI, _default_guess(GRID8), 10_000,
+                                    tol=SolverOptions().convergence_tol)
+    res = ground_state_from_coupling_values(b, 1.0, GRID8, SolverOptions())
+    assert res.steps == len(reference) == 287
+    ref = reference[-1]
+    assert np.max(np.abs(res.psi.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_relax_blow_up_raises_with_last_finite_iterate():
+    # b = 1e300 overflows the first step; the error carries the guess
+    with pytest.raises(ConvergenceError, match="no finite positive norm") as err:
+        ground_state_from_coupling_values(np.full_like(GRID8.r, 1e300), 1.0, GRID8)
+    last = err.value.last
+    assert last.steps == 0 and not last.converged and err.value.history == []
+    assert np.all(np.isfinite(last.psi.values))
+    assert last.psi.norm() == pytest.approx(1.0, rel=1e-12)
 
 
 @GAUSSON_AND_INVERSE_SQUARE
