@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 precondition violation, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -58,7 +59,7 @@ _DEFAULTS = {
         **_GRID_DEFAULTS, **_SCALE_DEFAULTS,
     },
     "groundstate": {
-        "b0": PI, "q": 0.0, "N": 1.0, "dt": None, "max_steps": 400000,
+        "b0": PI, "q": 0.0, "N": 1.0, "dt": None, "max_steps": 25000,
         "tol": 1e-6, "log_floor": 1e-30, "weight": "sphere",
         **{**_GRID_DEFAULTS, "r_max": 8.0, "n": 640}, **_SCALE_DEFAULTS,
     },
@@ -77,7 +78,10 @@ _DEFAULTS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it as
+    it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="logse",
         description="logarithmic wave equation with radially varying coupling: "
@@ -333,6 +337,7 @@ def cmd_groundstate(args) -> int:
         "omega": result.omega,
         "converged": result.converged,
         "steps": result.steps,
+        "newton_steps": result.newton_steps,
         "config": conf,
     }
     reference = _matching_case(conf)

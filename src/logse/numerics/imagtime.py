@@ -30,6 +30,35 @@ iterate as it is.  The flow decreases the constrained energy functional
 
 whose variation reproduces the stationary equation; see relaxation_energy.
 
+The flow converges linearly, so once it is close it only polishes.  Once
+its residual is below _NEWTON_HANDOVER the engine hands over to Newton's
+method on F(u, omega) = H u + omega u = 0 with the norm constraint
+a quad . (u u) = N, a = angular_weight (Kelley, Solving Nonlinear Equations
+with Newton's Method, SIAM 2003).  The Jacobian in u is the symmetric
+tridiagonal J = D2 + diag(w + 2b [rho > floor] + omega) (the floored log
+term is flat), bordered by u (the omega column) and by 2a quad u (the
+constraint row).  One step solves J [x1 x2] = [F u] by one LAPACK gtsv
+call (J is indefinite, so with partial pivoting) and eliminates the border,
+
+    u_lin = u - x1 + ((quad u . x1) / (quad u . x2)) x2,
+
+which keeps the norm to first order.  The iterate is put back on the norm
+along x2, u_new = u_lin + s x2 with the root s nearest 0 of
+a quad . (u_new u_new) = N, and omega is its Rayleigh quotient, as after a
+flow step.  Scaling u_lin instead would add b ln(scale^2) to w, which no
+omega absorbs where b varies: for b = -1/r^2 it raised a Newton iterate's
+residual from 6e-3 to 1.07, all of it at the origin.  O(n) per step.
+
+Newton converges to whichever stationary state is near, excited ones and
+-u included, so a ground-state guard accepts an iterate only if its residual
+is below the current one and it has no node (no entry below
+-_NODE_ROUNDOFF max u; far-tail entries at roundoff may take either sign).
+A rejected iterate is discarded and a flow step taken in its place; Newton
+resumes once the flow's residual is below half the residual the rejected
+iterate started from.  There is no step-size control: a Newton step is
+taken whole or not at all.  Only the convergence run hands over; the
+fixed-sweep mode (check_convergence=False) is the plain flow.
+
 The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
 solved directly.
@@ -52,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dgtsv, dptsv
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import (
@@ -66,10 +95,13 @@ from ..observables import _kinetic_energy, _xlogx
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
-# relaxation step when opts.dt is None; larger steps save steps but can end
-# in a period-2 oscillation (a ConvergenceError), e.g. at 0.1 for the
-# general N = 1, q = 6 state on a (8, 640) grid
+# relaxation step when opts.dt is None
 _RELAX_DT = 0.01
+# stationary residual below which the flow hands over to Newton
+_NEWTON_HANDOVER = 0.1
+# a Newton iterate with an entry below -_NODE_ROUNDOFF max(u) has a node;
+# far-tail entries within roundoff of zero may take either sign
+_NODE_ROUNDOFF = 1e-10
 
 
 @dataclass
@@ -77,8 +109,9 @@ class GroundStateResult:
     psi: RadialWavefunction
     omega: float
     converged: bool
-    steps: int
-    history: list  # rows (step, residual, norm, omega_estimate), one per step
+    steps: int  # iterations, flow and Newton
+    newton_steps: int
+    history: list  # rows (step, residual, norm, omega_estimate), one per iteration
 
 
 def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> np.ndarray:
@@ -91,12 +124,6 @@ def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> n
             psi0 = psi0.values
         psi = np.abs(np.asarray(psi0, dtype=complex))
     return RadialWavefunction(grid, psi, N, angular_weight).normalized().values
-
-
-def _local_eigenvalue(u, w, h):
-    """H u = u'' + w u and its Rayleigh quotient omega = -(Hu . u)/(u . u)."""
-    hu = second_difference_dirichlet(u, h) + w * u
-    return hu, float(-(hu @ u) / (u @ u))
 
 
 def ground_state_from_coupling_values(
@@ -115,10 +142,14 @@ def ground_state_from_coupling_values(
     angular_weight=1 for the radial-only normalization of the separable
     (b0 = 0, q = 1) family: the amplitude matters to the logarithmic term,
     so the weight selects which member of the family the flow converges to.
-    The SCF runs it in fixed-sweep mode (check_convergence=False, max_steps
-    steps).  Raises ConvergenceError (carrying the last iterate and the
-    residual history) when max_steps is exhausted, or when a step leaves no
-    finite positive norm (then the last iterate is the one before it).
+    With check_convergence the flow hands over to guarded Newton steps once
+    its residual is below _NEWTON_HANDOVER (see the module docstring);
+    max_steps and history count flow and Newton iterations alike.  The SCF
+    runs it in fixed-sweep mode (check_convergence=False, max_steps flow
+    steps, no Newton).  Raises ConvergenceError (carrying the last iterate
+    and the residual history) when max_steps is exhausted, or when a flow
+    step leaves no finite positive norm (then the last iterate is the one
+    before it).
     """
     opts = opts or SolverOptions()
     coupling = np.asarray(coupling, dtype=float)
@@ -145,34 +176,81 @@ def ground_state_from_coupling_values(
     kinetic_diagonal = 1.0 + 2.0 * dt / (h * h)
 
     history = []
+    newton_steps = 0
 
     def result(u, omega, steps, converged):
         psi = RadialWavefunction(
             grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
         )
-        return GroundStateResult(psi, omega, converged, steps, history)
+        return GroundStateResult(psi, omega, converged, steps, newton_steps, history)
 
-    w = log_term(u)
-    omega = _local_eigenvalue(u, w, h)[1]
-    for step in range(1, steps_budget + 1):
-        stiff = np.minimum(w + 2.0 * coupling, 0.0)
-        _, _, u_new, info = dptsv(
-            kinetic_diagonal - dt * stiff, off_diagonal,
-            u + dt * (w - stiff + omega) * u, overwrite_d=1, overwrite_b=1,
-        )
-        norm = angular_weight * float(quad @ (u_new * u_new))
-        if info != 0 or not 0.0 < norm < math.inf:
-            raise ConvergenceError(
-                f"relaxation step {step} left no finite positive norm "
-                f"(norm {norm:.3e}, ptsv info {info})",
-                last=result(u, omega, step - 1, False),
-                history=history,
-            )
-        u = u_new
-        u *= math.sqrt(N / norm)
+    def stationary(u):
+        """(w, F = H u + omega u, omega, max|F| / max|u|) with H u = u'' + w u
+        and omega = -(Hu . u)/(u . u), its Rayleigh quotient."""
         w = log_term(u)
-        hu, omega = _local_eigenvalue(u, w, h)
-        residual = float(np.abs(hu + omega * u).max()) / float(np.abs(u).max())
+        hu = second_difference_dirichlet(u, h) + w * u
+        omega = float(-(hu @ u) / (u @ u))
+        f = hu + omega * u
+        return w, f, omega, float(np.abs(f).max()) / float(np.abs(u).max())
+
+    def newton_iterate(u, w, f, omega):
+        """The bordered Newton iterate from u, on the norm N, and the norm of
+        the linearized step; None for the iterate when it is not finite."""
+        jacobian_diagonal = (w + 2.0 * coupling * ((u / r) ** 2 > floor)
+                             + omega - 2.0 / (h * h))
+        off = np.full(u.size - 1, 1.0 / (h * h))
+        with np.errstate(all="ignore"):
+            _, _, _, x, info = dgtsv(off, jacobian_diagonal, off,
+                                     np.column_stack((f, u)), overwrite_d=1)
+            x1, x2 = x.T
+            border = quad * u
+            u_new = u - x1 + (border @ x1) / (border @ x2) * x2
+            # back onto the norm along x2: the root s nearest 0 of
+            # a quad . (u_new + s x2)^2 = N
+            excess = angular_weight * (quad @ (u_new * u_new)) - N
+            slope = 2.0 * angular_weight * (quad @ (u_new * x2))
+            curvature = angular_weight * (quad @ (x2 * x2))
+            s = -2.0 * excess / (slope + np.sign(slope) * np.sqrt(
+                slope * slope - 4.0 * curvature * excess))
+            u_new += s * x2
+        if info != 0 or not np.all(np.isfinite(u_new)):
+            u_new = None
+        return u_new, float(N + excess)
+
+    w, f, omega, _ = stationary(u)
+    residual = math.inf  # the guess is never handed to Newton
+    handover = _NEWTON_HANDOVER if check_convergence else 0.0
+    for step in range(1, steps_budget + 1):
+        accepted = False
+        if residual < handover:
+            u_new, norm = newton_iterate(u, w, f, omega)
+            # the ground-state guard: no node and a smaller residual
+            if u_new is not None and u_new.min() > -_NODE_ROUNDOFF * u_new.max():
+                trial = stationary(u_new)
+                accepted = trial[3] < residual
+            if accepted:
+                u, (w, f, omega, residual) = u_new, trial
+                newton_steps += 1
+            else:
+                handover = residual / 2.0
+        if not accepted:
+            stiff = np.minimum(w + 2.0 * coupling, 0.0)
+            _, _, u_new, info = dptsv(
+                kinetic_diagonal - dt * stiff, off_diagonal,
+                u + dt * (w - stiff + omega) * u, overwrite_d=1, overwrite_b=1,
+            )
+            with np.errstate(over="ignore"):
+                norm = angular_weight * float(quad @ (u_new * u_new))
+            if info != 0 or not 0.0 < norm < math.inf:
+                raise ConvergenceError(
+                    f"relaxation step {step} left no finite positive norm "
+                    f"(norm {norm:.3e}, ptsv info {info})",
+                    last=result(u, omega, step - 1, False),
+                    history=history,
+                )
+            u = u_new
+            u *= math.sqrt(N / norm)
+            w, f, omega, residual = stationary(u)
         history.append((step, residual, norm, omega))
         if check_convergence and residual < tol:
             break

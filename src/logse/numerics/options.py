@@ -20,7 +20,7 @@ class SolverOptions:
     """
 
     dt: float | None = None
-    max_steps: int = 400_000
+    max_steps: int = 25_000
     convergence_tol: float = 1e-6
     log_floor: float = 1e-30
     mixing: float = 0.5

@@ -129,5 +129,10 @@ def _fit_asymptotics(r, phi, fit_fraction=0.5, cond_limit=1e12):
             "extend the grid or reduce fit_fraction"
         )
     coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
-    rms = float(np.sqrt(np.mean((design @ coef - ps) ** 2)))
+    # scaled by its largest entry, so that squaring cannot overflow
+    resid = design @ coef - ps
+    scale = float(np.max(np.abs(resid)))
+    if not math.isfinite(scale):
+        raise DomainError("asymptotic fit of a field that is not finite")
+    rms = scale * float(np.sqrt(np.mean((resid / scale) ** 2))) if scale > 0.0 else 0.0
     return float(coef[1]), float(coef[2]), cond, rms

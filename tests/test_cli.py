@@ -2,10 +2,11 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
-from logse.cli import main
+from logse.cli import build_parser, main
 from logse.output import parse_config_file, save_config_file
 
 PI = math.pi
@@ -53,9 +54,10 @@ def test_groundstate_reports_l2_vs_analytic(tmp_path):
     assert data["analytic_case"] == "constant"
     assert data["l2_vs_analytic"] < 1e-3
     assert data["converged"] is True
+    assert 0 < data["newton_steps"] < data["steps"]
     hist = (tmp_path / "groundstate_history.csv").read_text().splitlines()
     assert hist[0] == "step,residual,norm,omega_estimate"
-    assert len(hist) > 1
+    assert len(hist) == 1 + data["steps"]  # one row per flow or Newton iteration
 
 
 def test_evolve_stationary_summary(tmp_path):
@@ -143,10 +145,45 @@ def test_exit_code_3_on_nonconvergence(tmp_path, capsys):
     ("field", "--b0", "1e300", "--max-sweeps", "20"),
     ("field", "--point-charge", "1e300", "--max-sweeps", "20"),
 ], ids=["groundstate-b0", "groundstate-q", "field-b0", "field-point-charge"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_exit_code_3_when_relaxation_blows_up(tmp_path, capsys, argv):
-    assert run(tmp_path, *argv) == 3
-    assert "left no finite positive norm" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, *argv) == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.startswith("solver did not converge: relaxation step 1 "
+                                              "left no finite positive norm")
+
+
+def test_default_groundstate_reruns_byte_identical(tmp_path):
+    for out in ("a", "b"):
+        assert main(["groundstate", "--out", str(tmp_path / out)]) == 0
+    for name in ("groundstate_result.json", "groundstate_psi.csv", "groundstate_history.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path):
+    # one parser serves every main call of a process; each call's files must
+    # equal those of a call on a freshly built parser
+    conf = tmp_path / "run.conf"
+    conf.write_text("case = q1\nN = 2\n")
+    calls = [
+        ("groundstate", "--b0", "2.5", "--N", "2", "--weight", "radial"),
+        ("analytic", "--case", "general", "--q", "2", "--N", "8", "--n", "512"),
+        ("groundstate",),
+        ("analytic",),
+        ("analytic", "--config", str(conf)),
+    ]
+    for k, argv in enumerate(calls):
+        assert main([*argv, "--out", str(tmp_path / "shared" / str(k))]) == 0
+    for k, argv in enumerate(calls):
+        build_parser.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / "fresh" / str(k))]) == 0
+    for k in range(len(calls)):
+        shared = sorted((tmp_path / "shared" / str(k)).iterdir())
+        fresh = sorted((tmp_path / "fresh" / str(k)).iterdir())
+        assert [p.name for p in shared] == [p.name for p in fresh]
+        for a, b in zip(shared, fresh):
+            assert a.read_bytes() == b.read_bytes(), (calls[k], a.name)
 
 
 def test_default_evolve_reruns_byte_identical(tmp_path):

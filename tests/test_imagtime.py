@@ -27,6 +27,7 @@ from logse.numerics import (
     linear_ground_state,
     relaxation_energy,
 )
+from logse.numerics import imagtime
 from logse.numerics.stencils import second_difference_dirichlet
 
 PI = math.pi
@@ -94,8 +95,9 @@ def _default_guess(grid):
 
 
 def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
-    """psi after each step of the flow, solved by solveh_banded on the banded
-    matrix and renormalized by integrate_radial; stops early below tol."""
+    """(psi, residual, omega) after each step of the flow, solved by
+    solveh_banded on the banded matrix and renormalized by integrate_radial;
+    stops early below tol."""
     opts = SolverOptions()
     r, h, dt = grid.r, grid.h, 0.01
     u = r * RadialWavefunction(grid, guess, 1.0, weight).normalized().values
@@ -118,8 +120,9 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
         u *= math.sqrt(1.0 / (weight * integrate_radial(r, u * u)))
         w = log_term(u)
         hu, omega = h_and_omega(u, w)
-        iterates.append(u / r)
-        if tol is not None and np.max(np.abs(hu + omega * u)) / np.max(np.abs(u)) < tol:
+        residual = np.max(np.abs(hu + omega * u)) / np.max(np.abs(u))
+        iterates.append((u / r, residual, omega))
+        if tol is not None and residual < tol:
             break
     return iterates
 
@@ -135,7 +138,7 @@ def test_engine_iterates_match_banded_reference_step(profile, grid, weight, gues
     reference = _reference_iterates(
         b, grid, weight, _default_guess(grid) if psi0 is None else psi0, 50
     )
-    for k, ref in enumerate(reference, start=1):
+    for k, (ref, _, _) in enumerate(reference, start=1):
         psi = ground_state_from_coupling_values(
             b, 1.0, grid, SolverOptions(), angular_weight=weight, psi0=psi0,
             max_steps=k, check_convergence=False,
@@ -144,13 +147,20 @@ def test_engine_iterates_match_banded_reference_step(profile, grid, weight, gues
 
 
 def test_gausson_takes_reference_step_count():
+    # the engine's flow rows are the reference flow's up to the handover to
+    # Newton, and Newton lands on the state the flow converges to
     b = CouplingProfile(PI, 0.0).evaluate(GRID8.r)
-    reference = _reference_iterates(b, GRID8, 4 * PI, _default_guess(GRID8), 10_000,
-                                    tol=SolverOptions().convergence_tol)
     res = ground_state_from_coupling_values(b, 1.0, GRID8, SolverOptions())
-    assert res.steps == len(reference) == 287
-    ref = reference[-1]
-    assert np.max(np.abs(res.psi.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    flow_steps = res.steps - res.newton_steps
+    assert (flow_steps, res.newton_steps) == (77, 3)
+    reference = _reference_iterates(b, GRID8, 4 * PI, _default_guess(GRID8), flow_steps)
+    for row, (_, residual, omega) in zip(res.history, reference):
+        assert row[1] == pytest.approx(residual, rel=1e-10), row[0]
+        assert row[3] == pytest.approx(omega, rel=1e-12), row[0]
+    assert res.history[flow_steps - 1][1] < 0.1 <= res.history[flow_steps - 2][1]
+    converged = _reference_iterates(b, GRID8, 4 * PI, _default_guess(GRID8), 10_000,
+                                    tol=1e-10)[-1][0]
+    assert np.max(np.abs(res.psi.values - converged)) <= 1e-8 * np.max(np.abs(converged))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -199,6 +209,54 @@ def test_returned_state_is_stationary(profile, grid, weight):
     hu = second_difference_dirichlet(u, grid.h) + w * u
     assert np.max(np.abs(hu + res.omega * u)) / np.max(np.abs(u)) < opts.convergence_tol
     assert res.psi.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def _sized_grid(sol, n=800):
+    """Origin-step grid out to 1.1 times the radius where r^2 rho of the
+    closed form falls to 1e-13 of its peak."""
+    r = np.linspace(0.01, 400.0, 40_000)
+    density = r**2 * np.abs(sol.psi(r)) ** 2
+    return RadialGrid.uniform_from_origin(1.1 * r[density > 1e-13 * density.max()][-1], n)
+
+
+@pytest.mark.parametrize(
+    "sol",
+    [case_constant(64, PI / 4), case_q1(8, PI), case_general(64, 0.5),
+     case_general(64, 6.0), case_inverse_square(16)],
+    ids=["constant", "q1", "general-q0.5", "general-q6", "inverse_square"],
+)
+def test_catalog_states_converge_nodeless_through_newton(sol):
+    grid = _sized_grid(sol)
+    opts = SolverOptions()
+    res = ground_state_from_coupling_values(
+        sol.profile.evaluate(grid.r), sol.norm, grid, opts,
+        angular_weight=sol.angular_weight,
+    )
+    assert res.converged and res.history[-1][1] < opts.convergence_tol
+    assert 0 < res.newton_steps < res.steps <= 500
+    assert np.all(res.psi.values.real > 0.0)
+    assert l2_distance(res.psi, sol.psi) < 1e-3  # criterion 5's bound
+
+
+@pytest.mark.parametrize("dt", [None, 0.001])
+@pytest.mark.parametrize("handover", ["default", "first_step"])
+def test_guard_never_returns_a_state_with_nodes(monkeypatch, dt, handover):
+    # at the default step the flow oscillates with period 2 on this grid and
+    # never hands over; Newton started from early flow iterates lands on
+    # states with nodes (-psi, or hundreds of nodes), which the guard rejects
+    sol = case_general(1, 6.0)
+    grid = RadialGrid.uniform_from_origin(10.0, 4000)
+    if handover == "first_step":
+        monkeypatch.setattr(imagtime, "_NEWTON_HANDOVER", math.inf)
+    try:
+        res = ground_state_from_coupling_values(
+            sol.profile.evaluate(grid.r), 1.0, grid, SolverOptions(dt=dt), max_steps=1000
+        )
+    except ConvergenceError:
+        return
+    assert res.converged
+    assert np.all(res.psi.values.real > 0.0)
+    assert l2_distance(res.psi, sol.psi) < 1e-5
 
 
 def test_negative_q_closed_form_is_not_the_minimizer():
