@@ -86,9 +86,14 @@ def solve_radial_poisson(
     # point charge is superposed as the exact q/r solution, never discretized
     dphi_smooth = enclosed / r**2
     inner = cumulative_trapezoid(dphi_smooth, r, initial=0.0)
+    with np.errstate(over="ignore"):
+        charge_phi, charge_dphi = point_charge / r, point_charge / r**2
+    if not (np.isfinite(charge_phi).all() and np.isfinite(charge_dphi).all()):
+        raise DomainError(f"point_charge {float(point_charge)!r} overflows q/r or "
+                          f"q/r^2 on the grid (r_min = {float(r[0])!r})")
     phi = (boundary_value - point_charge / grid.r_max) - (inner[-1] - inner)
-    phi = phi + point_charge / r
-    dphi = dphi_smooth - point_charge / r**2
+    phi = phi + charge_phi
+    dphi = dphi_smooth - charge_dphi
 
     q_fit, b0_fit, cond, rms = _fit_asymptotics(r, phi)
     return FieldState(

@@ -154,6 +154,14 @@ def test_exit_code_3_when_relaxation_blows_up(tmp_path, capsys, argv):
                                               "left no finite positive norm")
 
 
+def test_point_charge_overflow_exits_2_naming_the_charge(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(tmp_path, "field", "--point-charge", "1e308", "--max-sweeps", "20") == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "point_charge 1e+308 overflows" in capsys.readouterr().err
+
+
 def test_default_groundstate_reruns_byte_identical(tmp_path):
     for out in ("a", "b"):
         assert main(["groundstate", "--out", str(tmp_path / out)]) == 0
