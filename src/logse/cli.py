@@ -70,12 +70,14 @@ _DEFAULTS = {
     },
     "field": {
         "f_model": "constant-over-r", "b0": 1.0, "eps": 1e-3,
-        "point_charge": 0.0, "N": 1.0, "mixing": 0.5, "tol": 1e-6,
-        "inner_steps": 60, "max_sweeps": 3000,
+        "point_charge": 0.0, "N": 1.0, "tol": 1e-6, "max_sweeps": 200,
         **{**_GRID_DEFAULTS, "r_max": 8.0, "n": 512}, **_SCALE_DEFAULTS,
     },
     "report": {"json": False, "only": None, "c1_n": 4096},
 }
+# options of the damped fixed-point field iteration that the coupled Newton
+# solve replaced; a flag or config key naming one exits 2
+_REMOVED = {"field": ("mixing", "inner_steps")}
 
 
 @functools.cache
@@ -146,10 +148,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, help="strength of the linear-rho source")
     p.add_argument("--point-charge", type=float, dest="point_charge")
     p.add_argument("--N", type=float)
-    p.add_argument("--mixing", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--inner-steps", type=int, dest="inner_steps")
-    p.add_argument("--max-sweeps", type=int, dest="max_sweeps")
+    p.add_argument("--tol", type=float, help="tolerance on the coupled residual")
+    p.add_argument("--max-sweeps", type=int, dest="max_sweeps",
+                   help="budget of coupled Newton steps over all continuation rungs")
+    for key in _REMOVED["field"]:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=argparse.SUPPRESS)
 
     p = sub.add_parser("report", help="run the acceptance suite")
     common(p)
@@ -168,8 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> dict:
     """Merge flag > config-file > default into one flat dict."""
     table = dict(_DEFAULTS[args.command])
-    if args.config:
-        file_conf = parse_config_file(args.config)
+    file_conf = parse_config_file(args.config) if args.config else {}
+    for key in _REMOVED.get(args.command, ()):
+        if key in file_conf or getattr(args, key) is not None:
+            raise DomainError(f"--{key.replace('_', '-')} (config key {key!r}) was removed: "
+                              f"the field is one coupled Newton solve, with no mixing "
+                              f"or inner sweeps")
+    if file_conf:
         unknown = set(file_conf) - set(table)
         if unknown:
             raise DomainError(
@@ -421,7 +429,7 @@ def cmd_evolve(args) -> int:
 def cmd_field(args) -> int:
     conf = _resolve(args)
     grid = _grid_from(conf)
-    opts = SolverOptions(convergence_tol=conf["tol"], mixing=conf["mixing"])
+    opts = SolverOptions(convergence_tol=conf["tol"])
     model = conf["f_model"]
     psi0 = None
     if model == "constant-over-r":
@@ -435,7 +443,7 @@ def cmd_field(args) -> int:
         psi0 = np.sin(PI * grid.r / span) / grid.r
     result = self_consistent_minimal_model(
         f, conf["N"], grid, opts, point_charge=conf["point_charge"],
-        inner_steps=conf["inner_steps"], max_sweeps=conf["max_sweeps"], psi0=psi0,
+        max_sweeps=conf["max_sweeps"], psi0=psi0,
     )
     payload = {
         "command": "field",
@@ -490,9 +498,34 @@ _COMMANDS = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write "--flag -1e-1" as "--flag=-1e-1".
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like "-1" or "-0.1", so a negative value in scientific notation (or -inf)
+    would leave its flag without an argument.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_number(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_negative_number(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return arg.startswith("-")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except DomainError as err:

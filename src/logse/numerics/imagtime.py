@@ -56,8 +56,10 @@ is below the current one and it has no node (no entry below
 A rejected iterate is discarded and a flow step taken in its place; Newton
 resumes once the flow's residual is below half the residual the rejected
 iterate started from.  There is no step-size control: a Newton step is
-taken whole or not at all.  Only the convergence run hands over; the
-fixed-sweep mode (check_convergence=False) is the plain flow.
+taken whole or not at all.  The flow step, the stationary terms, the guard's
+node test and the border elimination are module-level functions (flow_step,
+stationary, nodeless, bordered_newton_update); the SCF's coupled Newton
+solve shares the last three.
 
 The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
@@ -126,6 +128,66 @@ def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> n
     return RadialWavefunction(grid, psi, N, angular_weight).normalized().values
 
 
+def stationary(u: np.ndarray, coupling: np.ndarray, r: np.ndarray, h: float,
+               floor: float):
+    """(w, F, omega, residual) of u = r psi in the coupling b (values on r):
+    w = b ln max((u/r)^2, floor), H u = D2 u + w u, omega = -(Hu . u)/(u . u)
+    its Rayleigh quotient, F = H u + omega u, residual = max|F| / max|u|."""
+    w = coupling * np.log(np.maximum((u / r) ** 2, floor))
+    hu = second_difference_dirichlet(u, h) + w * u
+    omega = float(-(hu @ u) / (u @ u))
+    f = hu + omega * u
+    return w, f, omega, float(np.abs(f).max()) / float(np.abs(u).max())
+
+
+def flow_step(u, w, omega, coupling, dt, h, quad, N, angular_weight):
+    """One step of the normalized flow from u, whose w and omega are those
+    of stationary(u, ...); quad is the grid's grid_rule_weights.
+
+    Returns (u_new, norm, info): norm is the solve's grid-rule norm before
+    u_new is renormalized to N, info is ptsv's.  Unless info == 0 and norm
+    is finite and positive, u_new is the solve as it came out.
+    """
+    stiff = np.minimum(w + 2.0 * coupling, 0.0)
+    _, _, u_new, info = dptsv(
+        (1.0 + 2.0 * dt / (h * h)) - dt * stiff, np.full(u.size - 1, -dt / (h * h)),
+        u + dt * (w - stiff + omega) * u, overwrite_d=1, overwrite_b=1,
+    )
+    with np.errstate(over="ignore"):
+        norm = angular_weight * float(quad @ (u_new * u_new))
+    if info == 0 and 0.0 < norm < math.inf:
+        u_new *= math.sqrt(N / norm)
+    return u_new, norm, info
+
+
+def nodeless(u: np.ndarray) -> bool:
+    """No entry below -_NODE_ROUNDOFF max(u): the ground-state guard's test."""
+    return bool(u.min() > -_NODE_ROUNDOFF * u.max())
+
+
+def bordered_newton_update(u, x1, x2, quad, N, angular_weight):
+    """The Newton iterate from u on the norm N, given x1 = J^-1 F and
+    x2 = J^-1 u (u-parts of the solves with the Jacobian J of F(u, omega)).
+
+    Eliminates the border, u_lin = u - x1 + ((quad u . x1)/(quad u . x2)) x2,
+    and puts u_lin back on the norm along x2 (the root s nearest 0 of
+    a quad . (u_lin + s x2)^2 = N).  Returns (u_new, norm of u_lin); u_new is
+    None when it is not finite.
+    """
+    with np.errstate(all="ignore"):
+        border = quad * u
+        u_new = u - x1 + (border @ x1) / (border @ x2) * x2
+        excess = angular_weight * (quad @ (u_new * u_new)) - N
+        slope = 2.0 * angular_weight * (quad @ (u_new * x2))
+        curvature = angular_weight * (quad @ (x2 * x2))
+        s = -2.0 * excess / (slope + np.sign(slope) * np.sqrt(
+            slope * slope - 4.0 * curvature * excess))
+        u_new += s * x2
+    if not np.all(np.isfinite(u_new)):
+        u_new = None
+    return u_new, float(N + excess)
+
+
 def ground_state_from_coupling_values(
     coupling: np.ndarray,
     N: float,
@@ -134,7 +196,6 @@ def ground_state_from_coupling_values(
     angular_weight: float = FULL_SPHERE,
     psi0=None,
     max_steps=None,
-    check_convergence=True,
 ) -> GroundStateResult:
     """Relax to the nonlinear ground state for b(r) given as values on the grid.
 
@@ -142,14 +203,12 @@ def ground_state_from_coupling_values(
     angular_weight=1 for the radial-only normalization of the separable
     (b0 = 0, q = 1) family: the amplitude matters to the logarithmic term,
     so the weight selects which member of the family the flow converges to.
-    With check_convergence the flow hands over to guarded Newton steps once
-    its residual is below _NEWTON_HANDOVER (see the module docstring);
-    max_steps and history count flow and Newton iterations alike.  The SCF
-    runs it in fixed-sweep mode (check_convergence=False, max_steps flow
-    steps, no Newton).  Raises ConvergenceError (carrying the last iterate
-    and the residual history) when max_steps is exhausted, or when a flow
-    step leaves no finite positive norm (then the last iterate is the one
-    before it).
+    The flow hands over to guarded Newton steps once its residual is below
+    _NEWTON_HANDOVER (see the module docstring); max_steps (default
+    opts.max_steps) and history count flow and Newton iterations alike.
+    Raises ConvergenceError (carrying the last iterate and the residual
+    history) when max_steps is exhausted, or when a flow step leaves no
+    finite positive norm (then the last iterate is the one before it).
     """
     opts = opts or SolverOptions()
     coupling = np.asarray(coupling, dtype=float)
@@ -164,17 +223,8 @@ def ground_state_from_coupling_values(
     if steps_budget < 1:
         raise DomainError("max_steps must be at least 1")
 
-    def log_term(u):
-        return coupling * np.log(np.maximum((u / r) ** 2, floor))
-
     u = r * _initial_guess(grid, psi0, N, angular_weight)
     quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
-
-    # I - dt D2 - dt diag(stiff): a constant off-diagonal (Dirichlet ghosts
-    # as in second_difference_dirichlet) and the diagonal below
-    off_diagonal = np.full(u.size - 1, -dt / (h * h))
-    kinetic_diagonal = 1.0 + 2.0 * dt / (h * h)
-
     history = []
     newton_steps = 0
 
@@ -184,49 +234,29 @@ def ground_state_from_coupling_values(
         )
         return GroundStateResult(psi, omega, converged, steps, newton_steps, history)
 
-    def stationary(u):
-        """(w, F = H u + omega u, omega, max|F| / max|u|) with H u = u'' + w u
-        and omega = -(Hu . u)/(u . u), its Rayleigh quotient."""
-        w = log_term(u)
-        hu = second_difference_dirichlet(u, h) + w * u
-        omega = float(-(hu @ u) / (u @ u))
-        f = hu + omega * u
-        return w, f, omega, float(np.abs(f).max()) / float(np.abs(u).max())
-
     def newton_iterate(u, w, f, omega):
-        """The bordered Newton iterate from u, on the norm N, and the norm of
-        the linearized step; None for the iterate when it is not finite."""
+        """The bordered Newton iterate from u and the norm of its linearized
+        step (bordered_newton_update); None for the iterate when the solve
+        fails or the iterate is not finite."""
         jacobian_diagonal = (w + 2.0 * coupling * ((u / r) ** 2 > floor)
                              + omega - 2.0 / (h * h))
         off = np.full(u.size - 1, 1.0 / (h * h))
         with np.errstate(all="ignore"):
             _, _, _, x, info = dgtsv(off, jacobian_diagonal, off,
                                      np.column_stack((f, u)), overwrite_d=1)
-            x1, x2 = x.T
-            border = quad * u
-            u_new = u - x1 + (border @ x1) / (border @ x2) * x2
-            # back onto the norm along x2: the root s nearest 0 of
-            # a quad . (u_new + s x2)^2 = N
-            excess = angular_weight * (quad @ (u_new * u_new)) - N
-            slope = 2.0 * angular_weight * (quad @ (u_new * x2))
-            curvature = angular_weight * (quad @ (x2 * x2))
-            s = -2.0 * excess / (slope + np.sign(slope) * np.sqrt(
-                slope * slope - 4.0 * curvature * excess))
-            u_new += s * x2
-        if info != 0 or not np.all(np.isfinite(u_new)):
-            u_new = None
-        return u_new, float(N + excess)
+        u_new, norm = bordered_newton_update(u, x[:, 0], x[:, 1], quad, N, angular_weight)
+        return (u_new if info == 0 else None), norm
 
-    w, f, omega, _ = stationary(u)
+    w, f, omega, _ = stationary(u, coupling, r, h, floor)
     residual = math.inf  # the guess is never handed to Newton
-    handover = _NEWTON_HANDOVER if check_convergence else 0.0
+    handover = _NEWTON_HANDOVER
     for step in range(1, steps_budget + 1):
         accepted = False
         if residual < handover:
             u_new, norm = newton_iterate(u, w, f, omega)
             # the ground-state guard: no node and a smaller residual
-            if u_new is not None and u_new.min() > -_NODE_ROUNDOFF * u_new.max():
-                trial = stationary(u_new)
+            if u_new is not None and nodeless(u_new):
+                trial = stationary(u_new, coupling, r, h, floor)
                 accepted = trial[3] < residual
             if accepted:
                 u, (w, f, omega, residual) = u_new, trial
@@ -234,13 +264,8 @@ def ground_state_from_coupling_values(
             else:
                 handover = residual / 2.0
         if not accepted:
-            stiff = np.minimum(w + 2.0 * coupling, 0.0)
-            _, _, u_new, info = dptsv(
-                kinetic_diagonal - dt * stiff, off_diagonal,
-                u + dt * (w - stiff + omega) * u, overwrite_d=1, overwrite_b=1,
-            )
-            with np.errstate(over="ignore"):
-                norm = angular_weight * float(quad @ (u_new * u_new))
+            u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, quad, N,
+                                          angular_weight)
             if info != 0 or not 0.0 < norm < math.inf:
                 raise ConvergenceError(
                     f"relaxation step {step} left no finite positive norm "
@@ -249,16 +274,13 @@ def ground_state_from_coupling_values(
                     history=history,
                 )
             u = u_new
-            u *= math.sqrt(N / norm)
-            w, f, omega, residual = stationary(u)
+            w, f, omega, residual = stationary(u, coupling, r, h, floor)
         history.append((step, residual, norm, omega))
-        if check_convergence and residual < tol:
+        if residual < tol:
             break
 
-    # in fixed-sweep mode the caller owns the convergence test
-    converged = residual < tol or not check_convergence
-    final = result(u, omega, step, converged)
-    if not converged:
+    final = result(u, omega, step, residual < tol)
+    if not final.converged:
         raise ConvergenceError(
             f"relaxation did not reach residual < {tol:g} within "
             f"{step} steps (last residual {residual:.3e})",

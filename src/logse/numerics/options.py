@@ -16,14 +16,12 @@ class SolverOptions:
     evolution still needs an explicit dt.
     log_floor regularizes ln|psi|^2 where the density underflows; it only
     touches regions that contribute negligibly to norm and observables.
-    mixing is the linear damping factor of the self-consistent iteration.
     """
 
     dt: float | None = None
     max_steps: int = 25_000
     convergence_tol: float = 1e-6
     log_floor: float = 1e-30
-    mixing: float = 0.5
 
     def __post_init__(self):
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -36,5 +34,3 @@ class SolverOptions:
             raise DomainError("convergence_tol must be positive and finite")
         if not 0 < self.log_floor < math.inf:
             raise DomainError("log_floor must be positive and finite")
-        if not 0.0 < self.mixing <= 1.0:
-            raise DomainError("mixing must lie in (0, 1]")

@@ -56,6 +56,15 @@ def _check_integrable(r: np.ndarray, source: np.ndarray):
             )
 
 
+def enclosed_source(source: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """int_0^r s^2 S(s) ds at each node: the cumulative trapezoid from the
+    origin, where the integrand r^2 S is taken as 0.  The coupling of
+    solve_radial_poisson is this over r^2, minus point_charge / r^2."""
+    r_ext = np.concatenate(([0.0], r))
+    integrand = np.concatenate(([0.0], r * r * source))
+    return cumulative_trapezoid(integrand, r_ext, initial=0.0)[1:]
+
+
 def solve_radial_poisson(
     source,
     grid: RadialGrid,
@@ -76,10 +85,7 @@ def solve_radial_poisson(
     if not np.isfinite(point_charge) or not np.isfinite(boundary_value):
         raise DomainError("point_charge and boundary_value must be finite")
 
-    # enclosed-source integral from the origin; integrand r^2 S -> 0 at r = 0
-    r_ext = np.concatenate(([0.0], r))
-    integrand = np.concatenate(([0.0], r * r * s))
-    enclosed = cumulative_trapezoid(integrand, r_ext, initial=0.0)[1:]
+    enclosed = enclosed_source(s, r)
 
     # smooth part by quadrature, integrated inward from the outer boundary so
     # the far field (where the asymptotics are read off) stays clean; the

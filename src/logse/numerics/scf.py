@@ -3,21 +3,46 @@
 The coupled system is
 
     i d_t psi = -lap psi - (d phi/dr) ln(|psi|^2) psi,
-    lap_r phi = 4 pi f(|psi|^2),
+    lap_r phi = 4 pi f(|psi|^2, r),
 
 with a caller-supplied source map f (its physical form is model-dependent).
-The stationary problem is solved by damped fixed-point iteration: solve the
-Poisson equation for phi given the current density, take the coupling
-b(r) = d phi/dr (mixed linearly with the previous sweep), relax psi for one
-short imaginary-time sweep under that coupling, repeat.  The coupling then
-depends on psi, so this is the nonlinear flow of imagtime; a linear problem
-with a given potential is a direct tridiagonal eigensolve instead
-(linear_ground_state).
+Its stationary states are solved as one system.  On the solvers' grid, with
+u = r psi, rho = (u/r)^2 and the point charge q of solve_radial_poisson, the
+unknowns are (u, z, omega):
 
-Every sweep hands over and gets back a state held to the grid rule (Simpson
-plus the origin panel), the norm the flow renormalizes each step in, so the
-sweep-to-sweep change compares like with like; only the flow's Rayleigh
-quotient uses h * sum u v, in which D2 is symmetric (see imagtime).
+    F1 = D2 u + b ln max(rho, floor) u + omega u = 0,   b = (z - q) / r^2,
+    F2_i = z_i - z_{i-1} - (h/2) (g_{i-1} + g_i) = 0,  g = 4 pi r^2 f(rho, r),
+
+z being solve_radial_poisson's enclosed-source integral (the cumulative
+trapezoid from the origin, z_{-1} = g_{-1} = 0), closed by the grid-rule norm
+a quad . (u u) = N as in the relaxation.
+
+Newton step.  Interleaving (u_i, z_i) makes the Jacobian banded with
+bandwidths (3, 2), bordered by the omega column u and the norm row: one step
+is one solve_banded call with the right-hand sides [F, u] and the relaxation's
+border elimination (imagtime.bordered_newton_update), O(n).  After a step z
+is recomputed from the new density, so F2 = 0 holds exactly, and omega is the
+iterate's Rayleigh quotient.  The coupled residual is then max|F1| / max|u|
+in the field the state's own density sources.  As in the relaxation, a step
+is accepted only if its iterate has no node and its residual falls.
+
+Globalization: natural continuation in the source strength, lambda f
+(Allgower & Georg, Introduction to Numerical Continuation Methods, SIAM
+2003).  lambda = 1 is tried first.  Until a rung is accepted, a rung at
+lambda starts from the converged relaxation (ground_state_from_coupling_values)
+in the frozen field of lambda f at the guess; later rungs start from the last
+accepted state.  Each rung takes coupled Newton steps until the residual is
+below tol.  A rejected rung (a guard rejection or a failed relaxation) halves
+the lambda step from the last accepted lambda; an accepted one doubles it.
+Relaxing in the frozen field at every rung instead drove the eps = 20 and 30
+linear-density states off the branch (the rungs stalled near lambda 0.94 and
+0.63), and the eps = 10 solve took 1.6 s instead of 0.15 s.  Where df/drho
+vanishes on the grid the frozen field is the self-consistent one: the first
+rung is the whole solve, it takes no Newton step, and a failure of its
+relaxation is raised as it is.
+
+The shipped source maps carry df/drho as their attribute `drho`; for any
+other map a pointwise forward difference stands in, O(n).
 """
 
 from __future__ import annotations
@@ -26,14 +51,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from ..errors import ConvergenceError, DomainError
-from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction
-from .imagtime import _initial_guess, ground_state_from_coupling_values
+from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights
+from .imagtime import (
+    _initial_guess,
+    bordered_newton_update,
+    ground_state_from_coupling_values,
+    nodeless,
+    stationary,
+)
 from .options import SolverOptions
-from .poisson import FieldState, solve_radial_poisson
+from .poisson import FieldState, enclosed_source, solve_radial_poisson
 
-_OSCILLATION_WINDOW = 50
+# the continuation gives up once a rejected rung would halve its lambda
+# step below this
+_MIN_LAMBDA_STEP = 2.0**-10
 
 
 @dataclass
@@ -41,9 +75,9 @@ class SCFResult:
     psi: RadialWavefunction
     field: FieldState
     omega: float
-    sweeps: int
+    sweeps: int  # coupled Newton steps over all rungs
     converged: bool
-    history: list  # rows (sweep, psi_change, coupling_change)
+    history: list  # rows (lam, newton_step, residual, omega); see the solver
 
 
 def f_constant_over_r(b0: float):
@@ -56,6 +90,7 @@ def f_constant_over_r(b0: float):
     def f(rho, r):
         return b0 / (2.0 * math.pi * r)
 
+    f.drho = f_zero
     return f
 
 
@@ -64,22 +99,31 @@ def f_zero(rho, r):
     return np.zeros_like(r)
 
 
+f_zero.drho = f_zero
+
+
 def f_linear_density(eps: float):
     """Source proportional to the density, f = eps * rho."""
 
     def f(rho, r):
         return eps * rho
 
+    f.drho = lambda rho, r: np.full_like(r, eps)
     return f
 
 
-def oscillation_detected(residuals, window: int = _OSCILLATION_WINDOW) -> bool:
-    """True when the residual made no new minimum over the last `window` sweeps."""
-    if len(residuals) < 2 * window:
-        return False
-    recent = min(residuals[-window:])
-    earlier = min(residuals[:-window])
-    return recent >= earlier
+def _source_derivative(f):
+    """df/drho on the grid: f.drho, or a forward difference for other maps."""
+    declared = getattr(f, "drho", None)
+    if declared is not None:
+        return declared
+
+    def difference(rho, r):
+        step = 1e-7 * (rho + rho.max()) + 1e-300
+        return (np.asarray(f(rho + step, r), dtype=float)
+                - np.asarray(f(rho, r), dtype=float)) / step
+
+    return difference
 
 
 def self_consistent_minimal_model(
@@ -88,83 +132,145 @@ def self_consistent_minimal_model(
     grid: RadialGrid,
     opts: SolverOptions | None = None,
     point_charge: float = 0.0,
-    inner_steps: int = 60,
-    max_sweeps: int = 3000,
+    max_sweeps: int = 200,
     angular_weight: float = FULL_SPHERE,
     psi0=None,
 ) -> SCFResult:
-    """Damped fixed-point iteration of the coupled minimal model.
+    """Stationary state of the coupled minimal model by continuation in the
+    source strength and guarded coupled Newton steps (module docstring).
 
     f(rho, r) maps the density to the field source (kappa * rho_phi); three
     ready-made maps are provided: f_constant_over_r, f_zero, f_linear_density.
-    Convergence requires both the wavefunction and the coupling changes to
-    fall below opts.convergence_tol.  A residual sequence that stops making
-    progress for 50 sweeps aborts with a suggestion to reduce opts.mixing.
+    The returned state is nodeless, its field is solve_radial_poisson of its
+    own density and its residual in that field is below opts.convergence_tol.
+    max_sweeps bounds the coupled Newton steps over all rungs.  history has
+    one row (lam, newton_step, residual, omega) per coupled state: the
+    relaxed start of a rung (newton_step 0) and each Newton iterate, a
+    rejected one included (residual inf when it has a node).  Raises
+    ConvergenceError, carrying the last accepted state and the history, when
+    the budget runs out or the lambda step falls below _MIN_LAMBDA_STEP.
     """
     opts = opts or SolverOptions()
-    if inner_steps < 1 or max_sweeps < 1:
-        raise DomainError("inner_steps and max_sweeps must be at least 1")
+    if max_sweeps < 1:
+        raise DomainError("max_sweeps must be at least 1")
     r = grid.r
-    # the Poisson step needs a density, so the guess is set up here, once
-    psi_vals = _initial_guess(grid, psi0, N, angular_weight)
-
-    coupling = None
-    field = None
-    result = None
+    h = grid.origin_step()
+    floor, tol = opts.log_floor, opts.convergence_tol
+    quad = grid_rule_weights(grid)
+    source_derivative = _source_derivative(f)
     history = []
-    residuals = []
-    converged = False
-    sweep = 0
-    for sweep in range(1, max_sweeps + 1):
-        rho = psi_vals**2
-        source = 4.0 * math.pi * np.asarray(f(rho, r), dtype=float)
-        field = solve_radial_poisson(source, grid, point_charge=point_charge)
-        coupling_new = field.dphi
-        if coupling is None:
-            coupling_mixed = coupling_new
-            coupling_change = math.inf
-        else:
-            coupling_mixed = (1.0 - opts.mixing) * coupling + opts.mixing * coupling_new
-            scale = 1.0 + float(np.max(np.abs(coupling_mixed)))
-            coupling_change = float(np.max(np.abs(coupling_mixed - coupling))) / scale
+    sweeps = 0
 
-        result = ground_state_from_coupling_values(
-            coupling_mixed, N, grid, opts,
-            angular_weight=angular_weight, psi0=psi_vals,
-            max_steps=inner_steps, check_convergence=False,
-        )
-        psi_new = result.psi.values.real
-        psi_change = float(np.max(np.abs(psi_new - psi_vals)))
-        psi_change /= float(np.max(np.abs(psi_vals)))
-        psi_vals = psi_new
-        coupling = coupling_mixed
+    def source(u, lam):
+        return (4.0 * math.pi * lam) * np.asarray(f((u / r) ** 2, r), dtype=float)
 
-        history.append((sweep, psi_change, coupling_change))
-        res = max(psi_change, coupling_change if np.isfinite(coupling_change) else psi_change)
-        residuals.append(res)
-        if psi_change < opts.convergence_tol and coupling_change < opts.convergence_tol:
-            converged = True
+    def coupled(u, lam):
+        """(b, w, F1, omega, residual) of u in the field its density sources;
+        b is solve_radial_poisson's coupling of that source, bit for bit."""
+        s = source(u, lam)
+        if s.shape != r.shape or not np.all(np.isfinite(s)):
+            raise DomainError("the field source must be finite with one value per node")
+        coupling = enclosed_source(s, r) / r**2 - point_charge / r**2
+        return (coupling, *stationary(u, coupling, r, h, floor))
+
+    def newton_iterate(u, state, lam):
+        """The coupled Newton iterate from u on the norm; None if it fails."""
+        coupling, w, f1, omega, _ = state
+        rho = (u / r) ** 2
+        inv_h2 = 1.0 / (h * h)
+        # dF2_i/du_i and dF2_{i+1}/du_i: -(h/2) dg/du, dg/du = 8 pi lam f_rho u
+        dsource = (-4.0 * math.pi * lam * h) * np.asarray(
+            source_derivative(rho, r), dtype=float) * u
+        # band storage ab[2 + row - col, col]: u_i is column 2i, z_i 2i + 1
+        ab = np.zeros((6, 2 * u.size))
+        ab[0, 2::2] = inv_h2                              # F1_{i-1}
+        ab[2, 0::2] = w + 2.0 * coupling * (rho > floor) + omega - 2.0 * inv_h2
+        ab[3, 0::2] = dsource                             # F2_i
+        ab[4, 0:-2:2] = inv_h2                            # F1_{i+1}
+        ab[5, 0:-2:2] = dsource[:-1]                      # F2_{i+1}
+        ab[1, 1::2] = np.log(np.maximum(rho, floor)) * u / r**2  # dF1_i/dz_i
+        ab[2, 1::2] = 1.0                                 # dF2_i/dz_i
+        ab[4, 1:-2:2] = -1.0                              # dF2_{i+1}/dz_i
+        rhs = np.zeros((2 * u.size, 2))
+        rhs[0::2, 0], rhs[0::2, 1] = f1, u
+        try:
+            with np.errstate(all="ignore"):
+                x = solve_banded((3, 2), ab, rhs, overwrite_ab=True,
+                                 overwrite_b=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        return bordered_newton_update(u, x[0::2, 0], x[0::2, 1], quad, N,
+                                      angular_weight)[0]
+
+    def rung(u, lam):
+        """Coupled Newton steps at lam from u (relaxed in the frozen field of
+        lam f at u first while no rung is accepted); (u, coupled state, frozen
+        field or None) once the residual is below tol.  Raises
+        ConvergenceError when a step is rejected or the budget is spent."""
+        nonlocal sweeps
+        frozen = None
+        if lam_done == 0.0:  # no rung accepted yet: u is the guess
+            frozen = solve_radial_poisson(source(u, lam), grid, point_charge=point_charge)
+            relaxed = ground_state_from_coupling_values(
+                frozen.dphi, N, grid, opts, angular_weight=angular_weight, psi0=u / r)
+            u = r * relaxed.psi.values.real
+        state = coupled(u, lam)
+        history.append((lam, 0, state[4], state[3]))
+        step = 0
+        while state[4] >= tol:
+            if sweeps == max_sweeps:
+                raise ConvergenceError(
+                    f"self-consistent solve did not reach residual < {tol:g} within "
+                    f"{max_sweeps} coupled Newton steps (lambda {lam:g}, residual "
+                    f"{state[4]:.3e})")
+            sweeps += 1
+            step += 1
+            u_new = newton_iterate(u, state, lam)
+            trial = None
+            if u_new is not None and nodeless(u_new):
+                trial = coupled(u_new, lam)
+            history.append((lam, step, math.inf if trial is None else trial[4],
+                            math.nan if trial is None else trial[3]))
+            if trial is None or not trial[4] < state[4]:
+                raise ConvergenceError(
+                    f"coupled Newton step {step} at lambda {lam:g} rejected "
+                    f"(residual {state[4]:.3e})")
+            u, state = u_new, trial
+        return u, state, frozen
+
+    u = r * _initial_guess(grid, psi0, N, angular_weight)
+    independent = not np.any(source_derivative((u / r) ** 2, r))
+    lam_done, lam_step = 0.0, 1.0
+    while True:
+        lam = min(1.0, lam_done + lam_step)
+        try:
+            u_rung, state, frozen = rung(u, lam)
+        except ConvergenceError as err:
+            if independent:
+                raise
+            lam_step /= 2.0
+            if sweeps == max_sweeps or lam_step < _MIN_LAMBDA_STEP:
+                raise ConvergenceError(
+                    f"self-consistent continuation stopped at lambda {lam_done:g} "
+                    f"after {sweeps} coupled Newton steps: {err}",
+                    last=RadialWavefunction(grid, u / r, N, angular_weight),
+                    history=history,
+                ) from err
+            continue
+        u, lam_done = u_rung, lam
+        lam_step *= 2.0
+        if lam == 1.0:
             break
-        if oscillation_detected(residuals):
-            raise ConvergenceError(
-                f"self-consistent iteration stopped making progress for "
-                f"{_OSCILLATION_WINDOW} sweeps (residual {res:.3e}); "
-                f"try a smaller mixing than {opts.mixing}",
-                last=result.psi,
-                history=history,
-            )
 
-    if not converged:
-        raise ConvergenceError(
-            f"self-consistent iteration did not converge in {max_sweeps} sweeps",
-            last=result.psi if result is not None else None,
-            history=history,
-        )
+    coupling, _, _, omega, _ = state
+    # a density-independent source leaves the frozen field as it was
+    field = (frozen if frozen is not None and np.array_equal(frozen.dphi, coupling)
+             else solve_radial_poisson(source(u, 1.0), grid, point_charge=point_charge))
     return SCFResult(
-        psi=result.psi,
+        psi=RadialWavefunction(grid, u / r, N, angular_weight),
         field=field,
-        omega=result.omega,
-        sweeps=sweep,
-        converged=converged,
+        omega=omega,
+        sweeps=sweeps,
+        converged=True,
         history=history,
     )

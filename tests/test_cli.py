@@ -85,6 +85,58 @@ def test_field_linear_rho_converges_at_defaults(tmp_path):
     assert data["converged"] is True
 
 
+def test_field_linear_rho_strong_source_is_self_consistent_or_exits_3(tmp_path):
+    # the damped fixed-point iteration exited 0 here with a state whose
+    # residual in its own field was 7e2
+    code = run(tmp_path, "field", "--f-model", "linear-rho", "--eps", "30")
+    assert code in (0, 3)
+    if code == 0:
+        data = json.loads((tmp_path / "field_result.json").read_text())
+        assert data["converged"] is True
+        assert data["omega"] == pytest.approx(5.903877, rel=1e-6)
+
+
+@pytest.mark.parametrize("flag, key", [("--mixing", "mixing"),
+                                       ("--inner-steps", "inner_steps")])
+def test_removed_field_options_exit_2_naming_them(tmp_path, capsys, flag, key):
+    assert run(tmp_path, "field", flag, "1") == 2
+    assert flag in capsys.readouterr().err
+    conf = tmp_path / "old.conf"
+    conf.write_text(f"{key} = 1\n")
+    assert run(tmp_path, "field", "--config", str(conf)) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_max_sweeps_bounds_the_coupled_newton_steps(tmp_path, capsys):
+    # --max-sweeps still parses, as the budget of coupled Newton steps
+    assert run(tmp_path, "field", "--f-model", "linear-rho", "--eps", "5",
+               "--max-sweeps", "1") == 3
+    assert "after 1 coupled Newton steps" in capsys.readouterr().err
+    conf = tmp_path / "budget.conf"
+    conf.write_text("f_model = linear-rho\neps = 5\nmax_sweeps = 50\n")
+    assert run(tmp_path, "field", "--config", str(conf)) == 0
+    data = json.loads((tmp_path / "field_result.json").read_text())
+    assert 0 < data["sweeps"] <= 50 and data["config"]["max_sweeps"] == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ("analytic", "--case", "general", "--N", "1", "--q", "-1e-1"),
+    ("field", "--point-charge", "-1e-3"),
+    ("groundstate", "--b0", "-1e-1"),
+], ids=["analytic-q", "field-point-charge", "groundstate-b0"])
+def test_negative_values_in_scientific_notation(tmp_path, argv):
+    # argparse alone takes "-1e-1" for an option and exits
+    *head, flag, value = argv
+    assert run(tmp_path / "spaced", *argv) == 0
+    assert run(tmp_path / "joined", *head, f"{flag}={value}") == 0
+    spaced = sorted((tmp_path / "spaced").iterdir())
+    assert [p.name for p in spaced] == [p.name for p in sorted((tmp_path / "joined").iterdir())]
+    for path in spaced:
+        assert path.read_bytes() == (tmp_path / "joined" / path.name).read_bytes()
+    config = json.loads(next(p for p in spaced if p.suffix == ".json").read_text())["config"]
+    assert config[flag[2:].replace("-", "_")] == float(value)
+
+
 def test_report_subset_and_json(tmp_path, capsys):
     code = run(tmp_path, "report", "--only", "9,10", "--json")
     out = capsys.readouterr().out

@@ -19,7 +19,7 @@ from logse import (
     case_q1,
     l2_distance,
 )
-from logse.grids import integrate_radial
+from logse.grids import grid_rule_weights, integrate_radial
 from logse.numerics import (
     SolverOptions,
     evolve_real_time,
@@ -127,6 +127,24 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
     return iterates
 
 
+def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
+    """psi after each of n_steps flow steps of the engine from its guess for
+    psi0: imagtime.flow_step at the default step, each from the w and omega
+    of imagtime.stationary, as the relaxation takes them before Newton."""
+    r, h = grid.r, grid.h
+    floor = SolverOptions().log_floor
+    quad = grid_rule_weights(grid)
+    u = r * imagtime._initial_guess(grid, psi0, 1.0, weight)
+    iterates = []
+    for _ in range(n_steps):
+        w, _, omega, _ = imagtime.stationary(u, b, r, h, floor)
+        u, _, info = imagtime.flow_step(u, w, omega, b, imagtime._RELAX_DT, h, quad,
+                                        1.0, weight)
+        assert info == 0
+        iterates.append(RadialWavefunction(grid, u / r, 1.0, weight))
+    return iterates
+
+
 @GAUSSON_AND_INVERSE_SQUARE
 @pytest.mark.parametrize("guess", ["default", "broad"])
 def test_engine_iterates_match_banded_reference_step(profile, grid, weight, guess):
@@ -138,12 +156,9 @@ def test_engine_iterates_match_banded_reference_step(profile, grid, weight, gues
     reference = _reference_iterates(
         b, grid, weight, _default_guess(grid) if psi0 is None else psi0, 50
     )
-    for k, (ref, _, _) in enumerate(reference, start=1):
-        psi = ground_state_from_coupling_values(
-            b, 1.0, grid, SolverOptions(), angular_weight=weight, psi0=psi0,
-            max_steps=k, check_convergence=False,
-        ).psi.values
-        assert np.max(np.abs(psi - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+    iterates = _engine_flow_iterates(b, grid, weight, psi0, 50)
+    for k, ((ref, _, _), psi) in enumerate(zip(reference, iterates), start=1):
+        assert np.max(np.abs(psi.values - ref)) <= 1e-12 * np.max(np.abs(ref)), k
 
 
 def test_gausson_takes_reference_step_count():
@@ -310,8 +325,7 @@ def test_relax_and_linear_reject_bad_norm(N):
 def test_relax_rejects_empty_step_budget(max_steps):
     with pytest.raises(DomainError):
         ground_state_from_coupling_values(
-            np.full_like(GRID8.r, PI), 1.0, GRID8, max_steps=max_steps,
-            check_convergence=False,
+            np.full_like(GRID8.r, PI), 1.0, GRID8, max_steps=max_steps
         )
 
 
@@ -380,16 +394,8 @@ def test_relaxation_energy_monotone_along_flow():
 @GAUSSON_AND_INVERSE_SQUARE
 def test_relaxation_energy_monotone_along_engine_iterates(profile, grid, weight):
     b = profile.evaluate(grid.r)
-    energies = [
-        relaxation_energy(
-            ground_state_from_coupling_values(
-                b, 1.0, grid, SolverOptions(), angular_weight=weight,
-                max_steps=k, check_convergence=False,
-            ).psi,
-            b,
-        )
-        for k in range(1, 51)
-    ]
+    energies = [relaxation_energy(psi, b)
+                for psi in _engine_flow_iterates(b, grid, weight, None, 50)]
     assert np.all(np.diff(energies) <= 1e-10 * max(1.0, abs(energies[0])))
 
 
