@@ -56,7 +56,7 @@ _SCALE_DEFAULTS = {"hbar": None, "mass": None, "a": None}
 _DEFAULTS = {
     "analytic": {
         "case": "constant", "N": 1.0, "q": 2.0, "b0": PI, "L2": 0.0, "SY": 0.0,
-        **_GRID_DEFAULTS, **_SCALE_DEFAULTS,
+        **{**_GRID_DEFAULTS, "r_max": None}, **_SCALE_DEFAULTS,
     },
     "groundstate": {
         "b0": PI, "q": 0.0, "N": 1.0, "dt": None, "max_steps": 25000,
@@ -255,6 +255,8 @@ def _maybe_save_config(args, conf):
 def cmd_analytic(args) -> int:
     conf = _resolve(args)
     sol = _build_case(conf)
+    if conf["r_max"] is None:  # the inverse-square tail needs r_max ~ 30/mu^2
+        conf["r_max"] = _GRID_DEFAULTS["r_max"] if sol.mu_sq is None else 30.0 / sol.mu_sq
     grid = _grid_from(conf)
     psi = sol.sample(grid)
     r = grid.r

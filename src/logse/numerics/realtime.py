@@ -11,11 +11,13 @@ ends), and a second half kick.  The Cayley form of Crank-Nicolson is unitary,
 so the discrete l2 norm of u -- the trapezoid quadrature of w r^2 |psi|^2 --
 is conserved to roundoff; the phase kicks conserve |psi| pointwise.
 
-The tridiagonal Crank-Nicolson matrix is factored once (LAPACK gttrf) and
-each step only back-substitutes (gttrs).  Between two steps where nothing is
-recorded, the second half kick of one step and the first half kick of the
-next are fused into one full kick; every snapshot, norm check and the final
-state still see a completed Strang step.
+A kick builds exp(i theta) from one tangent (half_angle_phase).  The kinetic
+step is the Cayley identity (I+A)^-1 (I-A) u = 2 (I+A)^-1 u - u: (I+A)/2 is
+factored once (LAPACK gttrf), and a step back-substitutes (gttrs) on a copy of
+u and subtracts u.  Between two steps where nothing is recorded, the second
+half kick of one step and the first half kick of the next are fused into one
+full kick; every snapshot, norm check and the final state still see a
+completed Strang step.
 """
 
 from __future__ import annotations
@@ -46,6 +48,22 @@ class EvolutionResult:
     phases: np.ndarray               # unwrapped overlap phase arg<psi0|psi(t)>
     norm_drift: float                # max relative norm deviation
     snapshots: list = field(default_factory=list)  # (t, values) if requested
+
+
+def half_angle_phase(t, out):
+    """Write exp(2i t) into the complex array out from the one tangent tan t.
+
+    cos 2t = 2/(1+tan^2) - 1 and sin 2t = 2 tan/(1+tan^2) hold to a few ulps,
+    tan^2 stays finite for finite t, and a non-finite t gives NaN.  t is used
+    as the scratch buffer for 2/(1+tan^2).
+    """
+    tan = np.tan(t, out=out.imag)
+    c = np.square(tan, out=t)
+    np.add(c, 1.0, out=c)
+    np.divide(2.0, c, out=c)
+    np.multiply(tan, c, out=tan)
+    np.subtract(c, 1.0, out=out.real)
+    return out
 
 
 def evolve_real_time(
@@ -90,26 +108,29 @@ def evolve_real_time(
             stacklevel=2,
         )
 
-    # Cayley / Crank-Nicolson factors for i du/dt = -u'' with Dirichlet ghosts
-    lam = 1j * dt / (2.0 * h * h)
-    off = np.full(n - 1, -lam)
-    dl, d, du, du2, ipiv, info = zgttrf(off, np.full(n, 1.0 + 2.0 * lam), off)
+    # (I+A)/2 with A = lam tridiag(-1, 2, -1), lam = i dt/(2h^2): Crank-Nicolson
+    # for i du/dt = -u'' with Dirichlet ghosts
+    lam = 0.5j * dt / (h * h)
+    off = np.full(n - 1, -0.5 * lam)
+    dl, d, du, du2, ipiv, info = zgttrf(off, np.full(n, 0.5 + lam), off)
     if info != 0:
         raise DomainError(f"Crank-Nicolson matrix is singular (gttrf info={info})")
 
-    # the phase kick theta = frac * dt * b * ln max(|u/r|^2, floor), applied
-    # as cos + i sin; kick_half and kick_full are the two values of frac*dt*b
+    # the kick exp(i theta) takes the half angle theta/2 = coef * ln max(|u/r|^2,
+    # floor): coef is dt*b/4 for a half kick and dt*b/2 for a full one
     inv_r2 = 1.0 / (r * r)
-    kick_full = dt * coupling
+    kick_full = 0.5 * dt * coupling
     kick_half = 0.5 * kick_full
+    rho = np.empty(n)
+    phase = np.empty(n, dtype=complex)
 
     def kick(vec, coef):
-        theta = vec.real ** 2 + vec.imag ** 2
-        theta *= inv_r2
-        np.maximum(theta, floor, out=theta)
-        np.log(theta, out=theta)
-        theta *= coef
-        vec *= np.cos(theta) + 1j * np.sin(theta)
+        np.square(np.abs(vec, out=rho), out=rho)
+        np.multiply(rho, inv_r2, out=rho)
+        np.maximum(rho, floor, out=rho)
+        np.log(rho, out=rho)
+        np.multiply(rho, coef, out=rho)
+        vec *= half_angle_phase(rho, phase)
 
     def solver_norm(vec):
         # trapezoid over the extended grid {0, r..., r_max+h} whose ghost
@@ -146,12 +167,10 @@ def evolve_real_time(
     completed = True  # u holds a whole Strang step (its last half kick applied)
     for step in range(1, n_steps + 1):
         kick(u, kick_half if completed else kick_full)
-        rhs = (1.0 - 2.0 * lam) * u
-        rhs[:-1] += lam * u[1:]
-        rhs[1:] += lam * u[:-1]
-        u, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=True)
+        v, info = zgttrs(dl, d, du, du2, ipiv, u)
         if info != 0:
             raise DomainError(f"Crank-Nicolson solve failed (gttrs info={info})")
+        u = np.subtract(v, u, out=v)
 
         snapshot = step % stride == 0 or step == n_steps
         norm_check = step % _NORM_CHECK_EVERY == 0

@@ -48,6 +48,18 @@ def test_analytic_inverse_square_entropy(tmp_path):
     assert data["mu_sq"] == pytest.approx((8.0) ** (-1 / 3) * math.exp(-1 / 3))
 
 
+def test_analytic_inverse_square_default_grid_holds_the_tail(tmp_path, recwarn):
+    # without --r-max the inverse-square case extends its grid to 30/mu^2
+    assert run(tmp_path, "analytic", "--case", "inverse_square") == 0
+    assert not recwarn.list
+    data = json.loads((tmp_path / "analytic_result.json").read_text())
+    assert data["config"]["r_max"] == pytest.approx(30.0 / data["mu_sq"], rel=1e-15)
+    assert data["S_psi_quadrature"] == pytest.approx(data["S_psi_closed_form"], abs=1e-6)
+    assert run(tmp_path, "analytic", "--case", "inverse_square", "--r-max", "12") == 0
+    data = json.loads((tmp_path / "analytic_result.json").read_text())
+    assert data["config"]["r_max"] == 12.0
+
+
 def test_groundstate_reports_l2_vs_analytic(tmp_path):
     assert run(tmp_path, "groundstate", "--b0", repr(PI), "--q", "0", "--N", "1") == 0
     data = json.loads((tmp_path / "groundstate_result.json").read_text())

@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve, solve_banded
 
 from logse import (
     ConvergenceError,
     CouplingProfile,
     DomainError,
     RadialGrid,
+    RadialWavefunction,
     case_constant,
     case_general,
 )
 from logse.numerics import SolverOptions, evolve_real_time
+from logse.numerics.realtime import half_angle_phase
 
 PI = math.pi
 
@@ -154,6 +158,71 @@ def test_fused_kicks_match_plain_strang_loop():
         assert t == t_ref
         assert np.max(np.abs(got - want)) < 1e-10
     assert np.max(np.abs(res.psi.values - final)) < 1e-10
+
+
+def test_fused_kicks_match_plain_strang_loop_on_criterion_6_grid():
+    # criterion 6's grid and step: long stretches of fused kicks between
+    # snapshots on a fine grid, against the same plain loop and bounds
+    sol = case_constant(1, PI)
+    grid = RadialGrid.uniform_from_origin(10.0, 4000)
+    psi0 = sol.sample(grid)
+    res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=1e-4), n_steps=200,
+                           snapshot_stride=50, keep_snapshots=True)
+    times, norms, phases, snapshots, final = _plain_strang(
+        psi0, sol.profile, 1e-4, 200, 50)
+    assert len(res.snapshots) == len(snapshots) == 200 // 50 + 1
+    np.testing.assert_array_equal(res.times, times)
+    np.testing.assert_allclose(res.norms, norms, rtol=1e-12)
+    np.testing.assert_allclose(res.phases, phases, rtol=0, atol=1e-10)
+    for (t, got), want, t_ref in zip(res.snapshots, snapshots, times):
+        assert t == t_ref
+        assert np.max(np.abs(got - want)) < 1e-10
+    assert np.max(np.abs(res.psi.values - final)) < 1e-10
+
+
+def _phase_factor(theta):
+    theta = np.asarray(theta, dtype=float)
+    return half_angle_phase(theta / 2.0, np.empty(theta.shape, dtype=complex))
+
+
+def test_half_angle_phase_matches_cos_sin():
+    special = [0.0, PI / 2, -PI / 2, PI, -PI, 3 * PI, -3 * PI, 1e6, -1e6,
+               5e-324, -5e-324, 2.2e-308]
+    theta = np.concatenate([special, np.linspace(-50.0, 50.0, 200_001)])
+    got = _phase_factor(theta)
+    want = np.cos(theta) + 1j * np.sin(theta)
+    assert np.max(np.abs(got.real - want.real)) <= 1e-15
+    assert np.max(np.abs(got.imag - want.imag)) <= 1e-15
+    assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-15
+    assert _phase_factor([0.0])[0] == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_half_angle_phase_of_non_finite_angle_is_nan():
+    got = _phase_factor([np.inf, -np.inf, np.nan])
+    assert np.all(np.isnan(got.real)) and np.all(np.isnan(got.imag))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 256), log_lam=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
+    # with b = 0 both kicks are the identity and one step is the Cayley map
+    # u -> (I+A)^-1 (I-A) u, A = i lam tridiag(-1, 2, -1), lam = dt / (2 h^2)
+    lam = 10.0 ** log_lam
+    grid = RadialGrid.uniform_from_origin(float(n), n)  # h = 1
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi0 = RadialWavefunction(grid, u / grid.r)
+    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0),
+                           SolverOptions(dt=2.0 * lam), n_steps=1)
+    u_in = grid.r * psi0.normalized().values
+    u_out = grid.r * res.psi.values
+    norm_in, norm_out = np.sum(np.abs(u_in) ** 2), np.sum(np.abs(u_out) ** 2)
+    assert abs(norm_out - norm_in) <= 1e-13 * norm_in
+    a = 1j * lam * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    want = solve(np.eye(n) + a, (np.eye(n) - a) @ u_in)
+    assert np.linalg.norm(u_out - want) <= 1e-12 * np.linalg.norm(u_in)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
