@@ -195,7 +195,6 @@ def ground_state_from_coupling_values(
     opts: SolverOptions | None = None,
     angular_weight: float = FULL_SPHERE,
     psi0=None,
-    max_steps=None,
 ) -> GroundStateResult:
     """Relax to the nonlinear ground state for b(r) given as values on the grid.
 
@@ -204,11 +203,11 @@ def ground_state_from_coupling_values(
     (b0 = 0, q = 1) family: the amplitude matters to the logarithmic term,
     so the weight selects which member of the family the flow converges to.
     The flow hands over to guarded Newton steps once its residual is below
-    _NEWTON_HANDOVER (see the module docstring); max_steps (default
-    opts.max_steps) and history count flow and Newton iterations alike.
-    Raises ConvergenceError (carrying the last iterate and the residual
-    history) when max_steps is exhausted, or when a flow step leaves no
-    finite positive norm (then the last iterate is the one before it).
+    _NEWTON_HANDOVER (see the module docstring); opts.max_steps and history
+    count flow and Newton iterations alike.  Raises ConvergenceError
+    (carrying the last iterate and the residual history) when opts.max_steps
+    is exhausted, or when a flow step leaves no finite positive norm (then
+    the last iterate is the one before it).
     """
     opts = opts or SolverOptions()
     coupling = np.asarray(coupling, dtype=float)
@@ -219,9 +218,6 @@ def ground_state_from_coupling_values(
     floor = opts.log_floor
     tol = opts.convergence_tol
     dt = opts.dt if opts.dt is not None else _RELAX_DT
-    steps_budget = opts.max_steps if max_steps is None else max_steps
-    if steps_budget < 1:
-        raise DomainError("max_steps must be at least 1")
 
     u = r * _initial_guess(grid, psi0, N, angular_weight)
     quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
@@ -250,7 +246,7 @@ def ground_state_from_coupling_values(
     w, f, omega, _ = stationary(u, coupling, r, h, floor)
     residual = math.inf  # the guess is never handed to Newton
     handover = _NEWTON_HANDOVER
-    for step in range(1, steps_budget + 1):
+    for step in range(1, opts.max_steps + 1):
         accepted = False
         if residual < handover:
             u_new, norm = newton_iterate(u, w, f, omega)

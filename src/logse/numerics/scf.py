@@ -26,20 +26,21 @@ iterate's Rayleigh quotient.  The coupled residual is then max|F1| / max|u|
 in the field the state's own density sources.  As in the relaxation, a step
 is accepted only if its iterate has no node and its residual falls.
 
-Globalization: natural continuation in the source strength, lambda f
-(Allgower & Georg, Introduction to Numerical Continuation Methods, SIAM
-2003).  lambda = 1 is tried first.  Until a rung is accepted, a rung at
-lambda starts from the converged relaxation (ground_state_from_coupling_values)
-in the frozen field of lambda f at the guess; later rungs start from the last
-accepted state.  Each rung takes coupled Newton steps until the residual is
-below tol.  A rejected rung (a guard rejection or a failed relaxation) halves
-the lambda step from the last accepted lambda; an accepted one doubles it.
-Relaxing in the frozen field at every rung instead drove the eps = 20 and 30
-linear-density states off the branch (the rungs stalled near lambda 0.94 and
-0.63), and the eps = 10 solve took 1.6 s instead of 0.15 s.  Where df/drho
-vanishes on the grid the frozen field is the self-consistent one: the first
-rung is the whole solve, it takes no Newton step, and a failure of its
-relaxation is raised as it is.
+Globalization: one relaxation, then natural continuation in the source
+strength, lambda f (Allgower & Georg, Introduction to Numerical Continuation
+Methods, SIAM 2003).  The relaxation (ground_state_from_coupling_values) runs
+in the field that lambda0 f sources at the guess, chosen so that this field
+is the self-consistent one for every density: lambda0 = 1 when df/drho
+vanishes on the guess, and the relaxation is the whole solve; lambda0 = 0
+otherwise, the point charge's field -q/r^2 alone (b = 0 when q = 0).  The
+rungs then run to lambda = 1, which is tried first; each starts from the
+last accepted state (the relaxed one until a rung is accepted) and takes
+coupled Newton steps until the residual is below tol.  A rejected rung
+halves the lambda step from the last accepted lambda (0 until a rung is
+accepted); an accepted one doubles it.  A failure of the relaxation is
+raised as it is.  Relaxing in the frozen field of lambda f at every rung
+instead drove the eps = 20 and 30 linear-density states off the branch (the
+rungs stalled near lambda 0.94 and 0.63) and took the eps = 10 solve 1.6 s.
 
 The shipped source maps carry df/drho as their attribute `drho`; for any
 other map a pointwise forward difference stands in, O(n).
@@ -136,19 +137,21 @@ def self_consistent_minimal_model(
     angular_weight: float = FULL_SPHERE,
     psi0=None,
 ) -> SCFResult:
-    """Stationary state of the coupled minimal model by continuation in the
-    source strength and guarded coupled Newton steps (module docstring).
+    """Stationary state of the coupled minimal model: one relaxation, then
+    continuation in the source strength by guarded coupled Newton steps
+    (module docstring).
 
     f(rho, r) maps the density to the field source (kappa * rho_phi); three
     ready-made maps are provided: f_constant_over_r, f_zero, f_linear_density.
     The returned state is nodeless, its field is solve_radial_poisson of its
     own density and its residual in that field is below opts.convergence_tol.
     max_sweeps bounds the coupled Newton steps over all rungs.  history has
-    one row (lam, newton_step, residual, omega) per coupled state: the
-    relaxed start of a rung (newton_step 0) and each Newton iterate, a
-    rejected one included (residual inf when it has a node).  Raises
-    ConvergenceError, carrying the last accepted state and the history, when
-    the budget runs out or the lambda step falls below _MIN_LAMBDA_STEP.
+    one row (lam, newton_step, residual, omega) per coupled state: the start
+    of a rung (newton_step 0) and each Newton iterate, a rejected one
+    included (residual inf when it has a node).  Raises ConvergenceError,
+    carrying the last accepted state and the history, when the budget runs
+    out or the lambda step falls below _MIN_LAMBDA_STEP; a failure of the
+    relaxation is raised as it is.
     """
     opts = opts or SolverOptions()
     if max_sweeps < 1:
@@ -203,17 +206,10 @@ def self_consistent_minimal_model(
                                       angular_weight)[0]
 
     def rung(u, lam):
-        """Coupled Newton steps at lam from u (relaxed in the frozen field of
-        lam f at u first while no rung is accepted); (u, coupled state, frozen
-        field or None) once the residual is below tol.  Raises
-        ConvergenceError when a step is rejected or the budget is spent."""
+        """Coupled Newton steps at lam from u; (u, coupled state) once the
+        residual is below tol.  Raises ConvergenceError when a step is
+        rejected or the budget is spent."""
         nonlocal sweeps
-        frozen = None
-        if lam_done == 0.0:  # no rung accepted yet: u is the guess
-            frozen = solve_radial_poisson(source(u, lam), grid, point_charge=point_charge)
-            relaxed = ground_state_from_coupling_values(
-                frozen.dphi, N, grid, opts, angular_weight=angular_weight, psi0=u / r)
-            u = r * relaxed.psi.values.real
         state = coupled(u, lam)
         history.append((lam, 0, state[4], state[3]))
         step = 0
@@ -236,18 +232,20 @@ def self_consistent_minimal_model(
                     f"coupled Newton step {step} at lambda {lam:g} rejected "
                     f"(residual {state[4]:.3e})")
             u, state = u_new, trial
-        return u, state, frozen
+        return u, state
 
     u = r * _initial_guess(grid, psi0, N, angular_weight)
-    independent = not np.any(source_derivative((u / r) ** 2, r))
+    lam0 = 0.0 if np.any(source_derivative((u / r) ** 2, r)) else 1.0
+    relaxed = ground_state_from_coupling_values(
+        solve_radial_poisson(source(u, lam0), grid, point_charge=point_charge).dphi,
+        N, grid, opts, angular_weight=angular_weight, psi0=u / r)
+    u = r * relaxed.psi.values.real
     lam_done, lam_step = 0.0, 1.0
-    while True:
+    while lam_done < 1.0:
         lam = min(1.0, lam_done + lam_step)
         try:
-            u_rung, state, frozen = rung(u, lam)
+            u_rung, state = rung(u, lam)
         except ConvergenceError as err:
-            if independent:
-                raise
             lam_step /= 2.0
             if sweeps == max_sweeps or lam_step < _MIN_LAMBDA_STEP:
                 raise ConvergenceError(
@@ -259,17 +257,11 @@ def self_consistent_minimal_model(
             continue
         u, lam_done = u_rung, lam
         lam_step *= 2.0
-        if lam == 1.0:
-            break
 
-    coupling, _, _, omega, _ = state
-    # a density-independent source leaves the frozen field as it was
-    field = (frozen if frozen is not None and np.array_equal(frozen.dphi, coupling)
-             else solve_radial_poisson(source(u, 1.0), grid, point_charge=point_charge))
     return SCFResult(
         psi=RadialWavefunction(grid, u / r, N, angular_weight),
-        field=field,
-        omega=omega,
+        field=solve_radial_poisson(source(u, 1.0), grid, point_charge=point_charge),
+        omega=state[3],
         sweeps=sweeps,
         converged=True,
         history=history,

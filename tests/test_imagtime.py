@@ -265,7 +265,7 @@ def test_guard_never_returns_a_state_with_nodes(monkeypatch, dt, handover):
         monkeypatch.setattr(imagtime, "_NEWTON_HANDOVER", math.inf)
     try:
         res = ground_state_from_coupling_values(
-            sol.profile.evaluate(grid.r), 1.0, grid, SolverOptions(dt=dt), max_steps=1000
+            sol.profile.evaluate(grid.r), 1.0, grid, SolverOptions(dt=dt, max_steps=1000)
         )
     except ConvergenceError:
         return
@@ -325,7 +325,7 @@ def test_relax_and_linear_reject_bad_norm(N):
 def test_relax_rejects_empty_step_budget(max_steps):
     with pytest.raises(DomainError):
         ground_state_from_coupling_values(
-            np.full_like(GRID8.r, PI), 1.0, GRID8, max_steps=max_steps
+            np.full_like(GRID8.r, PI), 1.0, GRID8, SolverOptions(max_steps=max_steps)
         )
 
 

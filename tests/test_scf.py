@@ -14,6 +14,7 @@ from logse.numerics import (
     f_constant_over_r,
     f_linear_density,
     f_zero,
+    scf,
     self_consistent_minimal_model,
     solve_radial_poisson,
 )
@@ -142,7 +143,8 @@ def test_sweep_budget_exhaustion_raises_with_history():
             f_linear_density(1.0), 1.0, GRID512,
             SolverOptions(convergence_tol=1e-8), max_sweeps=2,
         )
-    # eps = 1 takes four Newton steps from its relaxed start at tol 1e-6
+    # eps = 1 takes three Newton steps from the relaxed lambda = 0 state at
+    # tol 1e-8
     assert [row[1] for row in err.value.history] == [0, 1, 2]
     assert "2 coupled Newton steps" in str(err.value)
     assert err.value.last.values.shape == GRID512.r.shape
@@ -184,10 +186,42 @@ def test_strong_density_source_never_reports_false_convergence(eps):
     own_field_check(res, f_linear_density(eps), GRID512, opts.convergence_tol)
 
 
-def test_linear_density_eps10_keeps_its_frequency():
-    res = self_consistent_minimal_model(f_linear_density(10.0), 1.0, GRID512)
-    assert res.omega == pytest.approx(2.21198, rel=1e-5)
-    own_field_check(res, f_linear_density(10.0), GRID512, SolverOptions().convergence_tol)
+def count_relaxations(monkeypatch):
+    """Calls of the relaxation from the SCF, counted as they are made."""
+    calls = []
+    relax = scf.ground_state_from_coupling_values
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(scf, "ground_state_from_coupling_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("eps, omega", [
+    (5.0, 1.2287714), (10.0, 2.2119734), (20.0, 4.0770702), (30.0, 5.9038771),
+])
+def test_linear_density_relaxes_once_and_keeps_its_frequency(monkeypatch, eps, omega):
+    # one relaxation, in the point charge's field alone (b = 0 here); the
+    # continuation in lambda takes it from there by Newton steps
+    calls = count_relaxations(monkeypatch)
+    res = self_consistent_minimal_model(f_linear_density(eps), 1.0, GRID512)
+    assert len(calls) == 1 and np.all(calls[0][0] == 0.0)
+    assert res.omega == pytest.approx(omega, rel=1e-6)
+    own_field_check(res, f_linear_density(eps), GRID512, SolverOptions().convergence_tol)
+
+
+def test_tolerance_below_roundoff_fails_after_one_relaxation(monkeypatch):
+    # the rungs cannot get the coupled residual below 1e-12 at n = 512; the
+    # continuation gives up without relaxing again
+    calls = count_relaxations(monkeypatch)
+    with pytest.raises(ConvergenceError) as err:
+        self_consistent_minimal_model(f_linear_density(1.0), 1.0, GRID512,
+                                      SolverOptions(convergence_tol=1e-12))
+    assert len(calls) == 1
+    assert "continuation stopped" in str(err.value)
+    assert err.value.last.values.shape == GRID512.r.shape
 
 
 def test_source_map_without_derivative_uses_difference_quotient():
@@ -204,7 +238,7 @@ def test_source_map_without_derivative_uses_difference_quotient():
 @settings(max_examples=12, deadline=None)
 @given(st.one_of(
     st.tuples(st.just("constant_over_r"), st.floats(PI / 2, 2 * PI), st.floats(0.0, 1.0)),
-    st.tuples(st.just("linear_density"), st.floats(1e-3, 5.0), st.just(0.0)),
+    st.tuples(st.just("linear_density"), st.floats(1e-3, 30.0), st.floats(0.0, 1.0)),
 ))
 def test_returned_states_are_self_consistent(case):
     kind, strength, charge = case
