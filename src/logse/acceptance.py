@@ -326,17 +326,16 @@ def run_all(only=None, c1_n_points: int = 4096) -> list[CriterionResult]:
     return results
 
 
-def format_report(results, verbose: bool = True) -> str:
+def format_report(results) -> str:
     lines = [r.line() for r in results]
-    if verbose:
-        for r in results:
-            failing = [row for row in r.rows if not row.passed]
-            for row in failing:
+    for r in results:
+        for row in r.rows:
+            if not row.passed:
                 lines.append(
                     f"    FAIL row: {row.name} = {row.value:.6e} (required {row.bound})"
                 )
-            for note in r.notes:
-                lines.append(f"    note: {note}")
+        for note in r.notes:
+            lines.append(f"    note: {note}")
     total = sum(1 for r in results if r.passed)
     lines.append(f"{total}/{len(results)} criteria passed")
     return "\n".join(lines)

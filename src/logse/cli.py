@@ -60,7 +60,7 @@ _DEFAULTS = {
     },
     "groundstate": {
         "b0": PI, "q": 0.0, "N": 1.0, "dt": None, "max_steps": 25000,
-        "tol": 1e-6, "log_floor": 1e-30, "weight": "sphere",
+        "tol": 1e-6, "weight": "sphere",
         **{**_GRID_DEFAULTS, "r_max": 8.0, "n": 640}, **_SCALE_DEFAULTS,
     },
     "evolve": {
@@ -75,9 +75,6 @@ _DEFAULTS = {
     },
     "report": {"json": False, "only": None, "c1_n": 4096},
 }
-# options of the damped fixed-point field iteration that the coupled Newton
-# solve replaced; a flag or config key naming one exits 2
-_REMOVED = {"field": ("mixing", "inner_steps")}
 
 
 @functools.cache
@@ -130,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--max-steps", type=int, dest="max_steps")
     p.add_argument("--tol", type=float, help="tolerance on the stationary residual")
-    p.add_argument("--log-floor", type=float, dest="log_floor")
     p.add_argument("--weight", choices=["sphere", "radial"],
                    help="norm convention: 4*pi*r^2 (sphere) or r^2 (radial)")
 
@@ -151,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="tolerance on the coupled residual")
     p.add_argument("--max-sweeps", type=int, dest="max_sweeps",
                    help="budget of coupled Newton steps over all continuation rungs")
-    for key in _REMOVED["field"]:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, help=argparse.SUPPRESS)
 
     p = sub.add_parser("report", help="run the acceptance suite")
     common(p)
@@ -172,11 +166,6 @@ def _resolve(args) -> dict:
     """Merge flag > config-file > default into one flat dict."""
     table = dict(_DEFAULTS[args.command])
     file_conf = parse_config_file(args.config) if args.config else {}
-    for key in _REMOVED.get(args.command, ()):
-        if key in file_conf or getattr(args, key) is not None:
-            raise DomainError(f"--{key.replace('_', '-')} (config key {key!r}) was removed: "
-                              f"the field is one coupled Newton solve, with no mixing "
-                              f"or inner sweeps")
     if file_conf:
         unknown = set(file_conf) - set(table)
         if unknown:
@@ -238,7 +227,7 @@ def _build_case(conf):
     return case_inverse_square(conf["N"], conf["L2"], conf["SY"])
 
 
-def _paths(conf, args, kind_map):
+def _paths(args, kind_map):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     prefix = args.prefix or args.command
@@ -289,7 +278,7 @@ def cmd_analytic(args) -> int:
         payload["L_sq"] = sol.L_sq
         payload["S_Y"] = sol.S_Y
 
-    paths = _paths(conf, args, {"json": "result.json", "csv": "profiles.csv"})
+    paths = _paths(args, {"json": "result.json", "csv": "profiles.csv"})
     write_json(paths["json"], payload)
     values = psi.values.astype(complex)
     write_csv(
@@ -335,7 +324,7 @@ def cmd_groundstate(args) -> int:
     grid = _grid_from(conf)
     profile = CouplingProfile(conf["b0"], conf["q"])
     opts = SolverOptions(dt=conf["dt"], max_steps=conf["max_steps"],
-                         convergence_tol=conf["tol"], log_floor=conf["log_floor"])
+                         convergence_tol=conf["tol"])
     weight = 4.0 * PI if conf["weight"] == "sphere" else 1.0
     result = ground_state_from_coupling_values(
         profile.evaluate(grid.r), conf["N"], grid, opts, angular_weight=weight
@@ -356,8 +345,8 @@ def cmd_groundstate(args) -> int:
         payload["l2_vs_analytic"] = l2_distance(result.psi, reference.psi)
         payload["omega_analytic"] = reference.omega
 
-    paths = _paths(conf, args, {"json": "result.json", "psi": "psi.csv",
-                                "history": "history.csv"})
+    paths = _paths(args, {"json": "result.json", "psi": "psi.csv",
+                          "history": "history.csv"})
     write_json(paths["json"], payload)
     write_csv(paths["psi"], ["r[a]", "psi_re", "psi_im", "density"],
               [grid.r, result.psi.values.real, np.zeros_like(grid.r),
@@ -411,7 +400,7 @@ def cmd_evolve(args) -> int:
         / max(abs(phase_expected), 1e-300),
         "config": conf,
     }
-    paths = _paths(conf, args, {"json": "result.json", "traj": "trajectory.csv"})
+    paths = _paths(args, {"json": "result.json", "traj": "trajectory.csv"})
     write_json(paths["json"], payload)
     t_col, r_col, re_col, im_col, rho_col = [], [], [], [], []
     for t, values in result.snapshots:
@@ -457,8 +446,8 @@ def cmd_field(args) -> int:
         "converged": result.converged,
         "config": conf,
     }
-    paths = _paths(conf, args, {"json": "result.json", "field": "field.csv",
-                                "psi": "psi.csv"})
+    paths = _paths(args, {"json": "result.json", "field": "field.csv",
+                          "psi": "psi.csv"})
     write_json(paths["json"], payload)
     write_csv(paths["field"], ["r[a]", "phi", "dphi[coupling]"],
               [grid.r, result.field.phi, result.field.dphi])
@@ -482,7 +471,7 @@ def cmd_report(args) -> int:
     results = acceptance.run_all(only=only, c1_n_points=conf["c1_n"])
     print(acceptance.format_report(results))
     if conf["json"]:
-        paths = _paths(conf, args, {"json": "report.json"})
+        paths = _paths(args, {"json": "report.json"})
         payload = acceptance.report_dict(results)
         payload["config"] = conf
         write_json(paths["json"], payload)

@@ -15,7 +15,7 @@ same rule as a weight vector for loops that integrate on one grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import simpson
@@ -35,15 +35,16 @@ def integrate_radial(r: np.ndarray, f: np.ndarray, origin_power: int = 2) -> flo
     return float(simpson(f, x=r) + f[0] * r[0] / (origin_power + 1.0))
 
 
-def grid_rule_weights(grid: RadialGrid, origin_power: int = 2) -> np.ndarray:
-    """The grid rule as weights w: w @ f == integrate_radial(r, f, origin_power).
+def grid_rule_weights(grid: RadialGrid) -> np.ndarray:
+    """The grid rule as weights w: w @ f == integrate_radial(r, f), the
+    r^2-weighted densities' rule (origin power 2).
 
-    Defined on the solvers' grid (r_min == h, else DomainError), where the
-    rule's Simpson part has constant weights h/3 (1, 4, 2, ..., 4, 1); for
-    even n, scipy's convention applies them to the first n - 1 nodes and
-    closes the last interval with h (-1/12, 8/12, 5/12).  The [0, r_min]
-    panel adds r_min / (origin_power + 1) to the first weight.  O(n) to
-    build; a loop that integrates on one grid builds it once.
+    Defined on the solvers' grid (uniform nodes with r_min == h, else
+    DomainError), where the rule's Simpson part has constant weights
+    h/3 (1, 4, 2, ..., 4, 1); for even n, scipy's convention applies them to
+    the first n - 1 nodes and closes the last interval with
+    h (-1/12, 8/12, 5/12).  The [0, r_min] panel adds r_min / 3 to the first
+    weight.  O(n) to build; a loop that integrates on one grid builds it once.
     """
     h = grid.origin_step()
     n = grid.n_points
@@ -56,16 +57,22 @@ def grid_rule_weights(grid: RadialGrid, origin_power: int = 2) -> np.ndarray:
         weights[-3] -= h / 12.0
         weights[-2] += 2.0 * h / 3.0
         weights[-1] = 5.0 * h / 12.0
-    weights[0] += grid.r_min / (origin_power + 1.0)
+    weights[0] += grid.r_min / 3.0
     return weights
+
+
+# steps of a uniform grid lie within this many eps * r_max of the first one;
+# np.linspace's deviate by at most 0.9 (r_max in [1, 1000], n <= 1e5)
+_UNIFORM_ULPS = 8.0
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing radial nodes with r_min > 0."""
+    """Strictly increasing radial nodes with r_min > 0; uniform, with spacing
+    h = r[1] - r[0], when every step is within 8 eps r_max of h."""
 
     r: np.ndarray
-    spacing: str = "uniform"  # "uniform" or "log"
+    _h: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -74,18 +81,20 @@ class RadialGrid:
             raise DomainError("grid needs at least 4 nodes")
         if r[0] <= 0.0:
             raise DomainError("grids must start at r_min > 0")
-        if np.any(np.diff(r) <= 0.0):
+        steps = np.diff(r)
+        if np.any(steps <= 0.0):
             raise DomainError("grid nodes must be strictly increasing")
-        if self.spacing not in ("uniform", "log"):
-            raise DomainError(f"unknown spacing {self.spacing!r}")
+        tol = _UNIFORM_ULPS * np.finfo(float).eps * r[-1]
+        uniform = bool(np.all(np.abs(steps - steps[0]) <= tol))
+        object.__setattr__(self, "_h", float(steps[0]) if uniform else None)
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        return cls(np.linspace(r_min, r_max, n), "uniform")
+        return cls(np.linspace(r_min, r_max, n))
 
     @classmethod
     def log(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        return cls(np.geomspace(r_min, r_max, n), "log")
+        return cls(np.geomspace(r_min, r_max, n))
 
     @classmethod
     def uniform_from_origin(cls, r_max: float, n: int) -> "RadialGrid":
@@ -96,7 +105,7 @@ class RadialGrid:
         left boundary condition is then exact rather than approximate.
         """
         h = r_max / n
-        return cls(np.linspace(h, r_max, n), "uniform")
+        return cls(np.linspace(h, r_max, n))
 
     @property
     def r_min(self) -> float:
@@ -112,17 +121,18 @@ class RadialGrid:
 
     @property
     def h(self) -> float:
-        """Node spacing for uniform grids."""
-        if self.spacing != "uniform":
+        """Node spacing r[1] - r[0] of a uniform grid; DomainError otherwise."""
+        if self._h is None:
             raise DomainError("spacing h is defined for uniform grids only")
-        return float(self.r[1] - self.r[0])
+        return self._h
 
     def origin_step(self) -> float:
         """h on the solvers' grid (r_min == h: ghost node at r = 0); else DomainError."""
-        if self.spacing != "uniform" or abs(self.r_min - self.h) > 1e-12 * self.h:
+        h = self._h
+        if h is None or abs(self.r_min - h) > 1e-12 * h:
             raise DomainError("the solvers need a uniform grid with r_min == h "
                               "(RadialGrid.uniform_from_origin; omit --r-min)")
-        return self.h
+        return h
 
 
 @dataclass
@@ -174,8 +184,8 @@ class RadialWavefunction:
         scale = math.sqrt(self.target_norm / current)
         return replace(self, values=self.values * scale)
 
-    def is_normalized(self, rtol: float = 1e-6) -> bool:
-        return abs(self.norm() - self.target_norm) <= rtol * self.target_norm
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - self.target_norm) <= 1e-6 * self.target_norm
 
 
 def l2_distance(psi: RadialWavefunction, other) -> float:

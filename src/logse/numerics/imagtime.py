@@ -9,9 +9,10 @@ The nonlinear ground state comes from the normalized gradient flow
 
     d_tau psi = lap psi + b(r) ln(max(|psi|^2, floor)) psi
 
-with a backward-Euler kinetic term (Bao & Du, SIAM J. Sci. Comput. 25, 2004).
-With w = b ln max((u/r)^2, floor), H u = D2 u + w u, the Rayleigh quotient
-omega_n = -(Hu . u)/(u . u) and stiff = min(w + 2b, 0), each step solves
+(floor = observables.LOG_FLOOR) with a backward-Euler kinetic term (Bao & Du,
+SIAM J. Sci. Comput. 25, 2004).  With w = b ln max((u/r)^2, floor),
+H u = D2 u + w u, the Rayleigh quotient omega_n = -(Hu . u)/(u . u) and
+stiff = min(w + 2b, 0), each step solves
 
     (I - dt D2 - dt diag(stiff)) u_new = u + dt (w - stiff + omega_n) u
 
@@ -93,7 +94,7 @@ from ..grids import (
     grid_rule_weights,
     integrate_radial,
 )
-from ..observables import _kinetic_energy, _xlogx
+from ..observables import LOG_FLOOR, _kinetic_energy, _xlogx
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
@@ -128,12 +129,11 @@ def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> n
     return RadialWavefunction(grid, psi, N, angular_weight).normalized().values
 
 
-def stationary(u: np.ndarray, coupling: np.ndarray, r: np.ndarray, h: float,
-               floor: float):
+def stationary(u: np.ndarray, coupling: np.ndarray, r: np.ndarray, h: float):
     """(w, F, omega, residual) of u = r psi in the coupling b (values on r):
-    w = b ln max((u/r)^2, floor), H u = D2 u + w u, omega = -(Hu . u)/(u . u)
+    w = b ln max((u/r)^2, LOG_FLOOR), H u = D2 u + w u, omega = -(Hu . u)/(u . u)
     its Rayleigh quotient, F = H u + omega u, residual = max|F| / max|u|."""
-    w = coupling * np.log(np.maximum((u / r) ** 2, floor))
+    w = coupling * np.log(np.maximum((u / r) ** 2, LOG_FLOOR))
     hu = second_difference_dirichlet(u, h) + w * u
     omega = float(-(hu @ u) / (u @ u))
     f = hu + omega * u
@@ -215,7 +215,6 @@ def ground_state_from_coupling_values(
         raise DomainError("coupling must be finite with one value per grid node")
     r = grid.r
     h = grid.origin_step()
-    floor = opts.log_floor
     tol = opts.convergence_tol
     dt = opts.dt if opts.dt is not None else _RELAX_DT
 
@@ -234,7 +233,7 @@ def ground_state_from_coupling_values(
         """The bordered Newton iterate from u and the norm of its linearized
         step (bordered_newton_update); None for the iterate when the solve
         fails or the iterate is not finite."""
-        jacobian_diagonal = (w + 2.0 * coupling * ((u / r) ** 2 > floor)
+        jacobian_diagonal = (w + 2.0 * coupling * ((u / r) ** 2 > LOG_FLOOR)
                              + omega - 2.0 / (h * h))
         off = np.full(u.size - 1, 1.0 / (h * h))
         with np.errstate(all="ignore"):
@@ -243,7 +242,7 @@ def ground_state_from_coupling_values(
         u_new, norm = bordered_newton_update(u, x[:, 0], x[:, 1], quad, N, angular_weight)
         return (u_new if info == 0 else None), norm
 
-    w, f, omega, _ = stationary(u, coupling, r, h, floor)
+    w, f, omega, _ = stationary(u, coupling, r, h)
     residual = math.inf  # the guess is never handed to Newton
     handover = _NEWTON_HANDOVER
     for step in range(1, opts.max_steps + 1):
@@ -252,7 +251,7 @@ def ground_state_from_coupling_values(
             u_new, norm = newton_iterate(u, w, f, omega)
             # the ground-state guard: no node and a smaller residual
             if u_new is not None and nodeless(u_new):
-                trial = stationary(u_new, coupling, r, h, floor)
+                trial = stationary(u_new, coupling, r, h)
                 accepted = trial[3] < residual
             if accepted:
                 u, (w, f, omega, residual) = u_new, trial
@@ -270,7 +269,7 @@ def ground_state_from_coupling_values(
                     history=history,
                 )
             u = u_new
-            w, f, omega, residual = stationary(u, coupling, r, h, floor)
+            w, f, omega, residual = stationary(u, coupling, r, h)
         history.append((step, residual, norm, omega))
         if residual < tol:
             break

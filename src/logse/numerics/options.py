@@ -13,15 +13,13 @@ class SolverOptions:
     """Knobs shared by the relaxation / propagation / SCF drivers.
 
     dt=None selects the relaxation's fixed pseudo-time step; real-time
-    evolution still needs an explicit dt.
-    log_floor regularizes ln|psi|^2 where the density underflows; it only
-    touches regions that contribute negligibly to norm and observables.
+    evolution still needs an explicit dt.  The floor under ln|psi|^2 is the
+    constant observables.LOG_FLOOR.
     """
 
     dt: float | None = None
     max_steps: int = 25_000
     convergence_tol: float = 1e-6
-    log_floor: float = 1e-30
 
     def __post_init__(self):
         if self.dt is not None and not 0 < self.dt < math.inf:
@@ -32,5 +30,3 @@ class SolverOptions:
             raise DomainError("max_steps must be at least 1")
         if not 0 < self.convergence_tol < math.inf:
             raise DomainError("convergence_tol must be positive and finite")
-        if not 0 < self.log_floor < math.inf:
-            raise DomainError("log_floor must be positive and finite")

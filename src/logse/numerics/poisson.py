@@ -69,21 +69,20 @@ def solve_radial_poisson(
     source,
     grid: RadialGrid,
     point_charge: float = 0.0,
-    boundary_value: float = 0.0,
 ) -> FieldState:
     """Integrate the radial Poisson equation lap_r phi = source(r).
 
     source is the full right-hand side as values on the grid or a callable of
-    r; point_charge adds the analytic q/r term; boundary_value pins
-    phi(r_max).  The gauge constant never enters the coupling b = phi'.
+    r; point_charge adds the analytic q/r term.  The gauge is phi(r_max) = 0;
+    the gauge constant never enters the coupling b = phi'.
     """
     r = grid.r
     s = np.asarray(source(r) if callable(source) else source, dtype=float)
     if s.shape != r.shape:
         raise DomainError("source must provide one value per grid node")
     _check_integrable(r, s)
-    if not np.isfinite(point_charge) or not np.isfinite(boundary_value):
-        raise DomainError("point_charge and boundary_value must be finite")
+    if not np.isfinite(point_charge):
+        raise DomainError("point_charge must be finite")
 
     enclosed = enclosed_source(s, r)
 
@@ -97,7 +96,7 @@ def solve_radial_poisson(
     if not (np.isfinite(charge_phi).all() and np.isfinite(charge_dphi).all()):
         raise DomainError(f"point_charge {float(point_charge)!r} overflows q/r or "
                           f"q/r^2 on the grid (r_min = {float(r[0])!r})")
-    phi = (boundary_value - point_charge / grid.r_max) - (inner[-1] - inner)
+    phi = -point_charge / grid.r_max - (inner[-1] - inner)
     phi = phi + charge_phi
     dphi = dphi_smooth - charge_dphi
 
@@ -109,37 +108,35 @@ def solve_radial_poisson(
     )
 
 
-def extract_coupling_asymptotics(
-    field, fit_fraction: float = 0.5, cond_limit: float = 1e12
-) -> tuple[float, float]:
+def extract_coupling_asymptotics(field) -> tuple[float, float]:
     """Recover (q, b0) from phi ~ phi0 + q/r + b0*r on the outer grid.
 
-    Accepts a FieldState or a (grid, phi) pair.  The fit uses the outermost
-    fit_fraction of the nodes, where corrections decaying faster than 1/r are
-    below the fit tolerance.  An ill-conditioned design matrix is rejected
-    with its condition number.
+    Accepts a FieldState or a (grid, phi) pair.  The fit uses the outer half
+    of the nodes, where corrections decaying faster than 1/r are below the
+    fit tolerance.  A design matrix with condition number above 1e12 is
+    rejected with its condition number.
     """
     if isinstance(field, FieldState):
         r, phi = field.grid.r, field.phi
     else:
         grid, phi = field
         r, phi = grid.r, np.asarray(phi, dtype=float)
-    q, b0, cond, _ = _fit_asymptotics(r, phi, fit_fraction=fit_fraction,
-                                      cond_limit=cond_limit)
+    q, b0, _, _ = _fit_asymptotics(r, phi)
     return q, b0
 
 
-def _fit_asymptotics(r, phi, fit_fraction=0.5, cond_limit=1e12):
-    start = int(len(r) * (1.0 - fit_fraction))
+def _fit_asymptotics(r, phi):
+    start = len(r) // 2
     rs, ps = r[start:], phi[start:]
     design = np.column_stack([np.ones_like(rs), 1.0 / rs, rs])
-    cond = float(np.linalg.cond(design))
-    if cond > cond_limit:
+    # one SVD: lstsq's singular values give the 2-norm condition number
+    coef, _, _, sv = np.linalg.lstsq(design, ps, rcond=None)
+    cond = float(sv[0] / sv[-1])
+    if cond > 1e12:
         raise DomainError(
             f"asymptotic fit is ill-conditioned (condition number {cond:.3e}); "
-            "extend the grid or reduce fit_fraction"
+            "extend the grid"
         )
-    coef, *_ = np.linalg.lstsq(design, ps, rcond=None)
     # scaled by its largest entry, so that squaring cannot overflow
     resid = design @ coef - ps
     scale = float(np.max(np.abs(resid)))

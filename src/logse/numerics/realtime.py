@@ -31,6 +31,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import RadialWavefunction
+from ..observables import LOG_FLOOR
 from ..scales import CouplingProfile
 from .options import SolverOptions
 
@@ -97,7 +98,6 @@ def evolve_real_time(
     u = (r * np.asarray(psi0.values, dtype=complex)).copy()
     u0 = u.copy()
     coupling = profile.evaluate(r)
-    floor = opts.log_floor
     # the phase kick at the innermost node reacts to density perturbations
     # with gain ~ dt * |b(r_min)|; past O(1) the splitting goes unstable
     stiffness = dt * float(np.max(np.abs(coupling)))
@@ -117,7 +117,7 @@ def evolve_real_time(
         raise DomainError(f"Crank-Nicolson matrix is singular (gttrf info={info})")
 
     # the kick exp(i theta) takes the half angle theta/2 = coef * ln max(|u/r|^2,
-    # floor): coef is dt*b/4 for a half kick and dt*b/2 for a full one
+    # LOG_FLOOR): coef is dt*b/4 for a half kick and dt*b/2 for a full one
     inv_r2 = 1.0 / (r * r)
     kick_full = 0.5 * dt * coupling
     kick_half = 0.5 * kick_full
@@ -127,7 +127,7 @@ def evolve_real_time(
     def kick(vec, coef):
         np.square(np.abs(vec, out=rho), out=rho)
         np.multiply(rho, inv_r2, out=rho)
-        np.maximum(rho, floor, out=rho)
+        np.maximum(rho, LOG_FLOOR, out=rho)
         np.log(rho, out=rho)
         np.multiply(rho, coef, out=rho)
         vec *= half_angle_phase(rho, phase)

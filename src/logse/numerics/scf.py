@@ -56,6 +56,7 @@ from scipy.linalg import solve_banded
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights
+from ..observables import LOG_FLOOR
 from .imagtime import (
     _initial_guess,
     bordered_newton_update,
@@ -158,7 +159,7 @@ def self_consistent_minimal_model(
         raise DomainError("max_sweeps must be at least 1")
     r = grid.r
     h = grid.origin_step()
-    floor, tol = opts.log_floor, opts.convergence_tol
+    tol = opts.convergence_tol
     quad = grid_rule_weights(grid)
     source_derivative = _source_derivative(f)
     history = []
@@ -174,7 +175,7 @@ def self_consistent_minimal_model(
         if s.shape != r.shape or not np.all(np.isfinite(s)):
             raise DomainError("the field source must be finite with one value per node")
         coupling = enclosed_source(s, r) / r**2 - point_charge / r**2
-        return (coupling, *stationary(u, coupling, r, h, floor))
+        return (coupling, *stationary(u, coupling, r, h))
 
     def newton_iterate(u, state, lam):
         """The coupled Newton iterate from u on the norm; None if it fails."""
@@ -187,11 +188,11 @@ def self_consistent_minimal_model(
         # band storage ab[2 + row - col, col]: u_i is column 2i, z_i 2i + 1
         ab = np.zeros((6, 2 * u.size))
         ab[0, 2::2] = inv_h2                              # F1_{i-1}
-        ab[2, 0::2] = w + 2.0 * coupling * (rho > floor) + omega - 2.0 * inv_h2
+        ab[2, 0::2] = w + 2.0 * coupling * (rho > LOG_FLOOR) + omega - 2.0 * inv_h2
         ab[3, 0::2] = dsource                             # F2_i
         ab[4, 0:-2:2] = inv_h2                            # F1_{i+1}
         ab[5, 0:-2:2] = dsource[:-1]                      # F2_{i+1}
-        ab[1, 1::2] = np.log(np.maximum(rho, floor)) * u / r**2  # dF1_i/dz_i
+        ab[1, 1::2] = np.log(np.maximum(rho, LOG_FLOOR)) * u / r**2  # dF1_i/dz_i
         ab[2, 1::2] = 1.0                                 # dF2_i/dz_i
         ab[4, 1:-2:2] = -1.0                              # dF2_{i+1}/dz_i
         rhs = np.zeros((2 * u.size, 2))

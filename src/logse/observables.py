@@ -27,6 +27,9 @@ from .scales import CouplingProfile
 # Densities below this are treated as exact zeros in x*ln(x) terms
 # (continuous extension x ln x -> 0).
 DENSITY_FLOOR = 1e-300
+# The floor under ln|psi|^2 in the relaxation, the SCF and the propagator.
+# Not DENSITY_FLOOR: the relaxed state's far tail depends on this value.
+LOG_FLOOR = 1e-30
 
 
 @dataclass
@@ -77,15 +80,15 @@ def entropy_density(psi: RadialWavefunction) -> np.ndarray:
     return -psi.angular_weight * r2 * _xlogx(rho) + psi.angular_entropy * r2 * rho
 
 
-def entropy(psi: RadialWavefunction, boundary_tol: float = 1e-8) -> float:
+def entropy(psi: RadialWavefunction) -> float:
     """Integrated entropy: the grid rule on the entropy density.
 
-    Warns when the entropy density at the outer grid edge is not yet
-    negligible, which signals a truncated integral (grid too small).
+    Warns when the entropy density at the outer grid edge exceeds 1e-8 of
+    its peak, which signals a truncated integral (grid too small).
     """
     s = entropy_density(psi)
     scale = float(np.max(np.abs(s))) or 1.0
-    if abs(s[-1]) > boundary_tol * scale:
+    if abs(s[-1]) > 1e-8 * scale:
         warnings.warn(
             "entropy density is not negligible at the outer grid boundary; "
             "the quadrature is truncated (enlarge the grid)",
@@ -121,7 +124,6 @@ def internal_energy(
     profile: CouplingProfile,
     V_ext=None,
     temperature_offset: float = 0.0,
-    norm_rtol: float = 1e-6,
 ) -> ObservableReport:
     """Internal energy <H> + int T(r) s(r) dr and its pieces.
 
@@ -130,9 +132,9 @@ def internal_energy(
     entropy_term pairs the temperature profile with the entropy density
     position by position; for a constant temperature it reduces exactly to
     T * S.  temperature_offset shifts T(r) by a reference value before the
-    pairing (default 0).
+    pairing (default 0).  psi must hold its target norm (is_normalized).
     """
-    if not psi.is_normalized(rtol=norm_rtol):
+    if not psi.is_normalized():
         raise DomainError(
             f"wavefunction is not normalized: quadrature norm {psi.norm():.12g} "
             f"vs target {psi.target_norm:.12g}"

@@ -2,9 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logse import DomainError, RadialGrid, RadialWavefunction, case_constant, l2_distance
+from logse import (
+    CouplingProfile,
+    DomainError,
+    RadialGrid,
+    RadialWavefunction,
+    case_constant,
+    l2_distance,
+)
 from logse.grids import grid_rule_weights, integrate_radial
+from logse.numerics import (
+    SolverOptions,
+    evolve_real_time,
+    f_constant_over_r,
+    ground_state_from_coupling_values,
+    linear_ground_state,
+    self_consistent_minimal_model,
+)
 
 PI = math.pi
 
@@ -15,7 +32,6 @@ def test_grid_constructors_and_properties():
     assert g.h == pytest.approx((12.0 - 1e-3) / 255)
 
     lg = RadialGrid.log(1e-3, 12.0, 256)
-    assert lg.spacing == "log"
     with pytest.raises(DomainError):
         lg.h  # spacing undefined on log grids
 
@@ -33,9 +49,9 @@ def test_grid_rule_weights_match_integrate_radial(n):
     # integrands stay large at r_max, where that correction acts.
     grid = RadialGrid.uniform_from_origin(8.0, n)
     r = grid.r
-    for power, f in ((2, r**2 * np.exp(-r / 4.0)), (0, np.cos(r) + 2.0)):
-        exact = integrate_radial(r, f, origin_power=power)
-        assert abs(grid_rule_weights(grid, power) @ f - exact) <= 1e-13 * abs(exact)
+    for f in (r**2 * np.exp(-r / 4.0), np.cos(r) + 2.0):
+        exact = integrate_radial(r, f)
+        assert abs(grid_rule_weights(grid) @ f - exact) <= 1e-13 * abs(exact)
 
 
 def test_grid_rule_weights_need_origin_step_grid():
@@ -44,13 +60,39 @@ def test_grid_rule_weights_need_origin_step_grid():
             grid_rule_weights(grid)
 
 
+@settings(max_examples=60, deadline=None)
+@given(r_max=st.floats(0.5, 1000.0), n=st.integers(4, 20_000))
+def test_uniformity_is_read_from_the_nodes(r_max, n):
+    og = RadialGrid.uniform_from_origin(r_max, n)
+    assert og.origin_step() == og.h == og.r[1] - og.r[0]
+    assert RadialGrid.uniform(0.25 * r_max, r_max, n).h == pytest.approx(
+        0.75 * r_max / (n - 1), rel=1e-9)
+    with pytest.raises(DomainError):
+        RadialGrid.log(0.5 * r_max, r_max, n).h
+
+
+# r_min == r[1] - r[0] as on the solvers' grid, but the steps grow by 1% a node
+STRETCHED = RadialGrid(np.concatenate([[0.01], 0.02 * 1.01 ** np.arange(560)]))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g: ground_state_from_coupling_values(np.full(g.n_points, PI), 1.0, g),
+    lambda g: linear_ground_state(g.r**2, 1.0, g),
+    lambda g: evolve_real_time(case_constant(1, PI).sample(g), CouplingProfile(PI, 0.0),
+                               SolverOptions(dt=1e-4), n_steps=1),
+    lambda g: self_consistent_minimal_model(f_constant_over_r(1.0), 1.0, g),
+    grid_rule_weights,
+], ids=["relaxation", "linear", "real_time", "scf", "grid_rule_weights"])
+def test_solvers_reject_a_non_uniform_grid(solve):
+    with pytest.raises(DomainError, match="uniform grid"):
+        solve(STRETCHED)
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         RadialGrid(np.array([0.0, 1.0, 2.0, 3.0]))  # starts at the origin
     with pytest.raises(DomainError):
         RadialGrid(np.array([1.0, 0.5, 2.0, 3.0]))  # not increasing
-    with pytest.raises(DomainError):
-        RadialGrid(np.array([1.0, 2.0, 3.0, 4.0]), spacing="cubic")
 
 
 def test_wavefunction_norm_and_normalize():

@@ -20,6 +20,7 @@ from logse import (
     l2_distance,
 )
 from logse.grids import grid_rule_weights, integrate_radial
+from logse.observables import LOG_FLOOR
 from logse.numerics import (
     SolverOptions,
     evolve_real_time,
@@ -98,12 +99,11 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
     """(psi, residual, omega) after each step of the flow, solved by
     solveh_banded on the banded matrix and renormalized by integrate_radial;
     stops early below tol."""
-    opts = SolverOptions()
     r, h, dt = grid.r, grid.h, 0.01
     u = r * RadialWavefunction(grid, guess, 1.0, weight).normalized().values
 
     def log_term(u):
-        return b * np.log(np.maximum((u / r) ** 2, opts.log_floor))
+        return b * np.log(np.maximum((u / r) ** 2, LOG_FLOOR))
 
     def h_and_omega(u, w):
         hu = second_difference_dirichlet(u, h) + w * u
@@ -132,12 +132,11 @@ def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
     psi0: imagtime.flow_step at the default step, each from the w and omega
     of imagtime.stationary, as the relaxation takes them before Newton."""
     r, h = grid.r, grid.h
-    floor = SolverOptions().log_floor
     quad = grid_rule_weights(grid)
     u = r * imagtime._initial_guess(grid, psi0, 1.0, weight)
     iterates = []
     for _ in range(n_steps):
-        w, _, omega, _ = imagtime.stationary(u, b, r, h, floor)
+        w, _, omega, _ = imagtime.stationary(u, b, r, h)
         u, _, info = imagtime.flow_step(u, w, omega, b, imagtime._RELAX_DT, h, quad,
                                         1.0, weight)
         assert info == 0
@@ -220,7 +219,7 @@ def test_returned_state_is_stationary(profile, grid, weight):
     b = profile.evaluate(grid.r)
     res = ground_state_from_coupling_values(b, 1.0, grid, opts, angular_weight=weight)
     u = grid.r * res.psi.values.real
-    w = b * np.log(np.maximum(res.psi.density(), opts.log_floor))
+    w = b * np.log(np.maximum(res.psi.density(), LOG_FLOOR))
     hu = second_difference_dirichlet(u, grid.h) + w * u
     assert np.max(np.abs(hu + res.omega * u)) / np.max(np.abs(u)) < opts.convergence_tol
     assert res.psi.norm() == pytest.approx(1.0, abs=1e-12)

@@ -19,6 +19,7 @@ from logse.numerics import (
     solve_radial_poisson,
 )
 from logse.numerics.stencils import second_difference_dirichlet
+from logse.observables import LOG_FLOOR
 
 PI = math.pi
 
@@ -103,7 +104,7 @@ def own_field_check(res, f, grid, tol, point_charge=0.0):
     assert np.array_equal(res.field.dphi, field.dphi)
     u = grid.r * res.psi.values.real
     assert u.min() > -1e-10 * u.max()
-    w = field.dphi * np.log(np.maximum(rho, SolverOptions().log_floor))
+    w = field.dphi * np.log(np.maximum(rho, LOG_FLOOR))
     stationary = second_difference_dirichlet(u, grid.h) + w * u + res.omega * u
     assert np.max(np.abs(stationary)) / np.max(np.abs(u)) < tol
     assert res.psi.norm() == pytest.approx(1.0, rel=1e-12)
