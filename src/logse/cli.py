@@ -162,8 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args) -> dict:
-    """Merge flag > config-file > default into one flat dict."""
+def _resolve(args) -> tuple[dict, dict]:
+    """Merge flag > config-file > default into one flat dict.
+
+    Returns the values as given, the ones --save-config writes, and the same
+    dict with physical (b0, q) converted to dimensionless, the ones the
+    command runs on.
+    """
     table = dict(_DEFAULTS[args.command])
     file_conf = parse_config_file(args.config) if args.config else {}
     if file_conf:
@@ -186,7 +191,7 @@ def _resolve(args) -> dict:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             table[key] = cli_value
-    return _apply_scales(table)
+    return table, _apply_scales(table)
 
 
 def _apply_scales(conf: dict) -> dict:
@@ -242,7 +247,7 @@ def _maybe_save_config(args, conf):
 # ----------------------------------------------------------------- commands
 
 def cmd_analytic(args) -> int:
-    conf = _resolve(args)
+    given, conf = _resolve(args)
     sol = _build_case(conf)
     if conf["r_max"] is None:  # the inverse-square tail needs r_max ~ 30/mu^2
         conf["r_max"] = _GRID_DEFAULTS["r_max"] if sol.mu_sq is None else 30.0 / sol.mu_sq
@@ -289,7 +294,7 @@ def cmd_analytic(args) -> int:
          entropy_density(psi), quantum_temperature(sol.profile, r),
          effective_potential(sol, r)],
     )
-    _maybe_save_config(args, conf)
+    _maybe_save_config(args, given)
     print(f"wrote {paths['json']} and {paths['csv']}")
     return 0
 
@@ -320,7 +325,7 @@ def _relation_checks(sol) -> dict:
 
 
 def cmd_groundstate(args) -> int:
-    conf = _resolve(args)
+    given, conf = _resolve(args)
     grid = _grid_from(conf)
     profile = CouplingProfile(conf["b0"], conf["q"])
     opts = SolverOptions(dt=conf["dt"], max_steps=conf["max_steps"],
@@ -355,7 +360,7 @@ def cmd_groundstate(args) -> int:
     write_csv(paths["history"],
               ["step", "residual", "norm", "omega_estimate"],
               [hist[:, 0], hist[:, 1], hist[:, 2], hist[:, 3]])
-    _maybe_save_config(args, conf)
+    _maybe_save_config(args, given)
     print(f"wrote {paths['json']} (omega = {result.omega:.10g})")
     return 0
 
@@ -376,7 +381,7 @@ def _matching_case(conf):
 
 
 def cmd_evolve(args) -> int:
-    conf = _resolve(args)
+    given, conf = _resolve(args)
     sol = _build_case(conf)
     grid = _grid_from(conf)
     psi0 = sol.sample(grid)
@@ -412,13 +417,13 @@ def cmd_evolve(args) -> int:
     write_csv(paths["traj"],
               ["t[tau]", "r[a]", "psi_re", "psi_im", "density"],
               [np.concatenate(c) for c in (t_col, r_col, re_col, im_col, rho_col)])
-    _maybe_save_config(args, conf)
+    _maybe_save_config(args, given)
     print(f"wrote {paths['json']} (norm drift {result.norm_drift:.3e})")
     return 0
 
 
 def cmd_field(args) -> int:
-    conf = _resolve(args)
+    given, conf = _resolve(args)
     grid = _grid_from(conf)
     opts = SolverOptions(convergence_tol=conf["tol"])
     model = conf["f_model"]
@@ -454,14 +459,14 @@ def cmd_field(args) -> int:
     write_csv(paths["psi"], ["r[a]", "psi_re", "psi_im", "density"],
               [grid.r, result.psi.values.real, np.zeros_like(grid.r),
                result.psi.density()])
-    _maybe_save_config(args, conf)
+    _maybe_save_config(args, given)
     print(f"wrote {paths['json']} (q = {result.field.extracted_q:.6g}, "
           f"b0 = {result.field.extracted_b0:.6g})")
     return 0
 
 
 def cmd_report(args) -> int:
-    conf = _resolve(args)
+    given, conf = _resolve(args)
     only = None
     if conf["only"]:
         only = [tok.strip() for tok in str(conf["only"]).split(",") if tok.strip()]
@@ -476,7 +481,7 @@ def cmd_report(args) -> int:
         payload["config"] = conf
         write_json(paths["json"], payload)
         print(f"wrote {paths['json']}")
-    _maybe_save_config(args, conf)
+    _maybe_save_config(args, given)
     return 0 if all(r.passed for r in results) else 4
 
 

@@ -8,8 +8,10 @@ machinery covers both conventions used by the analytic catalog:
 * separable radial factors R(r): norm = int r^2 |R|^2 dr        (weight 1),
   with the angular entropy constant S_Y carried alongside.
 
-Integrals use one grid rule, integrate_radial; grid_rule_weights returns the
-same rule as a weight vector for loops that integrate on one grid.
+Integrals use one grid rule, integrate_radial: composite Simpson (uniform
+weights on uniform grids, scipy's on log grids) plus the [0, r_min] panel;
+grid_rule_weights returns the same rule as a weight vector for loops that
+integrate on one grid.
 """
 
 from __future__ import annotations
@@ -18,36 +20,22 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import simpson as scipy_simpson
 
 from .errors import DomainError
 
 FULL_SPHERE = 4.0 * math.pi
 
 
-def integrate_radial(r: np.ndarray, f: np.ndarray, origin_power: int = 2) -> float:
-    """The grid rule: composite Simpson plus the analytic [0, r_min] panel.
+def simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on n uniform nodes of spacing h: w @ f equals
+    scipy.integrate.simpson(f, x=r) on those nodes to roundoff.
 
-    The panel assumes f ~ r^origin_power near the origin, the behaviour of
-    r^2-weighted densities (power 2) and of bare density-log terms (power 0).
-    Every norm and distance of a state uses this rule.
+    The weights are h/3 (1, 4, 2, ..., 4, 1); for even n, scipy's convention
+    applies them to the first n - 1 nodes and closes the last interval with
+    h (-1/12, 8/12, 5/12).  O(n) to build; a loop that integrates on one grid
+    builds them once.
     """
-    return float(simpson(f, x=r) + f[0] * r[0] / (origin_power + 1.0))
-
-
-def grid_rule_weights(grid: RadialGrid) -> np.ndarray:
-    """The grid rule as weights w: w @ f == integrate_radial(r, f), the
-    r^2-weighted densities' rule (origin power 2).
-
-    Defined on the solvers' grid (uniform nodes with r_min == h, else
-    DomainError), where the rule's Simpson part has constant weights
-    h/3 (1, 4, 2, ..., 4, 1); for even n, scipy's convention applies them to
-    the first n - 1 nodes and closes the last interval with
-    h (-1/12, 8/12, 5/12).  The [0, r_min] panel adds r_min / 3 to the first
-    weight.  O(n) to build; a loop that integrates on one grid builds it once.
-    """
-    h = grid.origin_step()
-    n = grid.n_points
     m = n if n % 2 else n - 1  # nodes under the plain Simpson panels
     weights = np.empty(n)
     weights[:m] = 2.0 * h / 3.0
@@ -57,6 +45,42 @@ def grid_rule_weights(grid: RadialGrid) -> np.ndarray:
         weights[-3] -= h / 12.0
         weights[-2] += 2.0 * h / 3.0
         weights[-1] = 5.0 * h / 12.0
+    return weights
+
+
+def simpson(f: np.ndarray, grid: RadialGrid) -> float:
+    """Composite Simpson of f over the grid's nodes.
+
+    On a uniform grid, one dot product with simpson_weights at the mean step
+    (r_max - r_min) / (n - 1), equal to scipy.integrate.simpson to roundoff
+    (the first step alone can be off by eps * r_max / h relative); on a
+    non-uniform (log) grid, scipy.integrate.simpson.
+    """
+    if grid._h is None:
+        return float(scipy_simpson(f, x=grid.r))
+    n = grid.n_points
+    return float(simpson_weights(n, (grid.r_max - grid.r_min) / (n - 1)) @ f)
+
+
+def integrate_radial(grid: RadialGrid, f: np.ndarray, origin_power: int = 2) -> float:
+    """The grid rule: composite Simpson plus the analytic [0, r_min] panel.
+
+    The panel assumes f ~ r^origin_power near the origin, the behaviour of
+    r^2-weighted densities (power 2) and of bare density-log terms (power 0).
+    Every norm and distance of a state uses this rule.
+    """
+    return simpson(f, grid) + float(f[0]) * grid.r_min / (origin_power + 1.0)
+
+
+def grid_rule_weights(grid: RadialGrid) -> np.ndarray:
+    """The grid rule as weights w: w @ f == integrate_radial(grid, f) to
+    roundoff, the r^2-weighted densities' rule (origin power 2).
+
+    Defined on the solvers' grid (uniform nodes with r_min == h, else
+    DomainError): simpson_weights with r_min / 3 added to the first weight
+    for the [0, r_min] panel.
+    """
+    weights = simpson_weights(grid.n_points, grid.origin_step())
     weights[0] += grid.r_min / 3.0
     return weights
 
@@ -174,7 +198,7 @@ class RadialWavefunction:
         their norm to quadrature accuracy rather than to O(r_min^3).
         """
         r = self.grid.r
-        return self.angular_weight * integrate_radial(r, r**2 * self.density())
+        return self.angular_weight * integrate_radial(self.grid, r**2 * self.density())
 
     def normalized(self) -> "RadialWavefunction":
         """Copy rescaled so the quadrature norm equals target_norm."""
@@ -204,4 +228,4 @@ def l2_distance(psi: RadialWavefunction, other) -> float:
     if ref.shape != r.shape:
         raise DomainError("the reference must provide one value per grid node")
     diff = np.abs(psi.values - ref) ** 2
-    return math.sqrt(psi.angular_weight * integrate_radial(r, r**2 * diff))
+    return math.sqrt(psi.angular_weight * integrate_radial(psi.grid, r**2 * diff))

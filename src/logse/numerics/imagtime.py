@@ -337,5 +337,5 @@ def relaxation_energy(psi: RadialWavefunction, coupling) -> float:
     rho = psi.density()
     log_term = r**2 * np.asarray(coupling, dtype=float) * (_xlogx(rho) - rho)
     return _kinetic_energy(psi) - psi.angular_weight * integrate_radial(
-        r, log_term, origin_power=0
+        psi.grid, log_term, origin_power=0
     )

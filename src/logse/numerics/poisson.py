@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from ..errors import DomainError
 from ..grids import RadialGrid
@@ -56,13 +55,20 @@ def _check_integrable(r: np.ndarray, source: np.ndarray):
             )
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x[0]}^{x[i]} y at each node by the trapezoid rule, 0 at the first:
+    scipy.integrate.cumulative_trapezoid(y, x, initial=0) without its wrapper,
+    the same expression and so the same bits."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def enclosed_source(source: np.ndarray, r: np.ndarray) -> np.ndarray:
     """int_0^r s^2 S(s) ds at each node: the cumulative trapezoid from the
     origin, where the integrand r^2 S is taken as 0.  The coupling of
     solve_radial_poisson is this over r^2, minus point_charge / r^2."""
     r_ext = np.concatenate(([0.0], r))
     integrand = np.concatenate(([0.0], r * r * source))
-    return cumulative_trapezoid(integrand, r_ext, initial=0.0)[1:]
+    return cumulative_trapezoid(integrand, r_ext)[1:]
 
 
 def solve_radial_poisson(
@@ -90,7 +96,7 @@ def solve_radial_poisson(
     # the far field (where the asymptotics are read off) stays clean; the
     # point charge is superposed as the exact q/r solution, never discretized
     dphi_smooth = enclosed / r**2
-    inner = cumulative_trapezoid(dphi_smooth, r, initial=0.0)
+    inner = cumulative_trapezoid(dphi_smooth, r)
     with np.errstate(over="ignore"):
         charge_phi, charge_dphi = point_charge / r, point_charge / r**2
     if not (np.isfinite(charge_phi).all() and np.isfinite(charge_dphi).all()):
@@ -113,8 +119,9 @@ def extract_coupling_asymptotics(field) -> tuple[float, float]:
 
     Accepts a FieldState or a (grid, phi) pair.  The fit uses the outer half
     of the nodes, where corrections decaying faster than 1/r are below the
-    fit tolerance.  A design matrix with condition number above 1e12 is
-    rejected with its condition number.
+    fit tolerance; a grid whose outer half has fewer than 3 nodes (one per
+    unknown) is rejected, and so is a design matrix with condition number
+    above 1e12, with its condition number.
     """
     if isinstance(field, FieldState):
         r, phi = field.grid.r, field.phi
@@ -127,6 +134,9 @@ def extract_coupling_asymptotics(field) -> tuple[float, float]:
 
 def _fit_asymptotics(r, phi):
     start = len(r) // 2
+    if len(r) - start < 3:
+        raise DomainError(f"asymptotic fit of 3 unknowns needs at least 3 nodes on the "
+                          f"outer half of the grid; {len(r)} nodes give {len(r) - start}")
     rs, ps = r[start:], phi[start:]
     design = np.column_stack([np.ones_like(rs), 1.0 / rs, rs])
     # one SVD: lstsq's singular values give the 2-norm condition number

@@ -5,8 +5,8 @@ rho = |psi|^2, where w is the wavefunction's angular weight and S_Y its
 angular entropy constant; both reductions (spherically symmetric and
 separable-radial) are covered by the same expressions.  Entropies and the
 kinetic energy use the grid rule (grids.integrate_radial: Simpson plus the
-[0, r_min] panel); the potential integral is plain Simpson, as the origin
-behaviour of its integrand depends on the caller's V_ext.
+[0, r_min] panel); the potential integral is Simpson alone (grids.simpson),
+as the origin behaviour of its integrand depends on the caller's V_ext.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError
-from .grids import RadialGrid, RadialWavefunction, integrate_radial  # the grid and
-# wavefunction types are re-exported: they live here from a user's point of view
+# the grid and wavefunction types are re-exported: they live here from a
+# user's point of view
+from .grids import RadialGrid, RadialWavefunction, integrate_radial, simpson
 from .scales import CouplingProfile
 
 # Densities below this are treated as exact zeros in x*ln(x) terms
@@ -65,7 +65,7 @@ def _kinetic_energy(psi: RadialWavefunction) -> float:
     """int w r^2 |d psi/dr|^2 dr by the grid rule (the integrand ~ r^2 or faster)."""
     r = psi.grid.r
     dpsi = np.gradient(psi.values, r, edge_order=2)
-    return psi.angular_weight * integrate_radial(r, r**2 * np.abs(dpsi) ** 2)
+    return psi.angular_weight * integrate_radial(psi.grid, r**2 * np.abs(dpsi) ** 2)
 
 
 def entropy_density(psi: RadialWavefunction) -> np.ndarray:
@@ -94,7 +94,7 @@ def entropy(psi: RadialWavefunction) -> float:
             "the quadrature is truncated (enlarge the grid)",
             stacklevel=2,
         )
-    return integrate_radial(psi.grid.r, s)
+    return integrate_radial(psi.grid, s)
 
 
 def quantum_temperature(profile: CouplingProfile, r):
@@ -148,15 +148,16 @@ def internal_energy(
         v = np.asarray(V_ext(r), dtype=float)
     else:
         v = np.asarray(V_ext, dtype=float)
-    potential = float(w * simpson(r**2 * v * psi.density(), x=r))
+    potential = w * simpson(r**2 * v * psi.density(), psi.grid)
     s = entropy_density(psi)
     temp = profile.evaluate(r) - temperature_offset
-    total_entropy = integrate_radial(r, s)
+    total_entropy = integrate_radial(psi.grid, s)
     # split T(r) s(r) = (b0 - T0) s(r) - q s(r)/r^2 so each integrand stays
     # regular at the origin (s ~ r^2 makes s/r^2 finite there)
     entropy_term = (profile.b0_tilde - temperature_offset) * total_entropy
     if profile.q_tilde != 0.0:
-        entropy_term -= profile.q_tilde * integrate_radial(r, s / r**2, origin_power=0)
+        entropy_term -= profile.q_tilde * integrate_radial(psi.grid, s / r**2,
+                                                           origin_power=0)
     return ObservableReport(
         entropy=total_entropy,
         entropy_density=s,

@@ -312,16 +312,20 @@ def test_config_file_values_checked_like_flags(tmp_path, capsys, command, line):
 
 
 def test_saved_config_reruns_byte_identical(tmp_path):
-    saved = tmp_path / "resolved.conf"
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert main(["analytic", "--case", "q1", "--N", "2", "--b0", repr(PI),
-                 "--out", str(out1), "--save-config", str(saved)]) == 0
-    assert main(["analytic", "--config", str(saved), "--out", str(out2)]) == 0
-    for name in ("analytic_result.json", "analytic_profiles.csv"):
-        a = (out1 / name).read_bytes()
-        b = (out2 / name).read_bytes()
-        assert a == b
+    for name, flags in [
+        ("dimensionless", ["--case", "q1", "--N", "2", "--b0", repr(PI)]),
+        # physical units: the file holds b0 as given, converted once per run
+        ("physical_units", ["--case", "constant", "--N", "1", "--b0", "2",
+                            "--hbar", "1.5", "--mass", "0.7", "--a", "2"]),
+    ]:
+        saved = tmp_path / f"{name}.conf"
+        out1 = tmp_path / name / "a"
+        out2 = tmp_path / name / "b"
+        assert main(["analytic", *flags, "--out", str(out1),
+                     "--save-config", str(saved)]) == 0
+        assert main(["analytic", "--config", str(saved), "--out", str(out2)]) == 0
+        for file in ("analytic_result.json", "analytic_profiles.csv"):
+            assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), name
 
 
 def test_physical_scales_convert_coupling(tmp_path):

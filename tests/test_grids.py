@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid, simpson
 
 from logse import (
     CouplingProfile,
@@ -22,6 +23,7 @@ from logse.numerics import (
     linear_ground_state,
     self_consistent_minimal_model,
 )
+from logse.numerics.poisson import enclosed_source
 
 PI = math.pi
 
@@ -50,8 +52,30 @@ def test_grid_rule_weights_match_integrate_radial(n):
     grid = RadialGrid.uniform_from_origin(8.0, n)
     r = grid.r
     for f in (r**2 * np.exp(-r / 4.0), np.cos(r) + 2.0):
-        exact = integrate_radial(r, f)
+        exact = integrate_radial(grid, f)
         assert abs(grid_rule_weights(grid) @ f - exact) <= 1e-13 * abs(exact)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["origin_step", "uniform", "log"]), n=st.integers(4, 4097),
+       r_max=st.floats(0.5, 1000.0), r_min_frac=st.floats(1e-4, 0.5),
+       decay=st.floats(0.05, 2.0), origin_power=st.sampled_from([0, 2]))
+def test_grid_rule_matches_scipy_simpson_plus_panel(kind, n, r_max, r_min_frac, decay,
+                                                    origin_power):
+    # uniform grids take the weight vector, log grids scipy.integrate.simpson
+    if kind == "origin_step":
+        grid = RadialGrid.uniform_from_origin(r_max, n)
+    else:
+        maker = RadialGrid.uniform if kind == "uniform" else RadialGrid.log
+        grid = maker(r_min_frac * r_max, r_max, n)
+    r = grid.r
+    f = r**origin_power * np.exp(-decay * r / r_max) + 0.25
+    exact = simpson(f, x=r) + f[0] * r[0] / (origin_power + 1.0)
+    assert abs(integrate_radial(grid, f, origin_power) - exact) <= 1e-13 * exact
+    source = np.cos(decay * r) / r
+    reference = cumulative_trapezoid(np.concatenate(([0.0], r * r * source)),
+                                     np.concatenate(([0.0], r)), initial=0.0)[1:]
+    assert np.array_equal(enclosed_source(source, r), reference)
 
 
 def test_grid_rule_weights_need_origin_step_grid():

@@ -117,7 +117,7 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
         stiff = np.minimum(w + 2.0 * b, 0.0)
         matrix[1] = 1.0 + 2.0 * dt / h**2 - dt * stiff
         u = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
-        u *= math.sqrt(1.0 / (weight * integrate_radial(r, u * u)))
+        u *= math.sqrt(1.0 / (weight * integrate_radial(grid, u * u)))
         w = log_term(u)
         hu, omega = h_and_omega(u, w)
         residual = np.max(np.abs(hu + omega * u)) / np.max(np.abs(u))

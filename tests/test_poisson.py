@@ -68,6 +68,18 @@ def test_ill_conditioned_fit_reports_condition_number():
         extract_coupling_asymptotics((grid, grid.r.copy()))
 
 
+def test_fit_needs_three_outer_nodes():
+    # 3 unknowns: a 4-node grid leaves 2 rows and an exact but meaningless fit
+    # (q -2.12, b0 0.935); 5 nodes leave 3 and recover the charges
+    with pytest.raises(DomainError, match="4 nodes"):
+        solve_radial_poisson(lambda r: 2.0 / r, RadialGrid.uniform_from_origin(8.0, 4),
+                             point_charge=1.0)
+    fs = solve_radial_poisson(lambda r: 2.0 / r, RadialGrid.uniform_from_origin(8.0, 5),
+                              point_charge=1.0)
+    assert fs.extracted_q == pytest.approx(1.0, rel=1e-12)
+    assert fs.extracted_b0 == pytest.approx(1.0, rel=1e-12)
+
+
 def test_non_integrable_source_rejected():
     with pytest.raises(DomainError, match="not integrable"):
         solve_radial_poisson(1.0 / GRID.r**4, GRID)
