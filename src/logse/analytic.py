@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import erfcx
 
 from .errors import ConvergenceError, DomainError
@@ -214,6 +213,14 @@ def solve_k_transcendental(N: float, b0_tilde: float) -> float:
     N = (pi/b0)^(3/2); because the equation is monotone in k that branch is
     the unique root.  N may be any positive number here (the closure point
     itself drops below 1 for b0 > pi).
+
+    The root is found by bisection: steps of growing length from k = 0 find
+    a bracket lo < hi with residual(lo) < 0 <= residual(hi) (the residual is
+    strictly increasing), which is halved until hi - lo <= 1e-15 +
+    8.9e-16 |k| (brentq's xtol and rtol); k is the last midpoint, so the
+    residual changes sign within that tolerance of k.  Bisection rather
+    than scipy.optimize.brentq keeps scipy.optimize, and most of scipy with
+    it, out of every process that builds a q = 1 state.
     """
     if not (N > 0.0 and np.isfinite(N)):
         raise DomainError("N must be positive and finite")
@@ -225,13 +232,11 @@ def solve_k_transcendental(N: float, b0_tilde: float) -> float:
     # residual > 0 means the k=0 norm already exceeds N: root lies at k < 0.
     direction = -1.0 if f0 > 0.0 else 1.0
     step = math.sqrt(b0_tilde)
-    lo, hi = 0.0, 0.0
     k_edge = 0.0
     for _ in range(80):
         k_edge += direction * step
         step *= 1.5
         if transcendental_residual(k_edge, N, b0_tilde) * f0 < 0.0:
-            lo, hi = sorted((0.0, k_edge))
             break
     else:
         raise ConvergenceError(
@@ -239,10 +244,15 @@ def solve_k_transcendental(N: float, b0_tilde: float) -> float:
             f"equation (N={N}, b0={b0_tilde}, searched direction {direction:+.0f} "
             f"out to k={k_edge:.3g})"
         )
-    root = brentq(
-        transcendental_residual, lo, hi, args=(N, b0_tilde), xtol=1e-15, rtol=8.9e-16
-    )
-    return float(root)
+    lo, hi = sorted((0.0, k_edge))
+    while True:
+        k = 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 + 8.9e-16 * abs(k):
+            return k
+        if transcendental_residual(k, N, b0_tilde) < 0.0:
+            lo = k
+        else:
+            hi = k
 
 
 def case_q1(N: float, b0_tilde: float) -> AnalyticSolution:

@@ -11,7 +11,9 @@ machinery covers both conventions used by the analytic catalog:
 Integrals use one grid rule, integrate_radial: composite Simpson (uniform
 weights on uniform grids, scipy's on log grids) plus the [0, r_min] panel;
 grid_rule_weights returns the same rule as a weight vector for loops that
-integrate on one grid.
+integrate on one grid.  scipy.integrate is imported by the first log-grid
+integral, not with this module: it pulls in most of scipy, and no solver
+grid needs it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import simpson as scipy_simpson
 
 from .errors import DomainError
 
@@ -54,9 +55,12 @@ def simpson(f: np.ndarray, grid: RadialGrid) -> float:
     On a uniform grid, one dot product with simpson_weights at the mean step
     (r_max - r_min) / (n - 1), equal to scipy.integrate.simpson to roundoff
     (the first step alone can be off by eps * r_max / h relative); on a
-    non-uniform (log) grid, scipy.integrate.simpson.
+    non-uniform (log) grid, scipy.integrate.simpson, imported on that
+    branch only.
     """
     if grid._h is None:
+        from scipy.integrate import simpson as scipy_simpson
+
         return float(scipy_simpson(f, x=grid.r))
     n = grid.n_points
     return float(simpson_weights(n, (grid.r_max - grid.r_min) / (n - 1)) @ f)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -131,6 +133,27 @@ def test_k_sign_follows_norm_monotonicity():
     # N > N* forces k > 0 and N < N* forces k < 0
     assert solve_k_transcendental(1.0, 2 * PI) > 0.0  # N* ~ 0.354 < 1
     assert solve_k_transcendental(1.0, 0.5 * PI) < 0.0  # N* ~ 2.83 > 1
+
+
+def brentq_k(N, b0):
+    """brentq on a bracket [-s, s] widened until the residual changes sign."""
+    s = math.sqrt(b0)
+    while not (transcendental_residual(-s, N, b0) < 0.0 < transcendental_residual(s, N, b0)):
+        s *= 2.0
+    return brentq(transcendental_residual, -s, s, args=(N, b0), xtol=1e-15, rtol=8.9e-16)
+
+
+# b0 >= 1: for smaller b0 the residual's slope b0^2/(2 pi) dN/dk is so small
+# that its roundoff (terms of size |k|) spans more k than the stopping width,
+# and no root finder pins the sign change that finely
+@settings(max_examples=60, deadline=None)
+@given(N=st.floats(1.0, 100.0), b0=st.floats(1.0, 40.0), growth=st.floats(1.001, 4.0))
+def test_k_root_brackets_sign_change_increases_in_N_and_matches_brentq(N, b0, growth):
+    k = solve_k_transcendental(N, b0)
+    tol = 1e-15 + 8.9e-16 * abs(k)  # the solver's stopping width
+    assert transcendental_residual(k - tol, N, b0) <= 0.0 <= transcendental_residual(k + tol, N, b0)
+    assert solve_k_transcendental(growth * N, b0) > k
+    assert abs(k - brentq_k(N, b0)) <= 2e-15 + 2e-15 * abs(k)
 
 
 def test_q1_unit_norm_is_pure_gaussian():
