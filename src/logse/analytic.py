@@ -216,9 +216,14 @@ def solve_k_transcendental(N: float, b0_tilde: float) -> float:
 
     The root is found by bisection: steps of growing length from k = 0 find
     a bracket lo < hi with residual(lo) < 0 <= residual(hi) (the residual is
-    strictly increasing), which is halved until hi - lo <= 1e-15 +
-    8.9e-16 |k| (brentq's xtol and rtol); k is the last midpoint, so the
-    residual changes sign within that tolerance of k.  Bisection rather
+    strictly increasing), which is halved until hi - lo <= tol =
+    1e-15 + 8.9e-16 |k| (brentq's xtol and rtol).  The computed residual
+    rises only up to roundoff, so near the root its sign flips back and
+    forth over some ulps of k; the last midpoint is therefore moved by ulps
+    until residual(k - tol) <= 0 <= residual(k + tol), i.e. the computed
+    residual changes sign within tol of k.  Where roundoff spans more than
+    2 tol (b0 well below 1, where the residual's slope is small) no such k
+    need exist, and the last midpoint is returned.  Bisection rather
     than scipy.optimize.brentq keeps scipy.optimize, and most of scipy with
     it, out of every process that builds a q = 1 state.
     """
@@ -248,11 +253,23 @@ def solve_k_transcendental(N: float, b0_tilde: float) -> float:
     while True:
         k = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 + 8.9e-16 * abs(k):
-            return k
+            break
         if transcendental_residual(k, N, b0_tilde) < 0.0:
             lo = k
         else:
             hi = k
+    # step k by ulps towards the side whose residual has the wrong sign
+    midpoint = k
+    for _ in range(64):
+        tol = 1e-15 + 8.9e-16 * abs(k)
+        below = transcendental_residual(k - tol, N, b0_tilde) <= 0.0
+        above = transcendental_residual(k + tol, N, b0_tilde) >= 0.0
+        if below and above:
+            return k
+        if not (below or above):
+            break  # roundoff spans more than 2 tol
+        k = math.nextafter(k, math.inf if below else -math.inf)
+    return midpoint
 
 
 def case_q1(N: float, b0_tilde: float) -> AnalyticSolution:

@@ -341,6 +341,7 @@ def cmd_groundstate(args) -> int:
         "converged": result.converged,
         "steps": result.steps,
         "newton_steps": result.newton_steps,
+        "rejected_steps": result.rejected_steps,
         "config": conf,
     }
     reference = _matching_case(conf)
@@ -385,6 +386,14 @@ def cmd_evolve(args) -> int:
     grid = _grid_from(conf)
     psi0 = sol.sample(grid)
     opts = SolverOptions(dt=conf["dt"])
+    # the library only warns: a stiff kick still returns a trajectory
+    max_coupling = float(np.max(np.abs(sol.profile.evaluate(grid.r))))
+    if opts.dt * max_coupling > 1.0:
+        raise DomainError(
+            f"dt * max|b(r)| = {opts.dt * max_coupling:.2f} > 1: the nonlinear phase "
+            f"step is unstable at the inner grid edge (r = {grid.r_min:g}); lower "
+            f"--dt to at most {1.0 / max_coupling:.3g}, or move the edge out with "
+            "--r-min (on the origin-step grid, r_min = r_max/n)")
     result = evolve_real_time(psi0, sol.profile, opts, n_steps=conf["steps"],
                               snapshot_stride=conf["stride"], keep_snapshots=True)
     rho0 = psi0.normalized().density()

@@ -20,16 +20,31 @@ stiff = min(w + 2b, 0), each step solves
 off-diagonal) and renormalizes.  w + 2b = d(w u)/du is the log term's
 Jacobian; taking its non-positive part (the -2q/r^2 stiffness near the
 origin) implicitly lifts the h^2 step limit and keeps the matrix SPD and
-diagonally dominant.  A step that leaves no finite positive norm raises
-ConvergenceError with the iterate before it.  omega_n
-makes the fixed point H u + omega u = 0 for every dt, where renormalization
-alone drifts with dt when b(r) varies.  The run stops once the stationary
-residual max|H u + omega_n u| / max|u| is below tol, and returns that
-iterate as it is.  The flow decreases the constrained energy functional
+diagonally dominant.  omega_n makes the fixed point H u + omega u = 0 for
+every dt, where renormalization alone drifts with dt when b(r) varies.  The
+run stops once the stationary residual max|H u + omega_n u| / max|u| is
+below tol, and returns that iterate as it is.
 
-    E[psi] = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr
+The flow decreases the discrete functional whose constrained minimizer is
+its fixed point (a = angular_weight, the log floored as in w),
 
-whose variation reproduces the stationary equation; see relaxation_energy.
+    E_h(u) = -a h u.D2u - a h sum b r^2 (rho ln rho - rho)
+           = a h (omega_n u.u + b.u^2),
+
+the second form by b r^2 rho ln rho = w u^2 and u.Hu = -omega_n u.u, so it
+costs one dot product beyond stationary (discrete_energy).  The step dt is
+sized by the residual, pseudo-transient continuation with switched
+evolution relaxation (Mulder & van Leer, AIAA 85-1519, 1985; Kelley & Keyes,
+SIAM J. Numer. Anal. 35, 1998): it starts at opts.dt (_RELAX_DT if None),
+and after each accepted flow step it is multiplied by
+min(residual before / residual after, 2), the guess's residual counting as
+infinite.  A flow step is accepted only if E_h does not rise by more than
+_ENERGY_ROUNDOFF times a h (|omega_n u.u| + |b.u^2|), roundoff; otherwise dt
+is halved and the step retried from the same iterate.  A failed solve or a
+norm that is not finite and positive also halves dt and retries, unless dt
+is not above the starting step: then ConvergenceError is raised with the
+iterate before it, as when dt underflows to zero.  Rejected trials are
+counted in GroundStateResult.rejected_steps; they take no history row.
 
 The flow converges linearly, so once it is close it only polishes.  Once
 its residual is below _NEWTON_HANDOVER the engine hands over to Newton's
@@ -56,11 +71,12 @@ is below the current one and it has no node (no entry below
 -_NODE_ROUNDOFF max u; far-tail entries at roundoff may take either sign).
 A rejected iterate is discarded and a flow step taken in its place; Newton
 resumes once the flow's residual is below half the residual the rejected
-iterate started from.  There is no step-size control: a Newton step is
-taken whole or not at all.  The flow step, the stationary terms, the guard's
-node test and the border elimination are module-level functions (flow_step,
-stationary, nodeless, bordered_newton_update); the SCF's coupled Newton
-solve shares the last three.
+iterate started from.  A Newton step is taken whole or not at all; it is
+not checked against E_h and leaves dt as it is.  The flow step, the
+stationary terms, E_h, the guard's node test and the border elimination are
+module-level functions (flow_step, stationary, discrete_energy, nodeless,
+bordered_newton_update); the SCF's coupled Newton solve shares the last
+three.
 
 The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
@@ -98,8 +114,10 @@ from ..observables import LOG_FLOOR, _kinetic_energy, _xlogx
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
-# relaxation step when opts.dt is None
+# starting relaxation step when opts.dt is None
 _RELAX_DT = 0.01
+# a flow step may raise E_h by this fraction of its terms' magnitudes
+_ENERGY_ROUNDOFF = 1e-12
 # stationary residual below which the flow hands over to Newton
 _NEWTON_HANDOVER = 0.1
 # a Newton iterate with an entry below -_NODE_ROUNDOFF max(u) has a node;
@@ -114,6 +132,7 @@ class GroundStateResult:
     converged: bool
     steps: int  # iterations, flow and Newton
     newton_steps: int
+    rejected_steps: int  # flow trials rejected (E_h rose, or no finite norm)
     history: list  # rows (step, residual, norm, omega_estimate), one per iteration
 
 
@@ -158,6 +177,24 @@ def flow_step(u, w, omega, coupling, dt, h, quad, N, angular_weight):
     if info == 0 and 0.0 < norm < math.inf:
         u_new *= math.sqrt(N / norm)
     return u_new, norm, info
+
+
+def discrete_energy(u, omega, coupling, h, angular_weight):
+    """(E_h, allowance) of u = r psi whose Rayleigh quotient is omega.
+
+    E_h = -a h u.D2u - a h sum b r^2 (rho ln rho - rho) is the functional the
+    flow decreases (a = angular_weight, the log floored at LOG_FLOOR as in w).
+    As b r^2 rho ln rho = w u^2 and u.Hu = -omega u.u, it is
+    a h (omega u.u + b.u^2).  The allowance, _ENERGY_ROUNDOFF times the sum
+    of the two terms' magnitudes, is the rise a flow step may show from
+    roundoff alone.
+    """
+    uu = u * u
+    omega_term = omega * float(uu.sum())
+    coupling_term = float(coupling @ uu)
+    scale = angular_weight * h
+    return (scale * (omega_term + coupling_term),
+            _ENERGY_ROUNDOFF * scale * (abs(omega_term) + abs(coupling_term)))
 
 
 def nodeless(u: np.ndarray) -> bool:
@@ -216,18 +253,20 @@ def ground_state_from_coupling_values(
     r = grid.r
     h = grid.origin_step()
     tol = opts.convergence_tol
-    dt = opts.dt if opts.dt is not None else _RELAX_DT
+    dt0 = opts.dt if opts.dt is not None else _RELAX_DT
+    dt = dt0
 
     u = r * _initial_guess(grid, psi0, N, angular_weight)
     quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
     history = []
-    newton_steps = 0
+    newton_steps = rejected_steps = 0
 
     def result(u, omega, steps, converged):
         psi = RadialWavefunction(
             grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
         )
-        return GroundStateResult(psi, omega, converged, steps, newton_steps, history)
+        return GroundStateResult(psi, omega, converged, steps, newton_steps,
+                                 rejected_steps, history)
 
     def newton_iterate(u, w, f, omega):
         """The bordered Newton iterate from u and the norm of its linearized
@@ -243,7 +282,9 @@ def ground_state_from_coupling_values(
         return (u_new if info == 0 else None), norm
 
     w, f, omega, _ = stationary(u, coupling, r, h)
-    residual = math.inf  # the guess is never handed to Newton
+    energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
+    # the guess is never handed to Newton, and the first flow step doubles dt
+    residual = math.inf
     handover = _NEWTON_HANDOVER
     for step in range(1, opts.max_steps + 1):
         accepted = False
@@ -255,21 +296,40 @@ def ground_state_from_coupling_values(
                 accepted = trial[3] < residual
             if accepted:
                 u, (w, f, omega, residual) = u_new, trial
+                energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
                 newton_steps += 1
             else:
                 handover = residual / 2.0
         if not accepted:
-            u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, quad, N,
-                                          angular_weight)
-            if info != 0 or not 0.0 < norm < math.inf:
-                raise ConvergenceError(
-                    f"relaxation step {step} left no finite positive norm "
-                    f"(norm {norm:.3e}, ptsv info {info})",
-                    last=result(u, omega, step - 1, False),
-                    history=history,
-                )
-            u = u_new
-            w, f, omega, residual = stationary(u, coupling, r, h)
+            while True:
+                u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, quad, N,
+                                              angular_weight)
+                if info == 0 and 0.0 < norm < math.inf:
+                    trial = stationary(u_new, coupling, r, h)
+                    trial_energy = discrete_energy(u_new, trial[2], coupling, h,
+                                                   angular_weight)
+                    if trial_energy[0] <= energy + allowance:
+                        break
+                elif dt <= dt0:
+                    raise ConvergenceError(
+                        f"relaxation step {step} left no finite positive norm "
+                        f"(norm {norm:.3e}, ptsv info {info})",
+                        last=result(u, omega, step - 1, False),
+                        history=history,
+                    )
+                rejected_steps += 1
+                dt *= 0.5
+                if dt == 0.0:
+                    raise ConvergenceError(
+                        f"relaxation step {step}: the step size underflowed "
+                        f"after {rejected_steps} rejected flow steps",
+                        last=result(u, omega, step - 1, False),
+                        history=history,
+                    )
+            # dt times min(residual before / residual after, 2)
+            dt *= 2.0 if 2.0 * trial[3] <= residual else residual / trial[3]
+            u, (w, f, omega, residual) = u_new, trial
+            energy, allowance = trial_energy
         history.append((step, residual, norm, omega))
         if residual < tol:
             break
@@ -323,15 +383,19 @@ def linear_ground_state(
 
 
 def relaxation_energy(psi: RadialWavefunction, coupling) -> float:
-    """Energy functional decreased by the imaginary-time flow.
+    """Continuum energy functional of a sampled state, by quadrature.
 
     E = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr, with the
     coupling b(r) given as values on psi's grid.  Both terms use the grid
-    rule; the log term's [0, r_min] panel has origin power 0, since
-    r^2 b(r) -> -q at the origin.
+    rule; the kinetic term takes d psi/dr from np.gradient, and the log
+    term's [0, r_min] panel has origin power 0, since r^2 b(r) -> -q at the
+    origin.  Its variation reproduces the stationary equation to O(h^2).
 
-    Its finite-difference variation reproduces the stationary-equation
-    residual, which is what makes the flow a gradient descent.
+    This is not the functional the flow decreases: that is the h-sum E_h of
+    discrete_energy, whose kinetic term is -u.D2u and which has no
+    [0, r_min] panel.  At the relaxed states on (8, 640) they differ by
+    1.2e-5 relative (Gausson) and 2.6e-2 (general N = 1, q = 2, where
+    b u^2 -> -q psi(0)^2 at the origin).
     """
     r = psi.grid.r
     rho = psi.density()

@@ -12,9 +12,11 @@ from ..errors import DomainError
 class SolverOptions:
     """Knobs shared by the relaxation / propagation / SCF drivers.
 
-    dt=None selects the relaxation's fixed pseudo-time step; real-time
-    evolution still needs an explicit dt.  The floor under ln|psi|^2 is the
-    constant observables.LOG_FLOOR.
+    For the relaxation dt is the starting pseudo-time step (None selects
+    0.01); the relaxation then sizes its steps by the residual and checks
+    each against the discrete energy (see numerics.imagtime).  Real-time
+    evolution takes dt as its fixed step and needs it explicit.  The floor
+    under ln|psi|^2 is the constant observables.LOG_FLOOR.
     """
 
     dt: float | None = None

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -148,6 +148,8 @@ def brentq_k(N, b0):
 # and no root finder pins the sign change that finely
 @settings(max_examples=60, deadline=None)
 @given(N=st.floats(1.0, 100.0), b0=st.floats(1.0, 40.0), growth=st.floats(1.001, 4.0))
+# the last bisection midpoint: residual(k + tol) read -2.2e-16 there
+@example(N=1.0, b0=1.1, growth=2.0)
 def test_k_root_brackets_sign_change_increases_in_N_and_matches_brentq(N, b0, growth):
     k = solve_k_transcendental(N, b0)
     tol = 1e-15 + 8.9e-16 * abs(k)  # the solver's stopping width

@@ -67,9 +67,21 @@ def test_groundstate_reports_l2_vs_analytic(tmp_path):
     assert data["l2_vs_analytic"] < 1e-3
     assert data["converged"] is True
     assert 0 < data["newton_steps"] < data["steps"]
+    assert data["rejected_steps"] == 0  # no flow step of the Gausson raises E_h
     hist = (tmp_path / "groundstate_history.csv").read_text().splitlines()
     assert hist[0] == "step,residual,norm,omega_estimate"
     assert len(hist) == 1 + data["steps"]  # one row per flow or Newton iteration
+
+
+def test_evolve_refuses_stiff_phase_step(tmp_path, capsys):
+    # q1 at its defaults: dt max|b| = 1e-4 |pi - 1/0.005^2| = 4.00, where the
+    # kick is unstable (density drift 15 over the run)
+    assert run(tmp_path, "evolve", "--case", "q1") == 2
+    err = capsys.readouterr().err
+    assert "dt * max|b(r)| = 4.00 > 1" in err
+    assert "--dt" in err and "--r-min" in err
+    assert not (tmp_path / "evolve_result.json").exists()
+    assert run(tmp_path, "evolve", "--case", "q1", "--dt", "2e-5", "--steps", "10") == 0
 
 
 def test_evolve_stationary_summary(tmp_path):

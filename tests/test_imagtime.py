@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import solveh_banded
 
@@ -95,10 +97,15 @@ def _default_guess(grid):
     return np.exp(-0.5 * (grid.r / (grid.r_max / 8.0)) ** 2)
 
 
-def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
+def _reference_iterates(b, grid, weight, guess, n_steps, tol=None, step_rule=False):
     """(psi, residual, omega) after each step of the flow, solved by
     solveh_banded on the banded matrix and renormalized by integrate_radial;
-    stops early below tol."""
+    stops early below tol.  The step is 0.01 throughout, or with step_rule
+    it starts at 0.01 and follows the engine's rule: a step that raises E_h
+    (here the h-sum of its definition) by more than 1e-12 times
+    a h (|omega u.u| + |b.u^2|) is retried at half the step, and an accepted
+    one multiplies the step by min(residual before / residual after, 2),
+    the guess's residual counting as infinite."""
     r, h, dt = grid.r, grid.h, 0.01
     u = r * RadialWavefunction(grid, guess, 1.0, weight).normalized().values
 
@@ -109,18 +116,33 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
         hu = second_difference_dirichlet(u, h) + w * u
         return hu, -(hu @ u) / (u @ u)
 
+    def energy_and_allowance(u, w, omega):
+        energy = -weight * h * (u @ second_difference_dirichlet(u, h) + (w - b) @ (u * u))
+        return energy, 1e-12 * weight * h * (abs(omega * (u @ u)) + abs(b @ (u * u)))
+
     matrix = np.full((2, r.size), -dt / h**2)
     w = log_term(u)
     omega = h_and_omega(u, w)[1]
+    residual = math.inf  # the first accepted step doubles the step
+    energy, allowance = energy_and_allowance(u, w, omega)
     iterates = []
-    for _ in range(n_steps):
+    while len(iterates) < n_steps:
         stiff = np.minimum(w + 2.0 * b, 0.0)
+        matrix[0] = -dt / h**2
         matrix[1] = 1.0 + 2.0 * dt / h**2 - dt * stiff
-        u = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
-        u *= math.sqrt(1.0 / (weight * integrate_radial(grid, u * u)))
-        w = log_term(u)
-        hu, omega = h_and_omega(u, w)
-        residual = np.max(np.abs(hu + omega * u)) / np.max(np.abs(u))
+        u_new = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
+        u_new *= math.sqrt(1.0 / (weight * integrate_radial(grid, u_new * u_new)))
+        w_new = log_term(u_new)
+        hu, omega_new = h_and_omega(u_new, w_new)
+        energy_new, allowance_new = energy_and_allowance(u_new, w_new, omega_new)
+        if step_rule and energy_new > energy + allowance:
+            dt /= 2.0
+            continue
+        residual_new = np.max(np.abs(hu + omega_new * u_new)) / np.max(np.abs(u_new))
+        if step_rule:
+            dt *= min(residual / residual_new, 2.0)
+        u, w, omega, residual = u_new, w_new, omega_new, residual_new
+        energy, allowance = energy_new, allowance_new
         iterates.append((u / r, residual, omega))
         if tol is not None and residual < tol:
             break
@@ -129,8 +151,8 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None):
 
 def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
     """psi after each of n_steps flow steps of the engine from its guess for
-    psi0: imagtime.flow_step at the default step, each from the w and omega
-    of imagtime.stationary, as the relaxation takes them before Newton."""
+    psi0: imagtime.flow_step at the fixed step _RELAX_DT, each from the w and
+    omega of imagtime.stationary, as the relaxation takes them before Newton."""
     r, h = grid.r, grid.h
     quad = grid_rule_weights(grid)
     u = r * imagtime._initial_guess(grid, psi0, 1.0, weight)
@@ -161,13 +183,16 @@ def test_engine_iterates_match_banded_reference_step(profile, grid, weight, gues
 
 
 def test_gausson_takes_reference_step_count():
-    # the engine's flow rows are the reference flow's up to the handover to
-    # Newton, and Newton lands on the state the flow converges to
+    # the engine's flow rows are the reference flow's, step rule included, up
+    # to the handover to Newton, and Newton lands on the state the flow
+    # converges to at any fixed step
     b = CouplingProfile(PI, 0.0).evaluate(GRID8.r)
     res = ground_state_from_coupling_values(b, 1.0, GRID8, SolverOptions())
     flow_steps = res.steps - res.newton_steps
-    assert (flow_steps, res.newton_steps) == (77, 3)
-    reference = _reference_iterates(b, GRID8, 4 * PI, _default_guess(GRID8), flow_steps)
+    assert (flow_steps, res.newton_steps, res.rejected_steps) == (23, 3, 0)
+    reference = _reference_iterates(b, GRID8, 4 * PI, _default_guess(GRID8), flow_steps,
+                                    step_rule=True)
+    assert len(reference) == flow_steps
     for row, (_, residual, omega) in zip(res.history, reference):
         assert row[1] == pytest.approx(residual, rel=1e-10), row[0]
         assert row[3] == pytest.approx(omega, rel=1e-12), row[0]
@@ -185,6 +210,18 @@ def test_relax_blow_up_raises_with_last_finite_iterate():
     last = err.value.last
     assert last.steps == 0 and not last.converged and err.value.history == []
     assert np.all(np.isfinite(last.psi.values))
+    assert last.psi.norm() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_step_size_underflow_raises_with_the_guess(monkeypatch):
+    # an allowance below -|E_h| rejects every flow step, so dt is halved
+    # until it underflows to zero instead of looping
+    monkeypatch.setattr(imagtime, "_ENERGY_ROUNDOFF", -1.0)
+    with pytest.raises(ConvergenceError, match="underflowed") as err:
+        ground_state_from_coupling_values(np.full_like(GRID8.r, PI), 1.0, GRID8)
+    last = err.value.last
+    assert last.steps == 0 and err.value.history == []
+    assert last.rejected_steps > 1000  # 0.01 halves to zero in about 1,070 steps
     assert last.psi.norm() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -255,8 +292,8 @@ def test_catalog_states_converge_nodeless_through_newton(sol):
 @pytest.mark.parametrize("dt", [None, 0.001])
 @pytest.mark.parametrize("handover", ["default", "first_step"])
 def test_guard_never_returns_a_state_with_nodes(monkeypatch, dt, handover):
-    # at the default step the flow oscillates with period 2 on this grid and
-    # never hands over; Newton started from early flow iterates lands on
+    # at a fixed step 0.01 the flow oscillated with period 2 on this grid and
+    # never handed over; Newton started from early flow iterates lands on
     # states with nodes (-psi, or hundreds of nodes), which the guard rejects
     sol = case_general(1, 6.0)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
@@ -271,6 +308,86 @@ def test_guard_never_returns_a_state_with_nodes(monkeypatch, dt, handover):
     assert res.converged
     assert np.all(res.psi.values.real > 0.0)
     assert l2_distance(res.psi, sol.psi) < 1e-5
+
+
+def test_general_q6_on_fine_grid_converges_to_closed_form():
+    # at a fixed step 0.01 this state ended in a period-2 ConvergenceError
+    # (residuals 5e3 / 7e5 alternating)
+    sol = case_general(1, 6.0)
+    grid = RadialGrid.uniform_from_origin(10.0, 4000)
+    res = ground_state_from_coupling_values(sol.profile.evaluate(grid.r), 1.0, grid)
+    assert res.converged
+    assert np.all(res.psi.values.real > 0.0)
+    assert l2_distance(res.psi, sol.psi) < 1e-5
+
+
+def test_general_negative_q_converges_nodeless():
+    # at a fixed step 0.01, q = -1 on this grid kept residual 2.0e2 after
+    # 25,000 steps
+    b = case_general(1, -1.0).profile.evaluate(GRID8.r)
+    res = ground_state_from_coupling_values(b, 1.0, GRID8)
+    assert res.converged and res.history[-1][1] < SolverOptions().convergence_tol
+    assert np.all(res.psi.values.real > 0.0)
+
+
+@pytest.mark.parametrize("r_max", [83.0, 120.0, 141.0])
+def test_inverse_square_steps_do_not_grow_with_empty_tail(r_max):
+    # at a fixed step 0.01 the flow had to fill the tail before Newton was
+    # accepted: 309, 677 and 1,124 iterations
+    sol = case_inverse_square(16, 0.5, 0.5)
+    grid = RadialGrid.uniform_from_origin(r_max, 800)
+    res = ground_state_from_coupling_values(
+        sol.profile.evaluate(grid.r), sol.norm, grid, angular_weight=sol.angular_weight
+    )
+    assert res.converged and res.steps <= 100
+
+
+def _energy_and_allowance(u, b, h, weight):
+    """E_h = -a h (u.D2u + sum (w - b) u^2) from its definition, and the
+    engine's roundoff allowance 1e-12 a h (|omega u.u| + |b.u^2|)."""
+    r = np.arange(1, u.size + 1) * h
+    w = b * np.log(np.maximum((u / r) ** 2, LOG_FLOOR))
+    d2u = second_difference_dirichlet(u, h)
+    omega = -(u @ d2u + w @ (u * u)) / (u @ u)
+    energy = -weight * h * (u @ d2u + (w - b) @ (u * u))
+    return energy, 1e-12 * weight * h * (abs(omega * (u @ u)) + abs(b @ (u * u)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(b0=st.floats(0.5, 4.0), q=st.floats(-1.0, 3.0), N=st.floats(0.5, 8.0),
+       n=st.integers(200, 800), dt=st.floats(0.005, 0.2))
+def test_accepted_flow_steps_never_raise_discrete_energy(b0, q, N, n, dt):
+    # every flow trial is seen through flow_step: a retry starts from the same
+    # state at half the step; any other trial was accepted, and its E_h is at
+    # most the E_h it started from plus the allowance
+    grid = RadialGrid.uniform_from_origin(8.0, n)
+    b = CouplingProfile(b0, q).evaluate(grid.r)
+    trials = []
+
+    def spy(u, w, omega, coupling, step, *rest):
+        u_new, norm, info = flow_step(u, w, omega, coupling, step, *rest)
+        trials.append((u, step, u_new.copy(), info == 0 and 0.0 < norm < math.inf))
+        return u_new, norm, info
+
+    flow_step = imagtime.flow_step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(imagtime, "flow_step", spy)
+        try:
+            res = ground_state_from_coupling_values(
+                b, N, grid, SolverOptions(dt=dt, max_steps=300))
+        except ConvergenceError:
+            res = None
+    rejected = 0
+    for (u, step, u_new, finite), retry in zip(trials, trials[1:]):
+        if retry[0] is u:
+            assert retry[1] == step / 2.0
+            rejected += 1
+        else:
+            assert finite
+            energy, allowance = _energy_and_allowance(u, b, grid.h, 4 * PI)
+            assert _energy_and_allowance(u_new, b, grid.h, 4 * PI)[0] <= energy + allowance
+    if res is not None:
+        assert rejected == res.rejected_steps
 
 
 def test_negative_q_closed_form_is_not_the_minimizer():
