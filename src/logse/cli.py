@@ -231,6 +231,12 @@ def _build_case(conf):
     return case_inverse_square(conf["N"], conf["L2"], conf["SY"])
 
 
+def _with_profile(conf, sol) -> dict:
+    """conf with the (b0, q) of the state's profile, which its case may fix
+    whatever was given (--save-config still writes the given values)."""
+    return {**conf, "b0": sol.profile.b0_tilde, "q": sol.profile.q_tilde}
+
+
 def _paths(args, kind_map):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -250,6 +256,7 @@ def cmd_analytic(args) -> int:
     sol = _build_case(conf)
     if conf["r_max"] is None:  # the inverse-square tail needs r_max ~ 30/mu^2
         conf["r_max"] = _GRID_DEFAULTS["r_max"] if sol.mu_sq is None else 30.0 / sol.mu_sq
+    conf = _with_profile(conf, sol)
     grid = _grid_from(conf)
     psi = sol.sample(grid)
     r = grid.r
@@ -383,6 +390,7 @@ def _matching_case(conf):
 def cmd_evolve(args) -> int:
     given, conf = _resolve(args)
     sol = _build_case(conf)
+    conf = _with_profile(conf, sol)
     grid = _grid_from(conf)
     psi0 = sol.sample(grid)
     opts = SolverOptions(dt=conf["dt"])
@@ -415,16 +423,11 @@ def cmd_evolve(args) -> int:
     }
     paths = _paths(args, {"json": "result.json", "traj": "trajectory.csv"})
     write_json(paths["json"], payload)
-    t_col, r_col, re_col, im_col, rho_col = [], [], [], [], []
-    for t, values in result.snapshots:
-        t_col.append(np.full_like(grid.r, t))
-        r_col.append(grid.r)
-        re_col.append(values.real)
-        im_col.append(values.imag)
-        rho_col.append(np.abs(values) ** 2)
-    write_csv(paths["traj"],
-              ["t[tau]", "r[a]", "psi_re", "psi_im", "density"],
-              [np.concatenate(c) for c in (t_col, r_col, re_col, im_col, rho_col)])
+    # one group of rows per snapshot, each encoded as it is made
+    groups = ([np.full_like(grid.r, t), grid.r, values.real, values.imag, np.abs(values) ** 2]
+              for t, values in result.snapshots)
+    write_csv(paths["traj"], ["t[tau]", "r[a]", "psi_re", "psi_im", "density"],
+              next(groups), groups)
     _maybe_save_config(args, given)
     print(f"wrote {paths['json']} (norm drift {result.norm_drift:.3e})")
     return 0

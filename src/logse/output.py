@@ -6,7 +6,9 @@ written with 17 significant digits; JSON floats use Python's shortest
 round-trip representation, which reconstructs the exact double.
 
 Every CSV value is written as ``CSV_FORMAT % float(value)`` would write it,
-but encoded by numpy a block of rows at a time:
+but encoded by numpy a block of about 3,584 values at a time (512 rows of a
+7-column table, 716 of a 5-column one), so every block has the same scratch
+whatever the table's width:
 
 * digits: with k = floor(log10 |x|), the 17-digit integer
   N = round(|x| 10^(16 - k)) comes from a double-double product (Dekker's
@@ -16,7 +18,12 @@ but encoded by numpy a block of rows at a time:
 * layout: each value fills a fixed 48-byte slot of ASCII words (4-digit
   lookup tables), and one keep-mask row per %g layout (fixed notation for
   -4 <= k < 17, else d.ddde+XX; trailing zeros and a bare '.' dropped; sign)
-  selects its bytes; one compaction per block gives the file's bytes.
+  selects its bytes.  The layout depends on k alone, so its part of the row
+  index comes from a table by k; the row's 0x00/0xFF bytes are ANDed onto
+  the slot;
+* compaction: every kept byte is printable ASCII and the AND leaves every
+  dropped one NUL, so deleting the NULs of the block's bytes
+  (``bytes.translate``) gives the file's bytes without an index array.
 
 A value goes through CSV_FORMAT itself only where the fast path cannot
 prove its digits: it is not finite, |x| lies outside [1e-280, 1e280] (where
@@ -27,6 +34,7 @@ product's error is below 1e-14).
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -36,10 +44,11 @@ from .errors import DomainError
 
 CSV_FORMAT = "%.17g"
 
-# rows encoded per numpy pass; the scratch arrays hold about 250 bytes per
-# value, so this bounds the writer's memory while keeping numpy's per-call
-# overhead small next to the work
-_BLOCK_ROWS = 512
+# values encoded per numpy pass (512 rows of the widest table the CLI writes,
+# 7 columns); the scratch arrays hold about 250 bytes per value, so this
+# bounds the writer's memory while keeping numpy's per-call overhead small
+# next to the work
+_BLOCK_VALUES = 3584
 
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _K_MIN, _K_MAX = -282, 282  # k over the fast range, one off either way
@@ -102,26 +111,26 @@ def _group_tables():
 
 
 def _keep_row(neg: int, nd: int, form: int) -> bytes:
-    """The slot bytes %g keeps (1) for a value with nd significant digits.
+    """The slot bytes %g keeps (0xFF) for a value with nd significant digits.
 
     form 0..16: fixed notation, k = form; 17..20: fixed, k = 16 - form, so
     "0." and -k - 1 zeros come first; 21, 22: d.ddd with a two- or
     three-digit exponent.
     """
     keep = bytearray(_SLOT)
-    keep[0] = neg
+    keep[0] = 0xFF * neg
     if form <= 16:  # the integer part's zeros stay
         digits, dot = max(nd, form + 1), form
     elif form <= 20:
-        keep[1:form - 14] = b"\1" * (form - 15)
+        keep[1:form - 14] = b"\xff" * (form - 15)
         digits, dot = nd, None
     else:
-        keep[40:45] = bytes([1, 1, form == 22, 1, 1])
+        keep[40:45] = bytes([0xFF, 0xFF, 0xFF * (form == 22), 0xFF, 0xFF])
         digits, dot = nd, 0
-    keep[6:6 + 2 * digits:2] = b"\1" * digits
+    keep[6:6 + 2 * digits:2] = b"\xff" * digits
     if dot is not None and nd > dot + 1:
-        keep[7 + 2 * dot] = 1
-    keep[-1] = 1
+        keep[7 + 2 * dot] = 0xFF
+    keep[-1] = 0xFF
     return bytes(keep)
 
 
@@ -132,6 +141,17 @@ _EXPONENT = _words([list(b"e%+04d\0\0\0" % k) for k in range(_K_MIN, _K_MAX + 1)
 _KEEP = _words(np.frombuffer(b"".join(
     _keep_row(neg, nd, form) for form in range(23) for nd in range(1, 18) for neg in (0, 1)),
     dtype=np.uint8).reshape(-1, _SLOT))
+
+
+def _form(k: int) -> int:
+    """_keep_row's layout for exponent k."""
+    if -4 <= k <= 16:
+        return k if k >= 0 else 16 - k
+    return 21 + (abs(k) >= 100)
+
+
+# 34 * form - 2 by k - _K_MIN, so that a value's _KEEP row is neg + 2 * nd + this
+_FORM_ROW = np.array([34 * _form(k) - 2 for k in range(_K_MIN, _K_MAX + 1)])
 
 
 def _digits(values: np.ndarray):
@@ -167,7 +187,7 @@ def _digits(values: np.ndarray):
     return n, k, ~fast | (np.abs(frac - 0.5) < _TIE_WINDOW)
 
 
-def _encode(block: np.ndarray, separators: np.ndarray) -> np.ndarray:
+def _encode(block: np.ndarray, separators: np.ndarray) -> bytes:
     """ASCII bytes of a (rows, columns) float64 block, one separator word per column."""
     values = block.ravel()
     n, k, exact = _digits(values)
@@ -181,54 +201,68 @@ def _encode(block: np.ndarray, separators: np.ndarray) -> np.ndarray:
     for ends, g in zip(_SIGNIFICANT_END, groups):
         np.maximum(nd, ends[g], out=nd)
 
-    sci = (k < -4) | (k > 16)
-    form = np.where(sci, 21 + (np.abs(k) >= 100), np.where(k < 0, 16 - k, k))
-    keep = _KEEP.take(np.signbit(values) + 2 * nd - 2 + 34 * form, axis=0)
+    k_index = k - _K_MIN
     words = np.empty((values.size, _SLOT // 8), dtype=np.uint64)
     words[:, 0] = _HEAD[d0]
     for w, g in enumerate(groups, 1):
         words[:, w] = _PAIRS[g]
-    words[:, 5] = (_EXPONENT[k - _K_MIN].reshape(block.shape) | separators).ravel()
+    words[:, 5] = (_EXPONENT[k_index].reshape(block.shape) | separators).ravel()
+    # every kept byte is printable ASCII, so zeroing the dropped ones and
+    # deleting the NULs compacts the slots
+    words &= _KEEP.take(2 * nd + _FORM_ROW[k_index] + np.signbit(values), axis=0)
 
     chars = words.view(np.uint8)
-    mask = keep.view(np.bool_)
     for i in np.flatnonzero(exact):
-        text = np.frombuffer((CSV_FORMAT % values[i]).encode(), dtype=np.uint8)
-        chars[i, :text.size] = text
-        mask[i, :-1] = False
-        mask[i, :text.size] = True
-    return np.compress(mask.ravel(), chars.ravel())
+        text = (CSV_FORMAT % values[i]).encode()
+        chars[i, :-1] = 0
+        chars[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return words.tobytes().translate(None, b"\0")
 
 
-def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write aligned columns under a unit-annotated header row.
-
-    Every value is written as CSV_FORMAT % float(value) writes it.  Columns
-    are cast to float64 (a complex or non-numeric column is a TypeError) and
-    must be 1-D and of equal length.
-    """
+def _float_columns(header: list[str], columns) -> list[np.ndarray]:
+    """One group's columns as float64 arrays, checked against the header."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     arrays = [np.asarray(c).astype(np.float64, casting="same_kind", copy=False)
               for c in columns]
     if any(a.ndim != 1 for a in arrays):
         raise ValueError("columns must be 1-D")
-    n = arrays[0].size
-    if any(a.size != n for a in arrays):
+    if any(a.size != arrays[0].size for a in arrays):
         raise ValueError("columns must have equal length")
-    separators = _words([[0] * 7 + [ord(",")]] * (len(arrays) - 1)
+    return arrays
+
+
+def _block_rows(columns: int) -> int:
+    """Rows of a table with this many columns that one _encode call takes."""
+    return max(1, _BLOCK_VALUES // columns)
+
+
+def write_csv(path, header: list[str], columns, more=()) -> None:
+    """Write aligned columns under a unit-annotated header row.
+
+    Every value is written as CSV_FORMAT % float(value) writes it.  Columns
+    are cast to float64 (a complex or non-numeric column is a TypeError) and
+    must be 1-D and of equal length.  ``more`` yields further groups of
+    columns like ``columns``; each is written below the rows before it as it
+    arrives, so a table made a group at a time is never held whole.  A group
+    that fails the checks raises after the rows before it are written.
+    """
+    groups = itertools.chain([_float_columns(header, columns)],
+                             (_float_columns(header, group) for group in more))
+    separators = _words([[0] * 7 + [ord(",")]] * (len(header) - 1)
                         + [[0] * 7 + [ord("\n")]]).T
+    rows = _block_rows(len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n, _BLOCK_ROWS):
-            block = np.stack([a[start:start + _BLOCK_ROWS] for a in arrays], axis=1)
-            fh.write(_encode(block, separators))
+        for arrays in groups:
+            for start in range(0, arrays[0].size, rows):
+                block = np.stack([a[start:start + rows] for a in arrays], axis=1)
+                fh.write(_encode(block, separators))
 
 
 def write_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def parse_config_file(path) -> dict:

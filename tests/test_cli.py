@@ -96,6 +96,27 @@ def test_evolve_stationary_summary(tmp_path):
     assert len(lines) == 1 + 3 * 1000  # t = 0, 50 dt, 100 dt snapshots
 
 
+@pytest.mark.parametrize("argv, state, given", [
+    (["analytic", "--case", "q1"], (PI, 1.0), (PI, 2.0)),
+    (["analytic", "--case", "constant", "--q", "5"], (PI, 0.0), (PI, 5.0)),
+    (["analytic", "--case", "inverse_square"], (0.0, 1.0), (PI, 2.0)),
+    (["analytic", "--case", "general", "--N", "8", "--q", "0.5"], (PI / 4.0, 0.5), (PI, 0.5)),
+    (["evolve", "--case", "q1", "--n", "400", "--steps", "10"], (PI, 1.0), (PI, 2.0)),
+    (["evolve", "--case", "inverse_square", "--b0", "2", "--n", "400", "--steps", "10"],
+     (0.0, 1.0), (2.0, 2.0)),
+], ids=["analytic-q1", "analytic-constant", "analytic-inverse_square", "analytic-general",
+        "evolve-q1", "evolve-inverse_square"])
+def test_config_records_the_coupling_of_the_state(tmp_path, argv, state, given):
+    # a case that fixes b0 or q records the value its state has, not the one
+    # given; --save-config still writes what was given
+    saved = tmp_path / "given.conf"
+    assert run(tmp_path, *argv, "--save-config", str(saved)) == 0
+    config = json.loads((tmp_path / f"{argv[0]}_result.json").read_text())["config"]
+    assert (config["b0"], config["q"]) == pytest.approx(state, rel=1e-15)
+    saved = parse_config_file(saved)
+    assert (saved["b0"], saved["q"]) == given
+
+
 def test_field_constant_over_r(tmp_path):
     assert run(tmp_path, "field", "--f-model", "constant-over-r", "--b0", "1") == 0
     data = json.loads((tmp_path / "field_result.json").read_text())

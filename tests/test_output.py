@@ -1,12 +1,17 @@
-"""CSV writer: the numpy encoder writes the bytes of one '%.17g' per value."""
+"""CSV writer: the numpy encoder writes the bytes of one '%.17g' per value; JSON writer."""
+
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logse.analytic import case_constant
 from logse.cli import main
-from logse.output import _BLOCK_ROWS, CSV_FORMAT, write_csv
+from logse.grids import RadialGrid
+from logse.numerics import SolverOptions, evolve_real_time
+from logse.output import CSV_FORMAT, _block_rows, write_csv, write_json
 
 
 def _per_value_csv(path, header, columns):
@@ -42,7 +47,9 @@ def test_write_csv_bytes_match_per_value_writer(tmp_path):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5), st.binary(max_size=8 * 160), st.lists(st.floats(), max_size=40))
+@given(st.integers(1, 7), st.binary(max_size=8 * 160), st.lists(st.floats(), max_size=40))
+# more than one block of 7 columns, every value a random 64-bit pattern
+@example(7, np.random.default_rng(7).bytes(8 * 7 * (_block_rows(7) + 3)), [])
 def test_any_float64_bytes_match_per_value_writer(tmp_path_factory, ncols, raw, floats):
     # raw bytes are arbitrary 64-bit patterns: NaN payloads, inf, subnormals, -0.0
     values = np.concatenate([np.frombuffer(raw[:len(raw) // 8 * 8], dtype="<f8"),
@@ -69,11 +76,27 @@ def test_edge_values_match_per_value_writer(tmp_path):
     _assert_matches_reference(tmp_path, [ints, ints.astype(np.float32)])
 
 
-@pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
-def test_block_boundary_matches_per_value_writer(tmp_path, rows):
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["minus1", "equal", "plus1"])
+@pytest.mark.parametrize("ncols", range(1, 8))
+def test_block_boundary_matches_per_value_writer(tmp_path, ncols, offset):
+    rows = _block_rows(ncols) + offset
     rng = np.random.default_rng(rows)
-    _assert_matches_reference(tmp_path, [rng.standard_normal(rows),
-                                         np.exp(rng.uniform(-700, 700, rows))])
+    _assert_matches_reference(tmp_path, [
+        rng.standard_normal(rows) if j % 2 else np.exp(rng.uniform(-700, 700, rows))
+        for j in range(ncols)])
+
+
+@pytest.mark.parametrize("sizes", [[0], [4, 0, 7], [_block_rows(5) + 1, 1, 2 * _block_rows(5)]])
+def test_groups_match_concatenated_write(tmp_path, sizes):
+    rng = np.random.default_rng(len(sizes))
+    groups = [list(rng.standard_normal((5, size)) * 10.0 ** rng.integers(-20, 20, (5, 1)))
+              for size in sizes]
+    header = [f"c{j}" for j in range(5)]
+    write_csv(tmp_path / "groups.csv", header, groups[0], iter(groups[1:]))
+    write_csv(tmp_path / "whole.csv", header, [np.concatenate(c) for c in zip(*groups)])
+    assert (tmp_path / "groups.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    with pytest.raises(ValueError, match="counts differ"):
+        write_csv(tmp_path / "groups.csv", header, groups[0], iter([groups[0][:4]]))
 
 
 def test_write_csv_rejects_columns_that_are_not_1d_or_not_real(tmp_path):
@@ -96,9 +119,38 @@ def test_default_evolve_trajectory_matches_per_value_writer(tmp_path):
     assert _reference_rewrite_matches(tmp_path, tmp_path / "evolve_trajectory.csv")
 
 
+def test_evolve_trajectory_matches_concatenated_write(tmp_path):
+    # the CLI writes one group per snapshot; the same rows as one table
+    assert main(["evolve", "--n", "500", "--steps", "200", "--stride", "50",
+                 "--out", str(tmp_path)]) == 0
+    sol = case_constant(1.0, np.pi)
+    grid = RadialGrid.uniform_from_origin(10.0, 500)
+    result = evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4),
+                              n_steps=200, snapshot_stride=50, keep_snapshots=True)
+    columns = [[np.full_like(grid.r, t), grid.r, v.real, v.imag, np.abs(v) ** 2]
+               for t, v in result.snapshots]
+    write_csv(tmp_path / "whole.csv", ["t[tau]", "r[a]", "psi_re", "psi_im", "density"],
+              [np.concatenate(c) for c in zip(*columns)])
+    assert (tmp_path / "whole.csv").read_bytes() == (
+        tmp_path / "evolve_trajectory.csv").read_bytes()
+
+
 # the default inverse_square grid truncates the entropy density (UserWarning)
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("case", ["constant", "general", "q1", "inverse_square"])
 def test_analytic_profiles_match_per_value_writer(tmp_path, case):
     assert main(["analytic", "--case", case, "--out", str(tmp_path)]) == 0
     assert _reference_rewrite_matches(tmp_path, tmp_path / "analytic_profiles.csv")
+
+
+def test_write_json_matches_json_dump(tmp_path):
+    edges = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             0.1, 1 / 3, 1e16, 1e-7, float("nan"), float("inf"), -float("inf")]
+    payload = {"floats": edges, "nested": {"a": [1, [2.5, {"b": None}]], "flag": True,
+                                           "empty": {}, "none": [], "text": "ψ ρ \"q\""},
+               "int": 2**70, "config": {"b0": np.pi, "q": -1.0}}
+    write_json(tmp_path / "one_call.json", payload)
+    with open(tmp_path / "dump.json", "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    assert (tmp_path / "one_call.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
