@@ -39,8 +39,12 @@ SIAM J. Numer. Anal. 35, 1998): it starts at opts.dt (_RELAX_DT if None),
 and after each accepted flow step it is multiplied by
 min(residual before / residual after, 2), the guess's residual counting as
 infinite.  A flow step is accepted only if E_h does not rise by more than
-_ENERGY_ROUNDOFF times a h (|omega_n u.u| + |b.u^2|), roundoff; otherwise dt
-is halved and the step retried from the same iterate.  A failed solve or a
+_ENERGY_ROUNDOFF times a h (|omega_n u.u| + |b.u^2|), roundoff; the check
+keeps back 2 sqrt(n) eps of those magnitudes, the roundoff of evaluating E_h
+twice (the probabilistic bound for sums of n rounded terms; Higham & Mary,
+SIAM J. Sci. Comput. 41, 2019), so that E_h summed in any other order also
+stays within the allowance.  Otherwise dt is halved and the step retried
+from the same iterate.  A failed solve or a
 norm that is not finite and positive also halves dt and retries, unless dt
 is not above the starting step: then ConvergenceError is raised with the
 iterate before it, as when dt underflows to zero.  Rejected trials are
@@ -187,14 +191,17 @@ def discrete_energy(u, omega, coupling, h, angular_weight):
     As b r^2 rho ln rho = w u^2 and u.Hu = -omega u.u, it is
     a h (omega u.u + b.u^2).  The allowance, _ENERGY_ROUNDOFF times the sum
     of the two terms' magnitudes, is the rise a flow step may show from
-    roundoff alone.
+    roundoff alone.  It is returned less 2 sqrt(n) eps of those magnitudes,
+    the roundoff of this evaluation and the trial's, so a rise accepted
+    against it is within the full allowance however E_h is summed.
     """
     uu = u * u
     omega_term = omega * float(uu.sum())
     coupling_term = float(coupling @ uu)
     scale = angular_weight * h
+    margin = 2.0 * math.sqrt(u.size) * np.finfo(float).eps
     return (scale * (omega_term + coupling_term),
-            _ENERGY_ROUNDOFF * scale * (abs(omega_term) + abs(coupling_term)))
+            (_ENERGY_ROUNDOFF - margin) * scale * (abs(omega_term) + abs(coupling_term)))
 
 
 def nodeless(u: np.ndarray) -> bool:
