@@ -2,10 +2,11 @@
 
 Subcommands: analytic (closed-form catalog), groundstate (imaginary-time
 relaxation), evolve (real-time propagation), field (self-consistent minimal
-model), report (acceptance suite).  Configuration may come from a flat
-key=value file (--config) with command-line flags taking precedence; every
-output JSON embeds the fully resolved configuration, and identical
-configurations produce byte-identical outputs.
+model), report (acceptance suite).  Each declares its settings once, in
+SETTINGS; a flat key=value file (--config) may set them, flags taking
+precedence.  Every output JSON embeds the configuration the run used,
+--save-config writes the settings as given, and identical configurations
+produce byte-identical outputs.
 
 Exit codes: 0 success, 2 precondition violation, 3 solver non-convergence,
 4 acceptance failure.
@@ -48,164 +49,145 @@ from .numerics import (
 
 PI = math.pi
 
-# reused per-command defaults; CLI flags all default to None so that values
-# resolve as: explicit flag > config file > this table
-_GRID_DEFAULTS = {"r_min": None, "r_max": 12.0, "n": 2048, "spacing": "uniform"}
-_SCALE_DEFAULTS = {"hbar": None, "mass": None, "a": None}
-_DEFAULTS = {
-    "analytic": {
-        "case": "constant", "N": 1.0, "q": 2.0, "b0": PI, "L2": 0.0, "SY": 0.0,
-        **{**_GRID_DEFAULTS, "r_max": None}, **_SCALE_DEFAULTS,
-    },
+# Each subcommand's settings, key -> (flag type or tuple of choices, default,
+# help).  The flag is "--" plus the key with "_" written as "-", and a config
+# file names the key itself.  Values resolve as: explicit flag > config file >
+# default; the JSON config block and --save-config keep the table's key order.
+_CASE = {
+    "case": (tuple(c.value for c in CaseTag), "constant", "closed-form family"),
+    "N": (float, 1.0, "normalization (particle number)"),
+    "q": (float, 2.0, "inverse-square coupling charge"),
+    "b0": (float, PI, "constant part of the coupling"),
+    "L2": (float, 0.0, "angular separation constant"),
+    "SY": (float, 0.0, "angular entropy constant"),
+}
+# when all three are given, b0 and q are read as physical (energy,
+# energy*length^2) and converted to dimensionless form
+_SCALES = {
+    "hbar": (float, None, "reduced Planck constant"),
+    "mass": (float, None, "particle mass"),
+    "a": (float, None, "length scale of the log argument"),
+}
+
+
+def _grid(r_max, n) -> dict:
+    return {
+        "r_min": (float, None, "inner radius (omit for an origin-step uniform grid)"),
+        "r_max": (float, r_max, "outer radius"),
+        "n": (int, n, "number of grid points"),
+        "spacing": (("uniform", "log"), "uniform", "node spacing"),
+    }
+
+
+SETTINGS = {
+    # r_max None: 12, or 30/mu^2 for the inverse-square tail
+    "analytic": {**_CASE, **_grid(None, 2048), **_SCALES},
     "groundstate": {
-        "b0": PI, "q": 0.0, "N": 1.0, "dt": None, "max_steps": 25000,
-        "tol": 1e-6, "weight": "sphere",
-        **{**_GRID_DEFAULTS, "r_max": 8.0, "n": 640}, **_SCALE_DEFAULTS,
+        "b0": (float, PI, "constant part of the coupling"),
+        "q": (float, 0.0, "inverse-square coupling charge"),
+        "N": (float, 1.0, "normalization (particle number)"),
+        "dt": (float, None, "first relaxation step (omit for 0.01)"),
+        "max_steps": (int, 25000, "budget of flow and Newton iterations"),
+        "tol": (float, 1e-6, "tolerance on the stationary residual"),
+        "weight": (("sphere", "radial"), "sphere",
+                   "norm convention: 4*pi*r^2 (sphere) or r^2 (radial)"),
+        **_grid(8.0, 640), **_SCALES,
     },
     "evolve": {
-        "case": "constant", "N": 1.0, "q": 2.0, "b0": PI, "L2": 0.0, "SY": 0.0,
-        "dt": 1e-4, "steps": 1000, "stride": 100,
-        **{**_GRID_DEFAULTS, "r_max": 10.0, "n": 2000}, **_SCALE_DEFAULTS,
+        **_CASE,
+        "dt": (float, 1e-4, "time step"),
+        "steps": (int, 1000, "number of time steps"),
+        "stride": (int, 100, "trajectory snapshot stride"),
+        **_grid(10.0, 2000), **_SCALES,
     },
     "field": {
-        "f_model": "constant-over-r", "b0": 1.0, "eps": 1e-3,
-        "point_charge": 0.0, "N": 1.0, "tol": 1e-6, "max_sweeps": 200,
-        **{**_GRID_DEFAULTS, "r_max": 8.0, "n": 512}, **_SCALE_DEFAULTS,
+        "f_model": (("constant-over-r", "zero", "linear-rho"), "constant-over-r",
+                    "field source model"),
+        "b0": (float, 1.0, "strength of the constant-over-r source"),
+        "eps": (float, 1e-3, "strength of the linear-rho source"),
+        "point_charge": (float, 0.0, "point charge at the origin"),
+        "N": (float, 1.0, "normalization (particle number)"),
+        "tol": (float, 1e-6, "tolerance on the coupled residual"),
+        "max_sweeps": (int, 200,
+                       "budget of coupled Newton steps over all continuation rungs"),
+        **_grid(8.0, 512), **_SCALES,
     },
-    "report": {"json": False, "only": None, "c1_n": 4096},
+    "report": {
+        "json": (bool, False, "also write a machine-readable report"),
+        "only": (str, None, "comma-separated criterion ids, e.g. 2,9,10"),
+        "c1_n": (int, 4096,
+                 "grid size for the residual criterion (discretization control)"),
+    },
 }
+
+# the config-file values each flag type admits (a bool is no number); values
+# are checked, not converted
+_ADMITS = {float: (int, float), int: int, bool: bool, str: object}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args leaves it as
-    it was, so every main call shares it."""
+    """The argument parser, built once per process from SETTINGS; parse_args
+    leaves it as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="logse",
         description="logarithmic wave equation with radially varying coupling: "
                     "analytic catalog, observables, solvers and acceptance report",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, settings in SETTINGS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--save-config", help="write the resolved configuration here")
+        p.add_argument("--save-config", help="write the settings as given here")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--prefix", help="output file prefix (default: command name)")
-
-    def grid_flags(p):
-        p.add_argument("--r-min", type=float, dest="r_min",
-                       help="inner radius (omit for an origin-step uniform grid)")
-        p.add_argument("--r-max", type=float, dest="r_max")
-        p.add_argument("--n", type=int, help="number of grid points")
-        p.add_argument("--spacing", choices=["uniform", "log"])
-
-    def case_flags(p):
-        p.add_argument("--case", choices=[c.value for c in CaseTag])
-        p.add_argument("--N", type=float, help="normalization (particle number)")
-        p.add_argument("--q", type=float, help="inverse-square coupling charge")
-        p.add_argument("--b0", type=float, help="constant part of the coupling")
-        p.add_argument("--L2", type=float, help="angular separation constant")
-        p.add_argument("--SY", type=float, help="angular entropy constant")
-
-    def scale_flags(p):
-        # when all three are given, --b0 and --q are read as physical
-        # (energy, energy*length^2) and converted to dimensionless form
-        p.add_argument("--hbar", type=float)
-        p.add_argument("--mass", type=float)
-        p.add_argument("--a", type=float, help="length scale of the log argument")
-
-    p = sub.add_parser("analytic", help="evaluate a closed-form stationary solution")
-    common(p); case_flags(p); grid_flags(p); scale_flags(p)
-
-    p = sub.add_parser("groundstate", help="imaginary-time ground-state relaxation")
-    common(p); grid_flags(p); scale_flags(p)
-    p.add_argument("--N", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--b0", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument("--tol", type=float, help="tolerance on the stationary residual")
-    p.add_argument("--weight", choices=["sphere", "radial"],
-                   help="norm convention: 4*pi*r^2 (sphere) or r^2 (radial)")
-
-    p = sub.add_parser("evolve", help="real-time propagation of an analytic state")
-    common(p); case_flags(p); grid_flags(p); scale_flags(p)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--stride", type=int, help="trajectory snapshot stride")
-
-    p = sub.add_parser("field", help="self-consistent wavefunction + auxiliary field")
-    common(p); grid_flags(p); scale_flags(p)
-    p.add_argument("--f-model", dest="f_model",
-                   choices=["constant-over-r", "zero", "linear-rho"])
-    p.add_argument("--b0", type=float, help="strength of the constant-over-r source")
-    p.add_argument("--eps", type=float, help="strength of the linear-rho source")
-    p.add_argument("--point-charge", type=float, dest="point_charge")
-    p.add_argument("--N", type=float)
-    p.add_argument("--tol", type=float, help="tolerance on the coupled residual")
-    p.add_argument("--max-sweeps", type=int, dest="max_sweeps",
-                   help="budget of coupled Newton steps over all continuation rungs")
-
-    p = sub.add_parser("report", help="run the acceptance suite")
-    common(p)
-    p.add_argument("--json", action="store_true", default=None,
-                   help="also write a machine-readable report")
-    p.add_argument("--only", help="comma-separated criterion ids, e.g. 2,9,10")
-    p.add_argument("--c1-n", type=int, dest="c1_n",
-                   help="grid size for the residual criterion (discretization control)")
-
-    # each subcommand's flags by key, to check config-file values against
-    for p in sub.choices.values():
-        p.set_defaults(flag_actions={action.dest: action for action in p._actions})
+        # flags default to None: an omitted one leaves the file's or the table's value
+        for key, (kind, _, text) in settings.items():
+            how = ({"action": "store_true"} if kind is bool else
+                   {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(_flag(key), dest=key, default=None, help=text, **how)
     return parser
 
 
-def _resolve(args) -> tuple[dict, dict]:
-    """Merge flag > config-file > default into one flat dict.
-
-    Returns the values as given, the ones --save-config writes, and the same
-    dict with physical (b0, q) converted to dimensionless, the ones the
-    command runs on.
-    """
-    table = dict(_DEFAULTS[args.command])
+def _resolve(args) -> dict:
+    """The settings as given, flag > config file > default, in table order."""
+    settings = SETTINGS[args.command]
+    conf = {key: default for key, (_, default, _) in settings.items()}
     file_conf = parse_config_file(args.config) if args.config else {}
-    if file_conf:
-        unknown = set(file_conf) - set(table)
-        if unknown:
-            raise DomainError(
-                f"unknown config keys for '{args.command}': {sorted(unknown)}"
-            )
-        for key, value in file_conf.items():
-            # checked against the flag owning the key, not converted
-            action = args.flag_actions[key]
-            kinds = {float: (int, float), int: (int,)}.get(action.type, object)
-            if (not isinstance(value, kinds) or isinstance(value, bool) and action.type
-                    or action.choices is not None and value not in action.choices):
-                raise DomainError(f"config key {key!r}: {value!r} is not a valid "
-                                  f"{action.option_strings[0]} "
-                                  f"({action.choices or action.type.__name__})")
-        table.update(file_conf)
-    for key in table:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            table[key] = cli_value
-    return table, _apply_scales(table)
+    unknown = set(file_conf) - set(settings)
+    if unknown:
+        raise DomainError(f"unknown config keys for '{args.command}': {sorted(unknown)}")
+    for key, value in file_conf.items():
+        kind = settings[key][0]
+        fits = (value in kind if isinstance(kind, tuple) else isinstance(value, _ADMITS[kind])
+                and not (isinstance(value, bool) and kind in (int, float)))
+        if not fits:
+            raise DomainError(f"config key {key!r}: {value!r} is not a valid {_flag(key)} "
+                              f"({list(kind) if isinstance(kind, tuple) else kind.__name__})")
+    conf.update(file_conf)
+    for key in conf:
+        if getattr(args, key) is not None:
+            conf[key] = getattr(args, key)
+    return conf
 
 
 def _apply_scales(conf: dict) -> dict:
-    """Convert physical (b0, q) to dimensionless when unit scales are given."""
+    """A copy of conf, with physical (b0, q) converted to dimensionless when
+    unit scales are given; the command runs on it and may change it."""
+    out = dict(conf)
     given = [conf.get(key) is not None for key in ("hbar", "mass", "a")]
     if not any(given):
-        return conf
+        return out
     if not all(given):
         raise DomainError("physical units need all three of --hbar, --mass, --a")
     scales = ScaleSet(conf["hbar"], conf["mass"], conf["a"])
-    out = dict(conf)
     profile = to_dimensionless(conf.get("b0", 0.0) or 0.0,
                                conf.get("q", 0.0) or 0.0, scales)
-    if "b0" in conf:
-        out["b0"] = profile.b0_tilde
+    out["b0"] = profile.b0_tilde
     if "q" in conf:
         out["q"] = profile.q_tilde
     return out
@@ -231,12 +213,6 @@ def _build_case(conf):
     return case_inverse_square(conf["N"], conf["L2"], conf["SY"])
 
 
-def _with_profile(conf, sol) -> dict:
-    """conf with the (b0, q) of the state's profile, which its case may fix
-    whatever was given (--save-config still writes the given values)."""
-    return {**conf, "b0": sol.profile.b0_tilde, "q": sol.profile.q_tilde}
-
-
 def _paths(args, kind_map):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -244,19 +220,15 @@ def _paths(args, kind_map):
     return {kind: out / f"{prefix}_{name}" for kind, name in kind_map.items()}
 
 
-def _maybe_save_config(args, conf):
-    if args.save_config:
-        save_config_file(args.save_config, conf)
-
-
 # ----------------------------------------------------------------- commands
 
-def cmd_analytic(args) -> int:
-    given, conf = _resolve(args)
+def cmd_analytic(args, conf) -> int:
+    """Evaluate a closed-form stationary solution."""
     sol = _build_case(conf)
     if conf["r_max"] is None:  # the inverse-square tail needs r_max ~ 30/mu^2
-        conf["r_max"] = _GRID_DEFAULTS["r_max"] if sol.mu_sq is None else 30.0 / sol.mu_sq
-    conf = _with_profile(conf, sol)
+        conf["r_max"] = 12.0 if sol.mu_sq is None else 30.0 / sol.mu_sq
+    # record the (b0, q) of the state, which its case may fix whatever was given
+    conf.update(b0=sol.profile.b0_tilde, q=sol.profile.q_tilde)
     grid = _grid_from(conf)
     psi = sol.sample(grid)
     r = grid.r
@@ -285,9 +257,7 @@ def cmd_analytic(args) -> int:
     if sol.k_tilde is not None:
         payload["k_tilde"] = sol.k_tilde
     if sol.mu_sq is not None:
-        payload["mu_sq"] = sol.mu_sq
-        payload["L_sq"] = sol.L_sq
-        payload["S_Y"] = sol.S_Y
+        payload.update(mu_sq=sol.mu_sq, L_sq=sol.L_sq, S_Y=sol.S_Y)
 
     paths = _paths(args, {"json": "result.json", "csv": "profiles.csv"})
     write_json(paths["json"], payload)
@@ -300,7 +270,6 @@ def cmd_analytic(args) -> int:
          entropy_density(psi), quantum_temperature(sol.profile, r),
          effective_potential(sol, r)],
     )
-    _maybe_save_config(args, given)
     print(f"wrote {paths['json']} and {paths['csv']}")
     return 0
 
@@ -312,9 +281,8 @@ def _relation_checks(sol) -> dict:
         return {"omega_S23": value, "omega_S23_target": target}
     if sol.case is CaseTag.Q_ONE:
         return {
-            "transcendental_residual": transcendental_residual(
-                sol.k_tilde, sol.norm, sol.profile.b0_tilde
-            ),
+            "transcendental_residual":
+                transcendental_residual(sol.k_tilde, sol.norm, sol.profile.b0_tilde),
             "omega_identity": sol.omega - (2.0 * sol.profile.b0_tilde - sol.k_tilde**2),
         }
     if sol.case is CaseTag.CONSTANT:
@@ -330,16 +298,15 @@ def _relation_checks(sol) -> dict:
     }
 
 
-def cmd_groundstate(args) -> int:
-    given, conf = _resolve(args)
+def cmd_groundstate(args, conf) -> int:
+    """Imaginary-time ground-state relaxation."""
     grid = _grid_from(conf)
     profile = CouplingProfile(conf["b0"], conf["q"])
     opts = SolverOptions(dt=conf["dt"], max_steps=conf["max_steps"],
                          convergence_tol=conf["tol"])
     weight = 4.0 * PI if conf["weight"] == "sphere" else 1.0
-    result = ground_state_from_coupling_values(
-        profile.evaluate(grid.r), conf["N"], grid, opts, angular_weight=weight
-    )
+    result = ground_state_from_coupling_values(profile.evaluate(grid.r), conf["N"], grid, opts,
+                                               angular_weight=weight)
     payload = {
         "command": "groundstate",
         "profile": {"b0_tilde": conf["b0"], "q_tilde": conf["q"]},
@@ -364,10 +331,7 @@ def cmd_groundstate(args) -> int:
               [grid.r, result.psi.values.real, np.zeros_like(grid.r),
                result.psi.density()])
     hist = np.asarray(result.history, dtype=float).reshape(-1, 4)
-    write_csv(paths["history"],
-              ["step", "residual", "norm", "omega_estimate"],
-              [hist[:, 0], hist[:, 1], hist[:, 2], hist[:, 3]])
-    _maybe_save_config(args, given)
+    write_csv(paths["history"], ["step", "residual", "norm", "omega_estimate"], list(hist.T))
     print(f"wrote {paths['json']} (omega = {result.omega:.10g})")
     return 0
 
@@ -387,10 +351,11 @@ def _matching_case(conf):
     return None
 
 
-def cmd_evolve(args) -> int:
-    given, conf = _resolve(args)
+def cmd_evolve(args, conf) -> int:
+    """Real-time propagation of an analytic state."""
     sol = _build_case(conf)
-    conf = _with_profile(conf, sol)
+    # record the (b0, q) of the state, which its case may fix whatever was given
+    conf.update(b0=sol.profile.b0_tilde, q=sol.profile.q_tilde)
     grid = _grid_from(conf)
     psi0 = sol.sample(grid)
     opts = SolverOptions(dt=conf["dt"])
@@ -428,13 +393,12 @@ def cmd_evolve(args) -> int:
               for t, values in result.snapshots)
     write_csv(paths["traj"], ["t[tau]", "r[a]", "psi_re", "psi_im", "density"],
               next(groups), groups)
-    _maybe_save_config(args, given)
     print(f"wrote {paths['json']} (norm drift {result.norm_drift:.3e})")
     return 0
 
 
-def cmd_field(args) -> int:
-    given, conf = _resolve(args)
+def cmd_field(args, conf) -> int:
+    """Self-consistent wavefunction and auxiliary field."""
     grid = _grid_from(conf)
     opts = SolverOptions(convergence_tol=conf["tol"])
     model = conf["f_model"]
@@ -470,17 +434,16 @@ def cmd_field(args) -> int:
     write_csv(paths["psi"], ["r[a]", "psi_re", "psi_im", "density"],
               [grid.r, result.psi.values.real, np.zeros_like(grid.r),
                result.psi.density()])
-    _maybe_save_config(args, given)
     print(f"wrote {paths['json']} (q = {result.field.extracted_q:.6g}, "
           f"b0 = {result.field.extracted_b0:.6g})")
     return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, conf) -> int:
+    """Run the acceptance suite."""
     # imported here: criterion 3's quad oracle loads scipy.integrate
     from . import acceptance
 
-    given, conf = _resolve(args)
     only = None
     if conf["only"]:
         only = [tok.strip() for tok in str(conf["only"]).split(",") if tok.strip()]
@@ -495,7 +458,6 @@ def cmd_report(args) -> int:
         payload["config"] = conf
         write_json(paths["json"], payload)
         print(f"wrote {paths['json']}")
-    _maybe_save_config(args, given)
     return 0 if all(r.passed for r in results) else 4
 
 
@@ -533,17 +495,20 @@ def _is_negative_number(arg: str) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return _COMMANDS[args.command](args)
+        given = _resolve(args)
+        code = _COMMANDS[args.command](args, _apply_scales(given))
     except DomainError as err:
         print(f"precondition violated: {err}", file=sys.stderr)
         return 2
     except ConvergenceError as err:
         print(f"solver did not converge: {err}", file=sys.stderr)
         return 3
+    if args.save_config:
+        save_config_file(args.save_config, given)
+    return code
 
 
 if __name__ == "__main__":

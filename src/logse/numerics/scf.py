@@ -135,7 +135,6 @@ def self_consistent_minimal_model(
     opts: SolverOptions | None = None,
     point_charge: float = 0.0,
     max_sweeps: int = 200,
-    angular_weight: float = FULL_SPHERE,
     psi0=None,
 ) -> SCFResult:
     """Stationary state of the coupled minimal model: one relaxation, then
@@ -204,7 +203,7 @@ def self_consistent_minimal_model(
         except np.linalg.LinAlgError:
             return None
         return bordered_newton_update(u, x[0::2, 0], x[0::2, 1], quad, N,
-                                      angular_weight)[0]
+                                      FULL_SPHERE)[0]
 
     def rung(u, lam):
         """Coupled Newton steps at lam from u; (u, coupled state) once the
@@ -235,11 +234,11 @@ def self_consistent_minimal_model(
             u, state = u_new, trial
         return u, state
 
-    u = r * _initial_guess(grid, psi0, N, angular_weight)
+    u = r * _initial_guess(grid, psi0, N, FULL_SPHERE)
     lam0 = 0.0 if np.any(source_derivative((u / r) ** 2, r)) else 1.0
     relaxed = ground_state_from_coupling_values(
         solve_radial_poisson(source(u, lam0), grid, point_charge=point_charge).dphi,
-        N, grid, opts, angular_weight=angular_weight, psi0=u / r)
+        N, grid, opts, psi0=u / r)
     u = r * relaxed.psi.values.real
     lam_done, lam_step = 0.0, 1.0
     while lam_done < 1.0:
@@ -252,7 +251,7 @@ def self_consistent_minimal_model(
                 raise ConvergenceError(
                     f"self-consistent continuation stopped at lambda {lam_done:g} "
                     f"after {sweeps} coupled Newton steps: {err}",
-                    last=RadialWavefunction(grid, u / r, N, angular_weight),
+                    last=RadialWavefunction(grid, u / r, N),
                     history=history,
                 ) from err
             continue
@@ -260,7 +259,7 @@ def self_consistent_minimal_model(
         lam_step *= 2.0
 
     return SCFResult(
-        psi=RadialWavefunction(grid, u / r, N, angular_weight),
+        psi=RadialWavefunction(grid, u / r, N),
         field=solve_radial_poisson(source(u, 1.0), grid, point_charge=point_charge),
         omega=state[3],
         sweeps=sweeps,

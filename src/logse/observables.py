@@ -34,16 +34,13 @@ LOG_FLOOR = 1e-30
 
 @dataclass
 class ObservableReport:
-    """Bundle of scalar observables and the profiles they integrate."""
+    """The internal energy and its pieces."""
 
     entropy: float
-    entropy_density: np.ndarray
-    temperature: np.ndarray
     kinetic: float
     potential: float
     entropy_term: float
     internal_energy: float
-    information: np.ndarray
 
 
 class GpExpansion(NamedTuple):
@@ -150,7 +147,6 @@ def internal_energy(
         v = np.asarray(V_ext, dtype=float)
     potential = w * simpson(r**2 * v * psi.density(), psi.grid)
     s = entropy_density(psi)
-    temp = profile.evaluate(r) - temperature_offset
     total_entropy = integrate_radial(psi.grid, s)
     # split T(r) s(r) = (b0 - T0) s(r) - q s(r)/r^2 so each integrand stays
     # regular at the origin (s ~ r^2 makes s/r^2 finite there)
@@ -160,13 +156,10 @@ def internal_energy(
                                                            origin_power=0)
     return ObservableReport(
         entropy=total_entropy,
-        entropy_density=s,
-        temperature=temp,
         kinetic=kinetic,
         potential=potential,
         entropy_term=entropy_term,
         internal_energy=kinetic + potential + entropy_term,
-        information=information_profile(psi),
     )
 
 

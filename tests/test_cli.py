@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from logse.cli import build_parser, main
+from logse.cli import SETTINGS, _resolve, build_parser, main
 from logse.output import parse_config_file, save_config_file
 
 PI = math.pi
@@ -359,6 +359,68 @@ def test_saved_config_reruns_byte_identical(tmp_path):
         assert main(["analytic", "--config", str(saved), "--out", str(out2)]) == 0
         for file in ("analytic_result.json", "analytic_profiles.csv"):
             assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), name
+
+
+@pytest.mark.parametrize("scales", [(), ("--hbar", "1", "--mass", "0.5", "--a", "1")],
+                         ids=["dimensionless", "physical_units"])
+def test_saved_config_holds_no_derived_r_max(tmp_path, scales):
+    # analytic derives r_max = 30/mu^2 for the inverse-square tail when none is
+    # given; the saved file holds the settings as given, with or without scales
+    saved = tmp_path / "given.conf"
+    assert run(tmp_path / "a", "analytic", "--case", "inverse_square", *scales,
+               "--save-config", str(saved)) == 0
+    assert "r_max" not in parse_config_file(saved)
+    assert run(tmp_path / "b", "analytic", "--config", str(saved)) == 0
+    for file in ("analytic_result.json", "analytic_profiles.csv"):
+        assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in SETTINGS for k in SETTINGS[c]],
+                         ids=[f"{c}-{k}" for c in SETTINGS for k in SETTINGS[c]])
+def test_flag_and_config_key_resolve_alike(tmp_path, command, key):
+    kind, default, _ = SETTINGS[command][key]
+    text = ({float: "0.25", int: "7", str: "2,9", bool: "true"}.get(kind)
+            or next(choice for choice in kind if choice != default))
+    flag = "--" + key.replace("_", "-")
+    conf = tmp_path / "one.conf"
+    conf.write_text(f"{key} = {text}\n")
+    parser = build_parser()
+    by_flag = _resolve(parser.parse_args([command, flag] + ([] if kind is bool else [text])))
+    by_file = _resolve(parser.parse_args([command, "--config", str(conf)]))
+    assert list(by_flag) == list(by_file) == list(SETTINGS[command])
+    assert [(type(v), v) for v in by_flag.values()] == [(type(v), v) for v in by_file.values()]
+    assert by_flag[key] != default
+
+
+@pytest.mark.parametrize("command", list(SETTINGS))
+def test_help_lists_every_setting(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in SETTINGS[command]:
+        assert "--" + key.replace("_", "-") in out
+
+
+def test_field_zero_source_relaxes_to_the_box_mode(tmp_path):
+    # without a source the field leaves b = 0 and the state is the lowest
+    # mode of the box [0, r_max + h], omega = (pi / (r_max + h))^2
+    assert run(tmp_path, "field", "--f-model", "zero") == 0
+    data = json.loads((tmp_path / "field_result.json").read_text())
+    assert data["converged"] is True
+    assert data["omega"] == pytest.approx((PI / (8.0 + 8.0 / 512)) ** 2, abs=1e-3)
+
+
+@pytest.mark.parametrize("argv, case", [
+    (["--q", "1"], "q1"),
+    (["--b0", "0", "--q", "1", "--weight", "radial", "--r-max", "30", "--n", "800"],
+     "inverse_square"),
+], ids=["q1", "inverse_square"])
+def test_groundstate_matches_its_analytic_case(tmp_path, argv, case):
+    assert run(tmp_path, "groundstate", *argv) == 0
+    data = json.loads((tmp_path / "groundstate_result.json").read_text())
+    assert data["analytic_case"] == case
+    assert data["l2_vs_analytic"] < 1e-3
 
 
 def test_physical_scales_convert_coupling(tmp_path):
