@@ -9,6 +9,7 @@ exactly these functions.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -63,25 +64,43 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid:2d}: {self.title} ({self.runtime:.2f} s)"
 
 
-def _row(rows, name, value, bound_text, ok):
-    rows.append(CheckRow(name, float(value), bound_text, bool(ok)))
-    return ok
+ALL_CRITERIA = {}
 
 
-def _finish(cid, title, t0, rows, notes, runtime_limit=None):
-    runtime = time.perf_counter() - t0
-    ok = all(r.passed for r in rows)
-    if runtime_limit is not None:
-        within = runtime < runtime_limit
-        rows.append(CheckRow("runtime [s]", runtime, f"< {runtime_limit:g}", within))
-        ok = ok and within
-    return CriterionResult(cid, title, ok, runtime, rows, notes)
+def _criterion(cid, title, runtime_limit=None):
+    """Register the body below as criterion `cid` in ALL_CRITERIA.
+
+    The body takes `check(name, value, bound, ok=None)` and the notes list.
+    A row whose bound reads "< x" passes when value < x, read from that text;
+    any other bound needs its own `ok` flag.  With a runtime limit the timed
+    body gets a last "runtime [s]" row.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            rows, notes = [], []
+
+            def check(name, value, bound, ok=None):
+                if ok is None:
+                    ok = value < float(bound.removeprefix("< "))
+                rows.append(CheckRow(name, float(value), bound, bool(ok)))
+
+            body(check, notes, *args, **kwargs)
+            runtime = time.perf_counter() - t0
+            if runtime_limit is not None:
+                check("runtime [s]", runtime, f"< {runtime_limit:g}")
+            return CriterionResult(cid, title, all(r.passed for r in rows),
+                                   runtime, rows, notes)
+
+        ALL_CRITERIA[cid] = run
+        return run
+    return register
 
 
-def criterion_1(n_points: int = 4096) -> CriterionResult:
+@_criterion(1, "general-case eigenvalues and Eq-residual convergence", runtime_limit=5.0)
+def criterion_1(check, notes, n_points: int = 4096):
     """Eigenvalue reproduction and stationary residual for the general case."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     grid_fine = RadialGrid.uniform(1e-3, 12.0, n_points)
     # the refinement check needs the half grid to clear the operator's
     # 16-interior-point minimum
@@ -89,18 +108,17 @@ def criterion_1(n_points: int = 4096) -> CriterionResult:
     for N in (1, 8, 64):
         for q in (2.0, 3.0, -1.0):
             sol = case_general(N, q)
-            _row(rows, f"omega exact N={N} q={q:g}", sol.omega, "== pi(3-q)/N^(2/3)",
-                 sol.omega == PI * (3.0 - q) / N ** (2.0 / 3.0))
-            _row(rows, f"b0 exact N={N} q={q:g}", sol.profile.b0_tilde, "== pi/N^(2/3)",
-                 sol.profile.b0_tilde == PI / N ** (2.0 / 3.0))
+            check(f"omega exact N={N} q={q:g}", sol.omega, "== pi(3-q)/N^(2/3)",
+                  sol.omega == PI * (3.0 - q) / N ** (2.0 / 3.0))
+            check(f"b0 exact N={N} q={q:g}", sol.profile.b0_tilde, "== pi/N^(2/3)",
+                  sol.profile.b0_tilde == PI / N ** (2.0 / 3.0))
             res_fine = residual(sol.sample(grid_fine), sol.omega, sol.profile)
-            _row(rows, f"residual n={n_points} N={N} q={q:g}", res_fine, "< 1e-5",
-                 res_fine < 1e-5)
+            check(f"residual n={n_points} N={N} q={q:g}", res_fine, "< 1e-5")
             if grid_half is not None:
                 res_half = residual(sol.sample(grid_half), sol.omega, sol.profile)
                 ratio = res_half / res_fine
-                _row(rows, f"refinement ratio N={N} q={q:g}", ratio, "in [3.5, 4.5]",
-                     3.5 <= ratio <= 4.5)
+                check(f"refinement ratio N={N} q={q:g}", ratio, "in [3.5, 4.5]",
+                      3.5 <= ratio <= 4.5)
             if res_fine >= 1e-5:
                 h = grid_fine.h
                 floor = 1.25 * sol.profile.b0_tilde**2 * h * h
@@ -111,58 +129,45 @@ def criterion_1(n_points: int = 4096) -> CriterionResult:
                     f"n >~ {int(11.999 * math.sqrt(1.25) * sol.profile.b0_tilde / math.sqrt(1e-5)) + 1} "
                     "uniform points"
                 )
-    return _finish(1, "general-case eigenvalues and Eq-residual convergence", t0,
-                   rows, notes, runtime_limit=5.0)
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "entropy quadrature matches closed forms", runtime_limit=2.0)
+def criterion_2(check, notes):
     """Entropy quadrature against closed forms (general and inverse-square)."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     for N in (1, 8, 64):
         sol = case_general(N, 2.0)
         grid = RadialGrid.uniform_from_origin(8.0 + 6.0 * N ** (1 / 3.0), 6001)
         s = entropy(sol.sample(grid))
-        rel = abs(s - 1.5 * N) / (1.5 * N)
-        _row(rows, f"general N={N}: |S - 1.5N|/1.5N", rel, "< 1e-6", rel < 1e-6)
+        check(f"general N={N}: |S - 1.5N|/1.5N", abs(s - 1.5 * N) / (1.5 * N), "< 1e-6")
     for N, L2, SY in ((1, 0.0, 0.0), (2, 1.0, 0.0)):
         sol = case_inverse_square(N, L2, SY)
         # the density decays like exp(-2 mu^2 r); reach ~ e^-60 at the edge
         grid = RadialGrid.uniform_from_origin(30.0 / sol.mu_sq, 8001)
         s = entropy(sol.sample(grid))
         target = N * (L2 + SY + 3.0)
-        rel = abs(s - target) / target
-        _row(rows, f"inverse-square (N={N},L2={L2:g},SY={SY:g})", rel, "< 1e-6",
-             rel < 1e-6)
-    return _finish(2, "entropy quadrature matches closed forms", t0, rows, notes,
-                   runtime_limit=2.0)
+        check(f"inverse-square (N={N},L2={L2:g},SY={SY:g})", abs(s - target) / target,
+              "< 1e-6")
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "transcendental equation closure (q = 1)", runtime_limit=2.0)
+def criterion_3(check, notes):
     """Transcendental closure of the q = 1 family."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     for b0 in (PI, 2 * PI):
         n_star = (PI / b0) ** 1.5
-        k = solve_k_transcendental(n_star, b0)
-        _row(rows, f"|k| at closure point b0={b0:g}", abs(k), "< 1e-10",
-             abs(k) < 1e-10)
+        check(f"|k| at closure point b0={b0:g}", abs(solve_k_transcendental(n_star, b0)),
+              "< 1e-10")
     k = solve_k_transcendental(2.0, PI)
     norm_quad, _ = quad(
         lambda r: 4 * PI * r**2 * np.exp(2 * k * r - PI * r**2), 0.0, np.inf
     )
-    _row(rows, "quadrature norm error at (N=2, b0=pi)", abs(norm_quad - 2.0),
-         "< 1e-6", abs(norm_quad - 2.0) < 1e-6)
-    tr = abs(transcendental_residual(k, 2.0, PI))
-    _row(rows, "transcendental residual at (N=2, b0=pi)", tr, "< 1e-10", tr < 1e-10)
-    return _finish(3, "transcendental equation closure (q = 1)", t0, rows, notes,
-                   runtime_limit=2.0)
+    check("quadrature norm error at (N=2, b0=pi)", abs(norm_quad - 2.0), "< 1e-6")
+    check("transcendental residual at (N=2, b0=pi)",
+          abs(transcendental_residual(k, 2.0, PI)), "< 1e-10")
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "constant-case entropy form comparison documented")
+def criterion_4(check, notes):
     """Entropy closed-form comparison for the constant-coupling case."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     grid = RadialGrid.uniform_from_origin(12.0, 8001)
 
     sol8 = case_constant(8, PI)
@@ -170,8 +175,8 @@ def criterion_4() -> CriterionResult:
     cands = constant_entropy_candidates(8, PI)
     match_printed = abs(cands["printed"] - s_quad) <= 1e-6 * abs(s_quad)
     match_scaled = abs(cands["n_scaled"] - s_quad) <= 1e-6 * abs(s_quad)
-    _row(rows, "(N=8) one closed form matches quadrature", s_quad,
-         "rel 1e-6 to a candidate", match_printed or match_scaled)
+    check("(N=8) one closed form matches quadrature", s_quad,
+          "rel 1e-6 to a candidate", match_printed or match_scaled)
     winner = "printed" if match_printed else ("n_scaled" if match_scaled else "none")
     notes.append(
         f"(N=8, b0=pi): quadrature S = {s_quad:.9f}; "
@@ -185,17 +190,12 @@ def criterion_4() -> CriterionResult:
     c1 = constant_entropy_candidates(1, PI)
     both = (abs(c1["printed"] - s1) <= 1e-6 and abs(c1["n_scaled"] - s1) <= 1e-6
             and abs(s1 - 1.5) <= 1e-6)
-    _row(rows, "(N=1) both forms agree with quadrature at 3/2", s1,
-         "|S - 3/2| < 1e-6", both)
-    return _finish(4, "constant-case entropy form comparison documented", t0,
-                   rows, notes)
+    check("(N=1) both forms agree with quadrature at 3/2", s1, "|S - 3/2| < 1e-6", both)
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "imaginary-time ground-state convergence")
+def criterion_5(check, notes):
     """Imaginary-time relaxation reproduces two closed-form ground states."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
-
     t_a = time.perf_counter()
     grid = RadialGrid.uniform_from_origin(8.0, 640)
     res = ground_state_from_coupling_values(
@@ -203,11 +203,9 @@ def criterion_5() -> CriterionResult:
     )
     run_a = time.perf_counter() - t_a
     sol = case_constant(1, PI)
-    err = l2_distance(res.psi, sol.psi)
-    _row(rows, "gausson L2 error", err, "< 1e-3", err < 1e-3)
-    rel = abs(res.omega - 3 * PI) / (3 * PI)
-    _row(rows, "gausson omega rel error", rel, "< 1e-2", rel < 1e-2)
-    _row(rows, "gausson runtime [s]", run_a, "< 60", run_a < 60.0)
+    check("gausson L2 error", l2_distance(res.psi, sol.psi), "< 1e-3")
+    check("gausson omega rel error", abs(res.omega - 3 * PI) / (3 * PI), "< 1e-2")
+    check("gausson runtime [s]", run_a, "< 60")
 
     t_b = time.perf_counter()
     grid = RadialGrid.uniform_from_origin(30.0, 800)
@@ -217,33 +215,28 @@ def criterion_5() -> CriterionResult:
     )
     run_b = time.perf_counter() - t_b
     soli = case_inverse_square(1)
-    rel = abs(res.omega - soli.omega) / abs(soli.omega)
-    _row(rows, "inverse-square omega rel error", rel, "< 1e-2", rel < 1e-2)
-    _row(rows, "inverse-square runtime [s]", run_b, "< 60", run_b < 60.0)
-    return _finish(5, "imaginary-time ground-state convergence", t0, rows, notes)
+    check("inverse-square omega rel error", abs(res.omega - soli.omega) / abs(soli.omega),
+          "< 1e-2")
+    check("inverse-square runtime [s]", run_b, "< 60")
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "real-time norm/density conservation and phase")
+def criterion_6(check, notes):
     """Real-time conservation and stationarity of the Gausson."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     psi0 = sol.sample(grid)
     res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=1e-4), n_steps=1000)
-    _row(rows, "norm drift over 1000 steps", res.norm_drift, "< 1e-8",
-         res.norm_drift < 1e-8)
+    check("norm drift over 1000 steps", res.norm_drift, "< 1e-8")
     drift = float(np.max(np.abs(res.psi.density() - psi0.normalized().density())))
-    _row(rows, "density max-norm drift", drift, "< 1e-4", drift < 1e-4)
+    check("density max-norm drift", drift, "< 1e-4")
     phase_rel = abs(res.phases[-1] + sol.omega * res.times[-1]) / (sol.omega * res.times[-1])
-    _row(rows, "phase vs omega*t rel error", phase_rel, "< 1e-3", phase_rel < 1e-3)
-    return _finish(6, "real-time norm/density conservation and phase", t0, rows, notes)
+    check("phase vs omega*t rel error", phase_rel, "< 1e-3")
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "linear/nonlinear indistinguishability via V_eff")
+def criterion_7(check, notes):
     """Linear problem with the effective potential reproduces each case."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     grid8 = RadialGrid.uniform_from_origin(8.0, 640)
     grid30 = RadialGrid.uniform_from_origin(30.0, 800)
     cases = [
@@ -257,43 +250,32 @@ def criterion_7() -> CriterionResult:
             lambda r: effective_potential(sol, r), sol.norm, grid,
             SolverOptions(), angular_weight=weight,
         )
-        err = l2_distance(psi, sol.psi)
-        _row(rows, f"{name} L2 error", err, "< 1e-3", err < 1e-3)
-    return _finish(7, "linear/nonlinear indistinguishability via V_eff", t0,
-                   rows, notes)
+        check(f"{name} L2 error", l2_distance(psi, sol.psi), "< 1e-3")
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "Poisson / asymptotics round trip")
+def criterion_8(check, notes):
     """Poisson solve plus asymptotic extraction round-trips (q, b0)."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     grid = RadialGrid.uniform_from_origin(100.0, 8192)
     for q, b0 in ((0.0, 1.0), (3.0, 2.0), (1.0, 0.0)):
         fs = solve_radial_poisson(2.0 * b0 / grid.r, grid, point_charge=q)
-        err_q = abs(fs.extracted_q - q)
-        err_b = abs(fs.extracted_b0 - b0)
-        _row(rows, f"(q={q:g}, b0={b0:g}) charge error", err_q, "< 1e-6", err_q < 1e-6)
-        _row(rows, f"(q={q:g}, b0={b0:g}) slope error", err_b, "< 1e-6", err_b < 1e-6)
-    return _finish(8, "Poisson / asymptotics round trip", t0, rows, notes)
+        check(f"(q={q:g}, b0={b0:g}) charge error", abs(fs.extracted_q - q), "< 1e-6")
+        check(f"(q={q:g}, b0={b0:g}) slope error", abs(fs.extracted_b0 - b0), "< 1e-6")
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "N-free omega-entropy relation")
+def criterion_9(check, notes):
     """N-free relation omega * S^(2/3) for the general family."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     target = PI * 1.5 ** (2.0 / 3.0) * (3.0 - 2.0)
     for N in (1, 8, 64):
         sol = case_general(N, 2.0)
         value = sol.omega * sol.entropy_closed_form() ** (2.0 / 3.0)
-        err = abs(value - target)
-        _row(rows, f"N={N}: |omega S^(2/3) - target|", err, "< 1e-10", err < 1e-10)
-    return _finish(9, "N-free omega-entropy relation", t0, rows, notes)
+        check(f"N={N}: |omega S^(2/3) - target|", abs(value - target), "< 1e-10")
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "Gross-Pitaevskii expansion remainder bound")
+def criterion_10(check, notes):
     """Lagrange bound on the cubic (GP) approximation of the log term."""
-    t0 = time.perf_counter()
-    rows, notes = [], []
     xs = np.linspace(0.5, 2.0, 601)
     slacks = []
     ok = True
@@ -302,28 +284,13 @@ def criterion_10() -> CriterionResult:
         bound = (x - 1.0) ** 2 / (2.0 * min(1.0, float(x)) ** 2)
         ok = ok and (abs(diff) <= bound + 1e-15)
         slacks.append(bound - abs(diff))
-    _row(rows, "min slack of the remainder bound over x in [0.5, 2]",
-         min(slacks), ">= 0", ok)
-    return _finish(10, "Gross-Pitaevskii expansion remainder bound", t0, rows, notes)
-
-
-ALL_CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10,
-}
+    check("min slack of the remainder bound over x in [0.5, 2]", min(slacks), ">= 0", ok)
 
 
 def run_all(only=None, c1_n_points: int = 4096) -> list[CriterionResult]:
     """Run the selected criteria (all by default) in ascending order."""
-    selected = sorted(only) if only else sorted(ALL_CRITERIA)
-    results = []
-    for cid in selected:
-        if cid == 1:
-            results.append(criterion_1(n_points=c1_n_points))
-        else:
-            results.append(ALL_CRITERIA[cid]())
-    return results
+    return [criterion_1(n_points=c1_n_points) if cid == 1 else ALL_CRITERIA[cid]()
+            for cid in sorted(only or ALL_CRITERIA)]
 
 
 def format_report(results) -> str:

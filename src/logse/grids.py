@@ -187,8 +187,10 @@ class RadialWavefunction:
             raise DomainError("wavefunction values must be finite")
         if self.target_norm <= 0 or not np.isfinite(self.target_norm):
             raise DomainError("target_norm must be positive and finite")
-        if self.angular_weight <= 0:
-            raise DomainError("angular_weight must be positive")
+        if not (self.angular_weight > 0 and np.isfinite(self.angular_weight)):
+            raise DomainError("angular_weight must be positive and finite")
+        if not np.isfinite(self.angular_entropy):
+            raise DomainError("angular_entropy must be finite")
         self.values = values
 
     def density(self) -> np.ndarray:
@@ -214,6 +216,15 @@ class RadialWavefunction:
 
     def is_normalized(self) -> bool:
         return abs(self.norm() - self.target_norm) <= 1e-6 * self.target_norm
+
+
+def grid_values(values, grid: RadialGrid, name: str) -> np.ndarray:
+    """`values` (an array, or a callable of r) as one finite float per grid
+    node; DomainError otherwise."""
+    v = np.asarray(values(grid.r) if callable(values) else values, dtype=float)
+    if v.shape != grid.r.shape or not np.all(np.isfinite(v)):
+        raise DomainError(f"{name} must be finite with one value per grid node")
+    return v
 
 
 def l2_distance(psi: RadialWavefunction, other) -> float:

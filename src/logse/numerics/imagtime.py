@@ -106,12 +106,13 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dptsv
 
-from ..errors import ConvergenceError, DomainError
+from ..errors import ConvergenceError
 from ..grids import (
     FULL_SPHERE,
     RadialGrid,
     RadialWavefunction,
     grid_rule_weights,
+    grid_values,
     integrate_radial,
 )
 from ..observables import LOG_FLOOR, _kinetic_energy, _xlogx
@@ -254,9 +255,7 @@ def ground_state_from_coupling_values(
     the last iterate is the one before it).
     """
     opts = opts or SolverOptions()
-    coupling = np.asarray(coupling, dtype=float)
-    if coupling.shape != grid.r.shape or not np.all(np.isfinite(coupling)):
-        raise DomainError("coupling must be finite with one value per grid node")
+    coupling = grid_values(coupling, grid, "coupling")
     r = grid.r
     h = grid.origin_step()
     tol = opts.convergence_tol
@@ -370,11 +369,7 @@ def linear_ground_state(
     relaxation, and unused.  Used to check that a linear problem with the
     effective potential of a nonlinear solution reproduces that solution.
     """
-    v = np.asarray(V_ext(grid.r) if callable(V_ext) else V_ext, dtype=float)
-    if v.shape != grid.r.shape:
-        raise DomainError("V_ext must provide one value per grid node")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("V_ext must be finite (bounded below) on the grid")
+    v = grid_values(V_ext, grid, "V_ext")
     h = grid.origin_step()
     inv_h2 = 1.0 / (h * h)
     omega, vec = eigh_tridiagonal(

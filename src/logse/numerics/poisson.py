@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DomainError
-from ..grids import RadialGrid
+from ..grids import RadialGrid, grid_values
 
 
 @dataclass
@@ -41,8 +41,6 @@ class FieldState:
 
 
 def _check_integrable(r: np.ndarray, source: np.ndarray):
-    if not np.all(np.isfinite(source)):
-        raise DomainError("Poisson source must be finite on the grid")
     s0, s1 = abs(source[0]), abs(source[1])
     if s0 > 0.0 and s1 > 0.0 and s0 > s1:
         # local power-law exponent near r_min; s^2 * S is non-integrable at the
@@ -83,9 +81,7 @@ def solve_radial_poisson(
     the gauge constant never enters the coupling b = phi'.
     """
     r = grid.r
-    s = np.asarray(source(r) if callable(source) else source, dtype=float)
-    if s.shape != r.shape:
-        raise DomainError("source must provide one value per grid node")
+    s = grid_values(source, grid, "source")
     _check_integrable(r, s)
     if not np.isfinite(point_charge):
         raise DomainError("point_charge must be finite")

@@ -55,7 +55,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from ..errors import ConvergenceError, DomainError
-from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights
+from ..grids import (FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights,
+                     grid_values)
 from ..observables import LOG_FLOOR
 from .imagtime import (
     _initial_guess,
@@ -170,9 +171,7 @@ def self_consistent_minimal_model(
     def coupled(u, lam):
         """(b, w, F1, omega, residual) of u in the field its density sources;
         b is solve_radial_poisson's coupling of that source, bit for bit."""
-        s = source(u, lam)
-        if s.shape != r.shape or not np.all(np.isfinite(s)):
-            raise DomainError("the field source must be finite with one value per node")
+        s = grid_values(source(u, lam), grid, "the field source")
         coupling = enclosed_source(s, r) / r**2 - point_charge / r**2
         return (coupling, *stationary(u, coupling, r, h))
 

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DomainError
 # the grid and wavefunction types are re-exported: they live here from a
 # user's point of view
-from .grids import RadialGrid, RadialWavefunction, integrate_radial, simpson
+from .grids import (RadialGrid, RadialWavefunction, grid_values, integrate_radial,
+                    simpson)
 from .scales import CouplingProfile
 
 # Densities below this are treated as exact zeros in x*ln(x) terms
@@ -100,7 +101,14 @@ def quantum_temperature(profile: CouplingProfile, r):
 
 
 def information_content(psi: RadialWavefunction, r: float) -> float:
-    """Information content -log2 rho at radius r (bits); inf at zero density."""
+    """Information content -log2 rho at radius r (bits); inf at zero density.
+
+    rho is interpolated linearly between nodes; r outside [r_min, r_max]
+    raises DomainError.
+    """
+    if not psi.grid.r_min <= r <= psi.grid.r_max:
+        raise DomainError(f"r = {r!r} lies outside the grid "
+                          f"[{psi.grid.r_min:g}, {psi.grid.r_max:g}]")
     rho = float(np.interp(r, psi.grid.r, psi.density()))
     if rho <= 0.0:
         return math.inf
@@ -128,8 +136,10 @@ def internal_energy(
     potential = int w r^2 V_ext |psi|^2 dr
     entropy_term pairs the temperature profile with the entropy density
     position by position; for a constant temperature it reduces exactly to
-    T * S.  temperature_offset shifts T(r) by a reference value before the
-    pairing (default 0).  psi must hold its target norm (is_normalized).
+    T * S.  V_ext is an array on the grid or a callable of r, one finite
+    value per node.  temperature_offset shifts T(r) by a reference value
+    before the pairing (default 0).  psi must hold its target norm
+    (is_normalized).
     """
     if not psi.is_normalized():
         raise DomainError(
@@ -139,12 +149,7 @@ def internal_energy(
     r = psi.grid.r
     w = psi.angular_weight
     kinetic = _kinetic_energy(psi)
-    if V_ext is None:
-        v = np.zeros_like(r)
-    elif callable(V_ext):
-        v = np.asarray(V_ext(r), dtype=float)
-    else:
-        v = np.asarray(V_ext, dtype=float)
+    v = np.zeros_like(r) if V_ext is None else grid_values(V_ext, psi.grid, "V_ext")
     potential = w * simpson(r**2 * v * psi.density(), psi.grid)
     s = entropy_density(psi)
     total_entropy = integrate_radial(psi.grid, s)

@@ -241,6 +241,20 @@ def test_inverse_square_residual_includes_centrifugal_term():
     assert np.max(np.abs(sol.stationary_residual_exact(FINE.r))) < 1e-8
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: case_general(1, math.nan), "q_tilde must be finite"),
+    (lambda: case_constant(1, 0.0), "b0_tilde must be positive"),
+    (lambda: solve_k_transcendental(1, -1.0), "b0_tilde must be positive"),
+    (lambda: case_inverse_square(1, 0.0, math.nan), "S_Y must be finite"),
+    (lambda: case_constant(1, PI).stationary_residual_exact(np.array([0.0, 1.0])),
+     "r > 0"),
+], ids=["general-q-nan", "constant-b0-0", "k-b0-negative", "inverse-square-SY-nan",
+        "residual-at-origin"])
+def test_catalog_rejects_parameters_outside_its_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_inverse_square_rejects_bad_parameters():
     with pytest.raises(DomainError):
         case_inverse_square(1, L_sq=-1.0)

@@ -117,6 +117,15 @@ def test_config_records_the_coupling_of_the_state(tmp_path, argv, state, given):
     assert (saved["b0"], saved["q"]) == given
 
 
+def test_groundstate_without_analytic_case(tmp_path):
+    # the q = 1 closed form needs N >= 1; below it the run reports no comparison
+    assert run(tmp_path, "groundstate", "--q", "1", "--N", "0.5") == 0
+    data = json.loads((tmp_path / "groundstate_result.json").read_text())
+    assert "analytic_case" not in data and "l2_vs_analytic" not in data
+    assert data["converged"] is True
+    assert data["omega"] == pytest.approx(5.94594, abs=1e-5)
+
+
 def test_field_constant_over_r(tmp_path):
     assert run(tmp_path, "field", "--f-model", "constant-over-r", "--b0", "1") == 0
     data = json.loads((tmp_path / "field_result.json").read_text())
@@ -226,6 +235,8 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "groundstate", "--r-min", "0.5") == 2
     assert run(tmp_path, "evolve", "--r-min", "0.05") == 2
     assert run(tmp_path, "field", "--r-min", "0.05") == 2
+    assert run(tmp_path, "analytic", "--spacing", "log") == 2
+    assert "--r-min" in capsys.readouterr().err
     for only in ("11", "0", "x"):
         assert run(tmp_path, "report", "--only", only) == 2
         assert "criterion ids 1-10" in capsys.readouterr().err

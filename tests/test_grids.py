@@ -157,6 +157,21 @@ def test_wavefunction_shape_mismatch_rejected():
         RadialWavefunction(grid, np.ones(32), target_norm=1.0)
 
 
+GRID64 = RadialGrid.uniform_from_origin(10.0, 64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RadialGrid(np.array([0.5, 1.0, 2.0])),
+    lambda: RadialWavefunction(GRID64, np.ones(64), angular_weight=np.nan),
+    lambda: RadialWavefunction(GRID64, np.ones(64), angular_weight=np.inf),
+    lambda: RadialWavefunction(GRID64, np.ones(64), angular_entropy=np.nan),
+    lambda: RadialWavefunction(GRID64, np.ones(64), angular_entropy=-np.inf),
+], ids=["grid-of-3-nodes", "weight-nan", "weight-inf", "entropy-nan", "entropy-inf"])
+def test_grid_and_wavefunction_parameters_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_wavefunction_nonfinite_values_rejected():
     grid = RadialGrid.uniform_from_origin(10.0, 64)
     values = np.ones(64)

@@ -455,6 +455,16 @@ def test_relax_rejects_guess_without_finite_norm(psi0):
         ground_state_from_coupling_values(np.full_like(GRID8.r, PI), 1.0, GRID8, psi0=psi0)
 
 
+def test_relax_guess_may_be_a_wavefunction_or_its_values():
+    coupling = CouplingProfile(PI, 0.0).evaluate(GRID8.r)
+    psi0 = case_constant(1, PI).sample(GRID8)
+    given_state = ground_state_from_coupling_values(coupling, 1.0, GRID8, psi0=psi0)
+    given_values = ground_state_from_coupling_values(coupling, 1.0, GRID8,
+                                                     psi0=psi0.values)
+    assert np.array_equal(given_state.psi.values, given_values.psi.values)
+    assert (given_state.omega, given_state.steps) == (given_values.omega, given_values.steps)
+
+
 # ------------------------------------------------------- energy functional
 
 def test_energy_variation_reproduces_stationary_identity():
@@ -561,3 +571,10 @@ def test_linear_rejects_unbounded_potential():
         linear_ground_state(
             np.full_like(GRID8.r, -np.inf), 1.0, GRID8, SolverOptions()
         )
+
+
+@pytest.mark.parametrize("V_ext", [np.zeros(GRID8.n_points - 1), np.zeros(2 * GRID8.n_points)],
+                         ids=["one-node-short", "twice-the-nodes"])
+def test_linear_potential_needs_one_value_per_node(V_ext):
+    with pytest.raises(DomainError, match="one value per grid node"):
+        linear_ground_state(V_ext, 1.0, GRID8)

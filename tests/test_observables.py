@@ -234,6 +234,17 @@ def test_internal_energy_rejects_unnormalized_input():
         internal_energy(psi, CouplingProfile(1.0, 0.0))
 
 
+@pytest.mark.parametrize("V_ext", [
+    np.zeros(511),
+    np.full(512, np.nan),
+    lambda r: np.where(r > 5.0, np.inf, r**2),
+], ids=["one-node-short", "nan", "callable-inf"])
+def test_internal_energy_potential_needs_one_finite_value_per_node(V_ext):
+    psi = case_constant(1, PI).sample(RadialGrid.uniform_from_origin(10.0, 512))
+    with pytest.raises(DomainError, match="V_ext must be finite with one value per grid node"):
+        internal_energy(psi, CouplingProfile(0.0, 0.0), V_ext=V_ext)
+
+
 # ---------------------------------------------------------------- information
 
 def test_information_content_bit_values():
@@ -241,6 +252,15 @@ def test_information_content_bit_values():
     for density, bits in [(1.0, 0.0), (0.5, 1.0), (0.125, 3.0)]:
         psi = RadialWavefunction(grid, np.full(64, math.sqrt(density)), target_norm=1.0)
         assert information_content(psi, 1.0) == pytest.approx(bits, abs=1e-14)
+
+
+@pytest.mark.parametrize("r", [100.0, -1.0, 0.5 - 1e-12, 2.0 + 1e-12, math.nan])
+def test_information_content_refuses_radii_off_the_grid(r):
+    grid = RadialGrid.uniform(0.5, 2.0, 64)
+    psi = RadialWavefunction(grid, np.ones(64), target_norm=1.0)
+    assert information_content(psi, 0.5) == information_content(psi, 2.0) == 0.0
+    with pytest.raises(DomainError, match="outside the grid"):
+        information_content(psi, r)
 
 
 def test_information_profile_flags_zero_density():

@@ -85,6 +85,18 @@ def test_non_integrable_source_rejected():
         solve_radial_poisson(1.0 / GRID.r**4, GRID)
 
 
+@pytest.mark.parametrize("source", [np.zeros(GRID.n_points - 1), np.zeros((2, GRID.n_points))],
+                         ids=["one-node-short", "two-rows"])
+def test_source_needs_one_value_per_node(source):
+    with pytest.raises(DomainError, match="one value per grid node"):
+        solve_radial_poisson(source, GRID)
+
+
+def test_extraction_from_a_field_state_reads_its_fit():
+    fs = solve_radial_poisson(4.0 / GRID.r, GRID, point_charge=3.0)
+    assert extract_coupling_asymptotics(fs) == (fs.extracted_q, fs.extracted_b0)
+
+
 def test_non_finite_inputs_rejected():
     bad = np.zeros_like(GRID.r)
     bad[5] = np.nan

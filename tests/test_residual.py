@@ -8,11 +8,13 @@ doubling pin the convergence order instead of absolute magic numbers.
 
 import math
 
+import numpy as np
 import pytest
 
 from logse import (
     DomainError,
     RadialGrid,
+    RadialWavefunction,
     case_constant,
     case_general,
     case_inverse_square,
@@ -77,6 +79,13 @@ def test_residual_rejects_coarse_grids():
     grid = RadialGrid.uniform(0.1, 10.0, 17)  # 15 interior points
     with pytest.raises(DomainError):
         residual(sol.sample(grid), sol.omega, sol.profile)
+
+
+def test_residual_rejects_an_identically_zero_wavefunction():
+    sol = case_constant(1, PI)
+    psi = RadialWavefunction(RadialGrid.uniform(0.1, 10.0, 64), np.zeros(64))
+    with pytest.raises(DomainError, match="identically zero"):
+        residual(psi, sol.omega, sol.profile)
 
 
 def test_residual_profile_excludes_boundary_rows():
