@@ -138,9 +138,11 @@ def internal_energy(
     position by position; for a constant temperature it reduces exactly to
     T * S.  V_ext is an array on the grid or a callable of r, one finite
     value per node.  temperature_offset shifts T(r) by a reference value
-    before the pairing (default 0).  psi must hold its target norm
-    (is_normalized).
+    before the pairing (default 0; it must be finite).  psi must hold its
+    target norm (is_normalized).
     """
+    if not np.isfinite(temperature_offset):
+        raise DomainError("temperature_offset must be finite")
     if not psi.is_normalized():
         raise DomainError(
             f"wavefunction is not normalized: quadrature norm {psi.norm():.12g} "

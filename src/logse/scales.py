@@ -69,7 +69,7 @@ class CouplingProfile:
     def evaluate(self, r):
         """Coupling strength at radius r (scalar or array, r > 0)."""
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
+        if not np.all(r > 0.0):
             raise DomainError("coupling profile is defined for r > 0 only")
         return self.b0_tilde - self.q_tilde / r**2
 

@@ -28,6 +28,7 @@ from logse import (
     solve_k_transcendental,
     transcendental_residual,
 )
+from logse.analytic import _erfcx
 
 PI = math.pi
 FINE = RadialGrid.uniform(1e-3, 20.0, 6001)
@@ -158,9 +159,51 @@ def test_k_root_brackets_sign_change_increases_in_N_and_matches_brentq(N, b0, gr
     assert abs(k - brentq_k(N, b0)) <= 2e-15 + 2e-15 * abs(k)
 
 
+@pytest.fixture(scope="module")
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def erfcx_error_ulps(x, mpmath):
+    """|_erfcx(x) - exp(x^2) erfc(x)| in ulps of a 40-digit reference."""
+    with mpmath.workdps(40):
+        ref = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
+        return float(abs(mpmath.mpf(_erfcx(x)) - ref) / math.ulp(float(ref)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-26.6, 1e6))
+# the largest errors seen in scans of 600,000 points (2.3 and 2.2 ulps)
+@example(x=8.972705192222378)
+@example(x=-0.8656928532013595)
+# the C library's erfc alone is 3.6 ulps off here
+@example(x=1.2020703655638032)
+@example(x=-23.072281043795744)  # scipy's erfcx, which rounds x^2: 498 ulps
+@example(x=27.0)  # erfc(x) is subnormal here
+def test_erfcx_within_four_ulps_of_mpmath(x, mpmath):
+    assert erfcx_error_ulps(x, mpmath) <= 4.0
+
+
+# the switch from exp(x^2) erfc(x) to the trapezoid sum, and the sum's pole
+# term, which counts below x = pi/h = 2 pi
+@pytest.mark.parametrize("x", [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+                               math.nextafter(2 * PI, 0.0), 2 * PI, math.nextafter(2 * PI, 7.0)],
+                         ids=repr)
+def test_erfcx_on_both_sides_of_each_switch(x, mpmath):
+    assert erfcx_error_ulps(x, mpmath) <= 4.0
+
+
+def test_erfcx_fixed_points():
+    assert _erfcx(0.0) == 1.0
+    assert _erfcx(-0.0) == 1.0
+    for x in (-26.65, -27.0, -1e300, -math.inf):  # exp(x^2) overflows
+        assert _erfcx(x) == math.inf
+    assert _erfcx(1e300) == 1.0 / (1e300 * math.sqrt(PI))
+
+
 def test_q1_unit_norm_is_pure_gaussian():
-    sol = case_q1(1, PI)
-    assert abs(sol.k_tilde) < 1e-12
+    sol = case_q1(1, PI)  # the closure point: the residual at k = 0 is exactly 0
+    assert sol.k_tilde == 0.0
     assert sol.omega == pytest.approx(2 * PI, abs=1e-11)
     assert sol.profile.q_tilde == 1.0
 
@@ -248,8 +291,15 @@ def test_inverse_square_residual_includes_centrifugal_term():
     (lambda: case_inverse_square(1, 0.0, math.nan), "S_Y must be finite"),
     (lambda: case_constant(1, PI).stationary_residual_exact(np.array([0.0, 1.0])),
      "r > 0"),
+    (lambda: case_constant(1, PI).stationary_residual_exact(np.array([1.0, math.nan])),
+     "r > 0"),
+    (lambda: transcendental_residual(0.0, 1.0, -1.0), "b0_tilde must be positive"),
+    (lambda: transcendental_residual(0.0, 1.0, 0.0), "b0_tilde must be positive"),
+    (lambda: transcendental_residual(math.nan, 1.0, PI), "k must be finite"),
+    (lambda: transcendental_residual(0.0, -1.0, PI), "N must be positive"),
 ], ids=["general-q-nan", "constant-b0-0", "k-b0-negative", "inverse-square-SY-nan",
-        "residual-at-origin"])
+        "residual-at-origin", "residual-at-nan", "k-residual-b0-negative",
+        "k-residual-b0-0", "k-residual-k-nan", "k-residual-N-negative"])
 def test_catalog_rejects_parameters_outside_its_domain(call, message):
     with pytest.raises(DomainError, match=message):
         call()
@@ -304,6 +354,8 @@ def test_closed_form_potentials_match_generic_definition(sol):
 def test_effective_potential_rejects_nonpositive_radius():
     with pytest.raises(DomainError):
         effective_potential(case_constant(1, PI), 0.0)
+    with pytest.raises(DomainError):  # NaN fails r > 0 but passes r <= 0 too
+        effective_potential(case_constant(1, PI), [1.0, math.nan])
 
 
 # ------------------------------------------------------------- cross links

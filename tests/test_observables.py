@@ -134,6 +134,8 @@ def test_temperature_equals_profile_everywhere():
     assert np.array_equal(quantum_temperature(prof, r), prof.evaluate(r))
     with pytest.raises(DomainError):
         quantum_temperature(prof, -1.0)
+    with pytest.raises(DomainError):  # NaN fails r > 0 but passes r <= 0 too
+        quantum_temperature(prof, [1.0, math.nan])
 
 
 # ----------------------------------------------------------- internal energy
@@ -225,6 +227,14 @@ def test_entropy_simpson_path_on_skewed_q1_state():
     sol = case_q1(2, PI)  # k != 0: not a pure Gaussian
     psi = sample(sol, r_max=12.0, n=6001)
     assert entropy(psi) == pytest.approx(sol.entropy_closed_form(), rel=1e-8)
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf], ids=["nan", "inf"])
+def test_internal_energy_rejects_non_finite_temperature_offset(offset):
+    sol = case_constant(1, PI)
+    with pytest.raises(DomainError, match="temperature_offset must be finite"):
+        internal_energy(sample(sol, r_max=10.0, n=2001), sol.profile,
+                        temperature_offset=offset)
 
 
 def test_internal_energy_rejects_unnormalized_input():

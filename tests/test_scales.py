@@ -73,6 +73,8 @@ def test_profile_evaluate_and_sign_change():
     assert CouplingProfile(0.0, 1.0).sign_change_radius() is None
     with pytest.raises(DomainError):
         prof.evaluate(0.0)
+    with pytest.raises(DomainError):  # NaN fails r > 0 but passes r <= 0 too
+        prof.evaluate(np.array([1.0, np.nan]))
 
 
 def test_coupling_from_temperature_values():
