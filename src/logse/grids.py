@@ -107,11 +107,13 @@ class RadialGrid:
         object.__setattr__(self, "r", r)
         if r.ndim != 1 or r.size < 4:
             raise DomainError("grid needs at least 4 nodes")
-        if r[0] <= 0.0:
+        if not r[0] > 0.0:
             raise DomainError("grids must start at r_min > 0")
         steps = np.diff(r)
-        if np.any(steps <= 0.0):
+        if not np.all(steps > 0.0):
             raise DomainError("grid nodes must be strictly increasing")
+        if not np.isfinite(r[-1]):
+            raise DomainError("grid nodes must be finite")
         tol = _UNIFORM_ULPS * np.finfo(float).eps * r[-1]
         uniform = bool(np.all(np.abs(steps - steps[0]) <= tol))
         object.__setattr__(self, "_h", float(steps[0]) if uniform else None)

@@ -3,7 +3,15 @@
 Output files contain no timestamps or environment-dependent fields, so a
 saved configuration re-run produces byte-identical results.  CSV numbers are
 written with 17 significant digits; JSON floats use Python's shortest
-round-trip representation, which reconstructs the exact double.
+round-trip representation, which reconstructs the exact double.  JSON and
+config text is UTF-8.
+
+Every file is written by _write_over: over the old file's bytes, then cut to
+the length written, never truncated to 0 first.  A rerun usually rewrites a
+file of the same size.  Truncating it (``open(path, "wb")``) frees its
+blocks, and on ext4 (auto_da_alloc) and XFS the close after a truncate
+starts write-back, which the next rerun's truncate waits on; writing over
+the blocks does neither.  The inode, its links and its permissions are kept.
 
 Every CSV value is written as ``CSV_FORMAT % float(value)`` would write it,
 but encoded by numpy a block of about 3,584 values at a time (512 rows of a
@@ -36,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -252,17 +261,19 @@ def write_csv(path, header: list[str], columns, more=()) -> None:
     separators = _words([[0] * 7 + [ord(",")]] * (len(header) - 1)
                         + [[0] * 7 + [ord("\n")]]).T
     rows = _block_rows(len(header))
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+
+    def chunks():
+        yield (",".join(header) + "\n").encode()
         for arrays in groups:
             for start in range(0, arrays[0].size, rows):
                 block = np.stack([a[start:start + rows] for a in arrays], axis=1)
-                fh.write(_encode(block, separators))
+                yield _encode(block, separators)
+
+    _write_over(path, chunks())
 
 
 def write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    _write_over(path, [(json.dumps(payload, indent=2) + "\n").encode("utf-8")])
 
 
 def parse_config_file(path) -> dict:
@@ -273,7 +284,7 @@ def parse_config_file(path) -> dict:
     by '_'.
     """
     out = {}
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -291,7 +302,23 @@ def save_config_file(path, config: dict) -> None:
         if value is None:
             continue
         lines.append(f"{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_over(path, [("\n".join(lines) + "\n").encode("utf-8")])
+
+
+def _write_over(path, chunks) -> None:
+    """Write the byte chunks to path over its old bytes, then cut it there.
+
+    The file is created with open()'s mode (0o666 under the umask) if it
+    is missing.  The cut runs also when a chunk raises, so the file holds
+    exactly the bytes written before it.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:
+        try:
+            for chunk in chunks:
+                fh.write(chunk)
+        finally:
+            fh.truncate()
 
 
 def _coerce(value: str):

@@ -162,11 +162,15 @@ GRID64 = RadialGrid.uniform_from_origin(10.0, 64)
 
 @pytest.mark.parametrize("build", [
     lambda: RadialGrid(np.array([0.5, 1.0, 2.0])),
+    lambda: RadialGrid(np.array([1.0, 2.0, np.nan, 4.0])),
+    lambda: RadialGrid(np.array([np.nan, 2.0, 3.0, 4.0])),
+    lambda: RadialGrid(np.array([1.0, 2.0, 3.0, np.inf])),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_weight=np.nan),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_weight=np.inf),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_entropy=np.nan),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_entropy=-np.inf),
-], ids=["grid-of-3-nodes", "weight-nan", "weight-inf", "entropy-nan", "entropy-inf"])
+], ids=["grid-of-3-nodes", "grid-nan-inside", "grid-nan-first", "grid-inf-last",
+        "weight-nan", "weight-inf", "entropy-nan", "entropy-inf"])
 def test_grid_and_wavefunction_parameters_rejected(build):
     with pytest.raises(DomainError):
         build()

@@ -1,6 +1,9 @@
-"""CSV writer: the numpy encoder writes the bytes of one '%.17g' per value; JSON writer."""
+"""CSV writer: the numpy encoder writes the bytes of one '%.17g' per value; JSON writer;
+every writer rewrites a file over its old bytes and cuts it to the new length."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -11,7 +14,14 @@ from logse.analytic import case_constant
 from logse.cli import main
 from logse.grids import RadialGrid
 from logse.numerics import SolverOptions, evolve_real_time
-from logse.output import CSV_FORMAT, _block_rows, write_csv, write_json
+from logse.output import (
+    CSV_FORMAT,
+    _block_rows,
+    parse_config_file,
+    save_config_file,
+    write_csv,
+    write_json,
+)
 
 
 def _per_value_csv(path, header, columns):
@@ -154,3 +164,79 @@ def test_write_json_matches_json_dump(tmp_path):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     assert (tmp_path / "one_call.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+
+def _write(kind, path, rows):
+    """A CSV, result JSON or saved config whose length grows with rows."""
+    if kind == "csv":
+        write_csv(path, ["a", "b"], [np.arange(rows, dtype=float), np.ones(rows) / 3])
+    elif kind == "json":
+        write_json(path, {"values": list(range(rows))})
+    else:
+        save_config_file(path, {f"key_{j}": j / 7 for j in range(rows)})
+
+
+@pytest.mark.parametrize("kind", ["csv", "json", "config"])
+def test_shorter_rerun_leaves_exactly_the_new_bytes(tmp_path, kind):
+    _write(kind, tmp_path / "rerun", 2000)
+    long_size = (tmp_path / "rerun").stat().st_size
+    _write(kind, tmp_path / "rerun", 3)
+    _write(kind, tmp_path / "fresh", 3)
+    rerun = (tmp_path / "rerun").read_bytes()
+    assert rerun == (tmp_path / "fresh").read_bytes()
+    assert len(rerun) < long_size / 10
+
+
+def test_json_and_config_text_is_utf8(tmp_path):
+    write_json(tmp_path / "r.json", {"text": "ψ"})
+    assert (tmp_path / "r.json").read_bytes() == b'{\n  "text": "\\u03c8"\n}\n'
+    save_config_file(tmp_path / "r.cfg", {"label": "ψ ρ", "q": -1.0, "skip": None})
+    assert (tmp_path / "r.cfg").read_bytes() == "label = ψ ρ\nq = -1.0\n".encode("utf-8")
+    assert parse_config_file(tmp_path / "r.cfg") == {"label": "ψ ρ", "q": -1.0}
+
+
+def test_failing_group_leaves_earlier_rows_and_cuts_the_old_tail(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b"], [np.arange(4000.0), np.arange(4000.0)])
+    first, second = [np.arange(3.0), np.ones(3)], [np.full(2, 0.5), np.full(2, 2.0)]
+
+    def more():
+        yield second
+        raise RuntimeError("snapshot failed")
+
+    with pytest.raises(RuntimeError, match="snapshot failed"):
+        write_csv(path, ["a", "b"], first, more())
+    write_csv(tmp_path / "two_groups.csv", ["a", "b"], first, [second])
+    assert path.read_bytes() == (tmp_path / "two_groups.csv").read_bytes()
+
+
+def test_rerun_keeps_the_inode_links_and_permissions(tmp_path):
+    path = tmp_path / "result.json"
+    write_json(path, {"values": list(range(100))})
+    os.chmod(path, 0o640)
+    os.link(path, tmp_path / "hard.json")
+    os.symlink(path, tmp_path / "soft.json")
+    inode = path.stat().st_ino
+    write_json(path, {"values": [1]})
+    write_json(tmp_path / "soft.json", {"values": [2]})
+    assert path.stat().st_ino == inode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert (tmp_path / "soft.json").is_symlink()
+    assert (tmp_path / "hard.json").read_bytes() == path.read_bytes() == (
+        b'{\n  "values": [\n    2\n  ]\n}\n')
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_new_file_gets_the_mode_of_open_wb(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "reference", "wb"):
+            pass
+        write_csv(tmp_path / "rows.csv", ["a"], [np.zeros(2)])
+        write_json(tmp_path / "r.json", {})
+        save_config_file(tmp_path / "r.cfg", {})
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    for name in ("rows.csv", "r.json", "r.cfg"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
