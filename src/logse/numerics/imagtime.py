@@ -84,7 +84,9 @@ three.
 
 The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
-solved directly.
+solved directly by bisection and inverse iteration (LAPACK stebz, stein).
+Every LAPACK routine here comes from numerics._lapack, which loads scipy's
+extension without the scipy.linalg package.
 
 Two inner products, each for its reason.  Every norm, distance and energy
 of a state uses the grid rule (grids.integrate_radial: Simpson plus the
@@ -103,10 +105,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dptsv
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, DomainError
 from ..grids import (
     FULL_SPHERE,
     RadialGrid,
@@ -116,6 +116,7 @@ from ..grids import (
     integrate_radial,
 )
 from ..observables import LOG_FLOOR, _kinetic_energy, _xlogx
+from ._lapack import dgtsv, dptsv, eigh_tridiagonal_lowest
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
@@ -368,20 +369,25 @@ def linear_ground_state(
     eigenvalue.  opts and psi0 are accepted, for call compatibility with the
     relaxation, and unused.  Used to check that a linear problem with the
     effective potential of a nonlinear solution reproduces that solution.
+    Raises DomainError if the matrix is not finite (h so small that 1/h^2
+    overflows) and ConvergenceError if the eigensolve fails.
     """
     v = grid_values(V_ext, grid, "V_ext")
     h = grid.origin_step()
-    inv_h2 = 1.0 / (h * h)
-    omega, vec = eigh_tridiagonal(
-        2.0 * inv_h2 + v, np.full(v.size - 1, -inv_h2), select="i", select_range=(0, 0)
-    )
-    u = vec[:, 0]
+    inv_h2 = 1.0 / (h * h) if h * h > 0.0 else math.inf
+    diagonal = 2.0 * inv_h2 + v
+    if not np.all(np.isfinite(diagonal)):
+        raise DomainError(f"-D2 + diag(V_ext) is not finite on this grid (h = {h:.3g})")
+    try:
+        omega, u = eigh_tridiagonal_lowest(diagonal, np.full(v.size - 1, -inv_h2))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"linear ground state: {exc}") from exc
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u  # the ground state is nodeless; take it positive
     psi = RadialWavefunction(
         grid=grid, values=u / grid.r, target_norm=N, angular_weight=angular_weight
     ).normalized()
-    return psi, float(omega[0])
+    return psi, float(omega)
 
 
 def relaxation_energy(psi: RadialWavefunction, coupling) -> float:

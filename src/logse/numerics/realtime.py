@@ -14,7 +14,8 @@ is conserved to roundoff; the phase kicks conserve |psi| pointwise.
 A kick builds exp(i theta) from one tangent (half_angle_phase).  The kinetic
 step is the Cayley identity (I+A)^-1 (I-A) u = 2 (I+A)^-1 u - u: (I+A)/2 is
 factored once (LAPACK gttrf), and a step back-substitutes (gttrs) on a copy of
-u and subtracts u.  Between two steps where nothing is recorded, the second
+u and subtracts u; both routines come from numerics._lapack, which loads
+scipy's extension without the scipy.linalg package.  Between two steps where nothing is recorded, the second
 half kick of one step and the first half kick of the next are fused into one
 full kick; every snapshot, norm check and the final state still see a
 completed Strang step.
@@ -26,13 +27,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  (wrapped by perfbench/tracing.py HOOKS)
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import RadialWavefunction
 from ..observables import LOG_FLOOR
 from ..scales import CouplingProfile
+# solve_banded is unused here: perfbench/tracing.py HOOKS wraps this name
+from ._lapack import solve_banded, zgttrf, zgttrs  # noqa: F401
 from .options import SolverOptions
 
 _NORM_DRIFT_LIMIT = 1e-6  # allowed relative drift per 1000 steps

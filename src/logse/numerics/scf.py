@@ -19,10 +19,11 @@ a quad . (u u) = N as in the relaxation.
 
 Newton step.  Interleaving (u_i, z_i) makes the Jacobian banded with
 bandwidths (3, 2), bordered by the omega column u and the norm row: one step
-is one solve_banded call with the right-hand sides [F, u] and the relaxation's
-border elimination (imagtime.bordered_newton_update), O(n).  After a step z
-is recomputed from the new density, so F2 = 0 holds exactly, and omega is the
-iterate's Rayleigh quotient.  The coupled residual is then max|F1| / max|u|
+is one banded LU solve (LAPACK gbsv, numerics._lapack.solve_banded) with the
+right-hand sides [F, u] and the relaxation's border elimination
+(imagtime.bordered_newton_update), O(n).  After a step z is recomputed from
+the new density, so F2 = 0 holds exactly, and omega is the iterate's
+Rayleigh quotient.  The coupled residual is then max|F1| / max|u|
 in the field the state's own density sources.  As in the relaxation, a step
 is accepted only if its iterate has no node and its residual falls.
 
@@ -52,12 +53,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ..errors import ConvergenceError, DomainError
 from ..grids import (FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights,
                      grid_values)
 from ..observables import LOG_FLOOR
+from ._lapack import solve_banded
 from .imagtime import (
     _initial_guess,
     bordered_newton_update,
@@ -196,9 +197,7 @@ def self_consistent_minimal_model(
         rhs = np.zeros((2 * u.size, 2))
         rhs[0::2, 0], rhs[0::2, 1] = f1, u
         try:
-            with np.errstate(all="ignore"):
-                x = solve_banded((3, 2), ab, rhs, overwrite_ab=True,
-                                 overwrite_b=True, check_finite=False)
+            x = solve_banded((3, 2), ab, rhs)
         except np.linalg.LinAlgError:
             return None
         return bordered_newton_update(u, x[0::2, 0], x[0::2, 1], quad, N,

@@ -573,6 +573,16 @@ def test_linear_rejects_unbounded_potential():
         )
 
 
+@pytest.mark.parametrize("r_max, error", [
+    (1e-160, DomainError),       # h^2 underflows: 1/h^2 is inf
+    (1e-200, DomainError),       # h^2 is 0
+    (1e-100, ConvergenceError),  # the bisection does not converge (info 4)
+])
+def test_linear_on_a_vanishing_grid_raises_package_errors(r_max, error):
+    with pytest.raises(error):
+        linear_ground_state(np.zeros(16), 1.0, RadialGrid.uniform_from_origin(r_max, 16))
+
+
 @pytest.mark.parametrize("V_ext", [np.zeros(GRID8.n_points - 1), np.zeros(2 * GRID8.n_points)],
                          ids=["one-node-short", "twice-the-nodes"])
 def test_linear_potential_needs_one_value_per_node(V_ext):
