@@ -17,10 +17,10 @@ stiff = min(w + 2b, 0), each step solves
     (I - dt D2 - dt diag(stiff)) u_new = u + dt (w - stiff + omega_n) u
 
 (an SPD tridiagonal system: one LAPACK ptsv call on its diagonal and
-off-diagonal) and renormalizes.  w + 2b = d(w u)/du is the log term's
-Jacobian; taking its non-positive part (the -2q/r^2 stiffness near the
-origin) implicitly lifts the h^2 step limit and keeps the matrix SPD and
-diagonally dominant.  omega_n makes the fixed point H u + omega u = 0 for
+off-diagonal, in buffers a relaxation keeps for all its steps) and
+renormalizes.  w + 2b = d(w u)/du is the log term's Jacobian; taking its
+non-positive part (the -2q/r^2 stiffness near the origin) implicitly lifts
+the h^2 step limit and keeps the matrix SPD and diagonally dominant.  omega_n makes the fixed point H u + omega u = 0 for
 every dt, where renormalization alone drifts with dt when b(r) varies.  The
 run stops once the stationary residual max|H u + omega_n u| / max|u| is
 below tol, and returns that iterate as it is.
@@ -85,8 +85,9 @@ three.
 The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
 solved directly by bisection and inverse iteration (LAPACK stebz, stein).
-Every LAPACK routine here comes from numerics._lapack, which loads scipy's
-extension without the scipy.linalg package.
+Every LAPACK routine here comes from numerics._lapack, which calls the
+LAPACK that numpy has loaded (scipy's extension where numpy's library does
+not export the routines).
 
 Two inner products, each for its reason.  Every norm, distance and energy
 of a state uses the grid rule (grids.integrate_radial: Simpson plus the
@@ -116,7 +117,7 @@ from ..grids import (
     integrate_radial,
 )
 from ..observables import LOG_FLOOR, _kinetic_energy, _xlogx
-from ._lapack import dgtsv, dptsv, eigh_tridiagonal_lowest
+from ._lapack import SPDTridiagonalSystem, TridiagonalSystem, eigh_tridiagonal_lowest
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
@@ -165,24 +166,33 @@ def stationary(u: np.ndarray, coupling: np.ndarray, r: np.ndarray, h: float):
     return w, f, omega, float(np.abs(f).max()) / float(np.abs(u).max())
 
 
-def flow_step(u, w, omega, coupling, dt, h, quad, N, angular_weight):
+def flow_step(u, w, omega, coupling, dt, h, quad, N, angular_weight, system):
     """One step of the normalized flow from u, whose w and omega are those
-    of stationary(u, ...); quad is the grid's grid_rule_weights.
+    of stationary(u, ...); quad is the grid's grid_rule_weights.  The step's
+    matrix and right-hand side go in the buffers of system, an
+    SPDTridiagonalSystem of order u.size, which a relaxation keeps for all
+    its steps.
 
     Returns (u_new, norm, info): norm is the solve's grid-rule norm before
     u_new is renormalized to N, info is ptsv's.  Unless info == 0 and norm
     is finite and positive, u_new is the solve as it came out.
     """
     stiff = np.minimum(w + 2.0 * coupling, 0.0)
-    _, _, u_new, info = dptsv(
-        (1.0 + 2.0 * dt / (h * h)) - dt * stiff, np.full(u.size - 1, -dt / (h * h)),
-        u + dt * (w - stiff + omega) * u, overwrite_d=1, overwrite_b=1,
-    )
+    d, b = system.d, system.b
+    np.subtract(1.0 + 2.0 * dt / (h * h), np.multiply(dt, stiff, out=d), out=d)
+    system.e.fill(-dt / (h * h))
+    # b = u + dt (w - stiff + omega) u, in the order of that expression
+    np.subtract(w, stiff, out=b)
+    b += omega
+    b *= dt
+    b *= u
+    b += u
+    info = system.solve()
     with np.errstate(over="ignore"):
-        norm = angular_weight * float(quad @ (u_new * u_new))
+        norm = angular_weight * float(quad @ (b * b))
     if info == 0 and 0.0 < norm < math.inf:
-        u_new *= math.sqrt(N / norm)
-    return u_new, norm, info
+        return b * math.sqrt(N / norm), norm, info
+    return b.copy(), norm, info
 
 
 def discrete_energy(u, omega, coupling, h, angular_weight):
@@ -253,18 +263,28 @@ def ground_state_from_coupling_values(
     count flow and Newton iterations alike.  Raises ConvergenceError
     (carrying the last iterate and the residual history) when opts.max_steps
     is exhausted, or when a flow step leaves no finite positive norm (then
-    the last iterate is the one before it).
+    the last iterate is the one before it).  Raises DomainError, before the
+    first step, when opts.convergence_tol is not above eps/h^2: roundoff in
+    D2 u keeps the residual above about 1.6-2.1 eps/h^2, so no budget would
+    reach it.  A tolerance between eps/h^2 and that measured floor passes
+    this check and may still exhaust opts.max_steps.
     """
     opts = opts or SolverOptions()
     coupling = grid_values(coupling, grid, "coupling")
     r = grid.r
     h = grid.origin_step()
     tol = opts.convergence_tol
+    floor = np.finfo(float).eps / (h * h) if h * h > 0.0 else math.inf
+    if not tol > floor:
+        raise DomainError(f"convergence_tol {tol:g} is not above the residual's roundoff "
+                          f"floor eps/h^2 = {floor:.3g} on this grid (h = {h:.3g})")
     dt0 = opts.dt if opts.dt is not None else _RELAX_DT
     dt = dt0
 
     u = r * _initial_guess(grid, psi0, N, angular_weight)
     quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
+    system = SPDTridiagonalSystem(r.size)  # each flow step's matrix and right-hand side
+    jacobian = TridiagonalSystem(r.size, 2)  # each Newton step's, with [F u]
     history = []
     newton_steps = rejected_steps = 0
 
@@ -279,14 +299,15 @@ def ground_state_from_coupling_values(
         """The bordered Newton iterate from u and the norm of its linearized
         step (bordered_newton_update); None for the iterate when the solve
         fails or the iterate is not finite."""
-        jacobian_diagonal = (w + 2.0 * coupling * ((u / r) ** 2 > LOG_FLOOR)
-                             + omega - 2.0 / (h * h))
-        off = np.full(u.size - 1, 1.0 / (h * h))
-        with np.errstate(all="ignore"):
-            _, _, _, x, info = dgtsv(off, jacobian_diagonal, off,
-                                     np.column_stack((f, u)), overwrite_d=1)
-        u_new, norm = bordered_newton_update(u, x[:, 0], x[:, 1], quad, N, angular_weight)
-        return (u_new if info == 0 else None), norm
+        jacobian.d[:] = (w + 2.0 * coupling * ((u / r) ** 2 > LOG_FLOOR)
+                         + omega - 2.0 / (h * h))
+        jacobian.dl.fill(1.0 / (h * h))
+        jacobian.du.fill(1.0 / (h * h))
+        x = jacobian.b
+        x[:, 0], x[:, 1] = f, u
+        if jacobian.solve() != 0:
+            return None, math.nan
+        return bordered_newton_update(u, x[:, 0], x[:, 1], quad, N, angular_weight)
 
     w, f, omega, _ = stationary(u, coupling, r, h)
     energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
@@ -310,7 +331,7 @@ def ground_state_from_coupling_values(
         if not accepted:
             while True:
                 u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, quad, N,
-                                              angular_weight)
+                                              angular_weight, system)
                 if info == 0 and 0.0 < norm < math.inf:
                     trial = stationary(u_new, coupling, r, h)
                     trial_energy = discrete_energy(u_new, trial[2], coupling, h,

@@ -14,11 +14,13 @@ is conserved to roundoff; the phase kicks conserve |psi| pointwise.
 A kick builds exp(i theta) from one tangent (half_angle_phase).  The kinetic
 step is the Cayley identity (I+A)^-1 (I-A) u = 2 (I+A)^-1 u - u: (I+A)/2 is
 factored once (LAPACK gttrf), and a step back-substitutes (gttrs) on a copy of
-u and subtracts u; both routines come from numerics._lapack, which loads
-scipy's extension without the scipy.linalg package.  Between two steps where nothing is recorded, the second
-half kick of one step and the first half kick of the next are fused into one
-full kick; every snapshot, norm check and the final state still see a
-completed Strang step.
+u and subtracts u in place.  Both routines come from numerics._lapack's
+TridiagonalLU, which calls the LAPACK that numpy has loaded (scipy's
+extension where numpy's library does not export them) on a buffer bound
+once.  Between two steps where nothing is recorded, the second half kick of
+one step and the first half kick of the next are fused into one full kick;
+every snapshot, norm check and the final state still see a completed Strang
+step.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..grids import RadialWavefunction
 from ..observables import LOG_FLOOR
 from ..scales import CouplingProfile
 # solve_banded is unused here: perfbench/tracing.py HOOKS wraps this name
-from ._lapack import solve_banded, zgttrf, zgttrs  # noqa: F401
+from ._lapack import TridiagonalLU, solve_banded  # noqa: F401
 from .options import SolverOptions
 
 _NORM_DRIFT_LIMIT = 1e-6  # allowed relative drift per 1000 steps
@@ -113,9 +115,10 @@ def evolve_real_time(
     # for i du/dt = -u'' with Dirichlet ghosts
     lam = 0.5j * dt / (h * h)
     off = np.full(n - 1, -0.5 * lam)
-    dl, d, du, du2, ipiv, info = zgttrf(off, np.full(n, 0.5 + lam), off)
-    if info != 0:
-        raise DomainError(f"Crank-Nicolson matrix is singular (gttrf info={info})")
+    try:
+        lu = TridiagonalLU(off, np.full(n, 0.5 + lam), off)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"the Crank-Nicolson matrix: {exc}") from exc
 
     # the kick exp(i theta) takes the half angle theta/2 = coef * ln max(|u/r|^2,
     # LOG_FLOOR): coef is dt*b/4 for a half kick and dt*b/2 for a full one
@@ -168,10 +171,7 @@ def evolve_real_time(
     completed = True  # u holds a whole Strang step (its last half kick applied)
     for step in range(1, n_steps + 1):
         kick(u, kick_half if completed else kick_full)
-        v, info = zgttrs(dl, d, du, du2, ipiv, u)
-        if info != 0:
-            raise DomainError(f"Crank-Nicolson solve failed (gttrs info={info})")
-        u = np.subtract(v, u, out=v)
+        np.subtract(lu.solve(u), u, out=u)
 
         snapshot = step % stride == 0 or step == n_steps
         norm_check = step % _NORM_CHECK_EVERY == 0

@@ -19,13 +19,14 @@ a quad . (u u) = N as in the relaxation.
 
 Newton step.  Interleaving (u_i, z_i) makes the Jacobian banded with
 bandwidths (3, 2), bordered by the omega column u and the norm row: one step
-is one banded LU solve (LAPACK gbsv, numerics._lapack.solve_banded) with the
-right-hand sides [F, u] and the relaxation's border elimination
-(imagtime.bordered_newton_update), O(n).  After a step z is recomputed from
-the new density, so F2 = 0 holds exactly, and omega is the iterate's
-Rayleigh quotient.  The coupled residual is then max|F1| / max|u|
-in the field the state's own density sources.  As in the relaxation, a step
-is accepted only if its iterate has no node and its residual falls.
+is one banded LU solve (LAPACK gbsv from the library numpy has loaded,
+numerics._lapack.solve_banded) with the right-hand sides [F, u] and the
+relaxation's border elimination (imagtime.bordered_newton_update), O(n).
+After a step z is recomputed from the new density, so F2 = 0 holds exactly,
+and omega is the iterate's Rayleigh quotient.  The coupled residual is then
+max|F1| / max|u| in the field the state's own density sources.  As in the
+relaxation, a step is accepted only if its iterate has no node and its
+residual falls.
 
 Globalization: one relaxation, then natural continuation in the source
 strength, lambda f (Allgower & Georg, Introduction to Numerical Continuation
@@ -185,7 +186,7 @@ def self_consistent_minimal_model(
         dsource = (-4.0 * math.pi * lam * h) * np.asarray(
             source_derivative(rho, r), dtype=float) * u
         # band storage ab[2 + row - col, col]: u_i is column 2i, z_i 2i + 1
-        ab = np.zeros((6, 2 * u.size))
+        ab = np.zeros((6, 2 * u.size), order="F")
         ab[0, 2::2] = inv_h2                              # F1_{i-1}
         ab[2, 0::2] = w + 2.0 * coupling * (rho > LOG_FLOOR) + omega - 2.0 * inv_h2
         ab[3, 0::2] = dsource                             # F2_i
@@ -194,7 +195,7 @@ def self_consistent_minimal_model(
         ab[1, 1::2] = np.log(np.maximum(rho, LOG_FLOOR)) * u / r**2  # dF1_i/dz_i
         ab[2, 1::2] = 1.0                                 # dF2_i/dz_i
         ab[4, 1:-2:2] = -1.0                              # dF2_{i+1}/dz_i
-        rhs = np.zeros((2 * u.size, 2))
+        rhs = np.zeros((2 * u.size, 2), order="F")
         rhs[0::2, 0], rhs[0::2, 1] = f1, u
         try:
             x = solve_banded((3, 2), ab, rhs)

@@ -84,6 +84,12 @@ def test_evolve_refuses_stiff_phase_step(tmp_path, capsys):
     assert run(tmp_path, "evolve", "--case", "q1", "--dt", "2e-5", "--steps", "10") == 0
 
 
+def test_groundstate_refuses_tolerance_below_roundoff_floor(tmp_path, capsys):
+    # eps/h^2 = 1.42e-12 at the default grid (8, 640)
+    assert run(tmp_path, "groundstate", "--tol", "1e-12") == 2
+    assert "roundoff floor eps/h^2 = 1.42e-12" in capsys.readouterr().err
+
+
 def test_evolve_stationary_summary(tmp_path):
     assert run(tmp_path, "evolve", "--case", "constant", "--N", "1",
                "--b0", repr(PI), "--steps", "100", "--stride", "50",

@@ -31,6 +31,7 @@ from logse.numerics import (
     relaxation_energy,
 )
 from logse.numerics import imagtime
+from logse.numerics._lapack import SPDTridiagonalSystem
 from logse.numerics.stencils import second_difference_dirichlet
 
 PI = math.pi
@@ -80,16 +81,42 @@ def test_relax_inverse_square_coupling():
 
 
 def test_relax_nonconvergence_carries_iterate_and_history():
+    # tol 1e-11 is reached in 26 steps on this grid; 10 are not enough
     with pytest.raises(ConvergenceError) as err:
         ground_state_from_coupling_values(
             CouplingProfile(PI, 0.0).evaluate(GRID8.r), 1.0, GRID8,
-            SolverOptions(max_steps=40, convergence_tol=1e-14),
+            SolverOptions(max_steps=10, convergence_tol=1e-11),
         )
     assert err.value.last is not None
     assert err.value.last.psi.values.shape == GRID8.r.shape
     # one history row per step
-    assert len(err.value.history) == 40
-    assert [row[0] for row in err.value.history] == list(range(1, 41))
+    assert len(err.value.history) == 10
+    assert [row[0] for row in err.value.history] == list(range(1, 11))
+    assert err.value.history[-1][1] > 1e-11
+
+
+def test_relax_reaches_a_tolerance_just_above_the_roundoff_floor():
+    # eps/h^2 = 1.42e-12 on GRID8; the residual's floor is about 2.95e-12
+    res = ground_state_from_coupling_values(
+        CouplingProfile(PI, 0.0).evaluate(GRID8.r), 1.0, GRID8,
+        SolverOptions(convergence_tol=1e-11))
+    assert res.converged and res.steps == 26
+
+
+@pytest.mark.parametrize("grid, tol", [
+    (GRID8, 1e-14),
+    (GRID8, 1.4e-12),
+    (RadialGrid.uniform_from_origin(1e-100, 16), 1e-6),
+    (RadialGrid.uniform_from_origin(1e-200, 16), 1e-6),  # h*h underflows to 0
+])
+def test_relax_rejects_tolerance_below_roundoff_floor(grid, tol, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a flow step ran")
+
+    monkeypatch.setattr(imagtime, "flow_step", no_step)
+    with pytest.raises(DomainError, match="roundoff floor"):
+        ground_state_from_coupling_values(np.full_like(grid.r, PI), 1.0, grid,
+                                          SolverOptions(convergence_tol=tol))
 
 
 def _default_guess(grid):
@@ -156,11 +183,12 @@ def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
     r, h = grid.r, grid.h
     quad = grid_rule_weights(grid)
     u = r * imagtime._initial_guess(grid, psi0, 1.0, weight)
+    system = SPDTridiagonalSystem(r.size)
     iterates = []
     for _ in range(n_steps):
         w, _, omega, _ = imagtime.stationary(u, b, r, h)
         u, _, info = imagtime.flow_step(u, w, omega, b, imagtime._RELAX_DT, h, quad,
-                                        1.0, weight)
+                                        1.0, weight, system)
         assert info == 0
         iterates.append(RadialWavefunction(grid, u / r, 1.0, weight))
     return iterates
