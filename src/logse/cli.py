@@ -75,7 +75,6 @@ def _grid(r_max, n) -> dict:
         "r_min": (float, None, "inner radius (omit for an origin-step uniform grid)"),
         "r_max": (float, r_max, "outer radius"),
         "n": (int, n, "number of grid points"),
-        "spacing": (("uniform", "log"), "uniform", "node spacing"),
     }
 
 
@@ -195,11 +194,8 @@ def _apply_scales(conf: dict) -> dict:
 
 def _grid_from(conf) -> RadialGrid:
     if conf["r_min"] is None:
-        if conf["spacing"] == "log":
-            raise DomainError("log spacing needs an explicit --r-min")
         return RadialGrid.uniform_from_origin(conf["r_max"], conf["n"])
-    maker = RadialGrid.log if conf["spacing"] == "log" else RadialGrid.uniform
-    return maker(conf["r_min"], conf["r_max"], conf["n"])
+    return RadialGrid.uniform(conf["r_min"], conf["r_max"], conf["n"])
 
 
 def _build_case(conf):

@@ -8,12 +8,10 @@ machinery covers both conventions used by the analytic catalog:
 * separable radial factors R(r): norm = int r^2 |R|^2 dr        (weight 1),
   with the angular entropy constant S_Y carried alongside.
 
-Integrals use one grid rule, integrate_radial: composite Simpson (uniform
-weights on uniform grids, scipy's on log grids) plus the [0, r_min] panel;
-grid_rule_weights returns the same rule as a weight vector for loops that
-integrate on one grid.  scipy.integrate is imported by the first log-grid
-integral, not with this module: it pulls in most of scipy, and no solver
-grid needs it.
+Every grid is uniform.  Integrals use one grid rule, integrate_radial:
+composite Simpson (one dot product with uniform weights) plus the
+[0, r_min] panel; grid_rule_weights returns the same rule as a weight vector
+for loops that integrate on one grid.
 """
 
 from __future__ import annotations
@@ -50,18 +48,11 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 def simpson(f: np.ndarray, grid: RadialGrid) -> float:
-    """Composite Simpson of f over the grid's nodes.
-
-    On a uniform grid, one dot product with simpson_weights at the mean step
-    (r_max - r_min) / (n - 1), equal to scipy.integrate.simpson to roundoff
-    (the first step alone can be off by eps * r_max / h relative); on a
-    non-uniform (log) grid, scipy.integrate.simpson, imported on that
-    branch only.
+    """Composite Simpson of f over the grid's nodes: one dot product with
+    simpson_weights at the mean step (r_max - r_min) / (n - 1), equal to
+    scipy.integrate.simpson to roundoff (the first step alone can be off by
+    eps * r_max / h relative).
     """
-    if grid._h is None:
-        from scipy.integrate import simpson as scipy_simpson
-
-        return float(scipy_simpson(f, x=grid.r))
     n = grid.n_points
     return float(simpson_weights(n, (grid.r_max - grid.r_min) / (n - 1)) @ f)
 
@@ -80,7 +71,7 @@ def grid_rule_weights(grid: RadialGrid) -> np.ndarray:
     """The grid rule as weights w: w @ f == integrate_radial(grid, f) to
     roundoff, the r^2-weighted densities' rule (origin power 2).
 
-    Defined on the solvers' grid (uniform nodes with r_min == h, else
+    Defined on the solvers' grid (r_min == h, else
     DomainError): simpson_weights with r_min / 3 added to the first weight
     for the [0, r_min] panel.
     """
@@ -96,11 +87,12 @@ _UNIFORM_ULPS = 8.0
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing radial nodes with r_min > 0; uniform, with spacing
-    h = r[1] - r[0], when every step is within 8 eps r_max of h."""
+    """Uniform, strictly increasing radial nodes with r_min > 0 and spacing
+    h = r[1] - r[0]: every step must lie within 8 eps r_max of h, else
+    DomainError."""
 
     r: np.ndarray
-    _h: float | None = field(init=False, repr=False, compare=False)
+    h: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=float)
@@ -115,16 +107,13 @@ class RadialGrid:
         if not np.isfinite(r[-1]):
             raise DomainError("grid nodes must be finite")
         tol = _UNIFORM_ULPS * np.finfo(float).eps * r[-1]
-        uniform = bool(np.all(np.abs(steps - steps[0]) <= tol))
-        object.__setattr__(self, "_h", float(steps[0]) if uniform else None)
+        if not np.all(np.abs(steps - steps[0]) <= tol):
+            raise DomainError("grid nodes must be uniformly spaced")
+        object.__setattr__(self, "h", float(steps[0]))
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
         return cls(np.linspace(r_min, r_max, n))
-
-    @classmethod
-    def log(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        return cls(np.geomspace(r_min, r_max, n))
 
     @classmethod
     def uniform_from_origin(cls, r_max: float, n: int) -> "RadialGrid":
@@ -149,18 +138,11 @@ class RadialGrid:
     def n_points(self) -> int:
         return int(self.r.size)
 
-    @property
-    def h(self) -> float:
-        """Node spacing r[1] - r[0] of a uniform grid; DomainError otherwise."""
-        if self._h is None:
-            raise DomainError("spacing h is defined for uniform grids only")
-        return self._h
-
     def origin_step(self) -> float:
         """h on the solvers' grid (r_min == h: ghost node at r = 0); else DomainError."""
-        h = self._h
-        if h is None or abs(self.r_min - h) > 1e-12 * h:
-            raise DomainError("the solvers need a uniform grid with r_min == h "
+        h = self.h
+        if abs(self.r_min - h) > 1e-12 * h:
+            raise DomainError("the solvers need a grid with r_min == h "
                               "(RadialGrid.uniform_from_origin; omit --r-min)")
         return h
 

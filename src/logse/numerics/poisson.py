@@ -10,6 +10,7 @@ superposition (phi_q' = -q/r^2), never as an on-grid delta.  The source
 integral is extended from r_min down to r = 0 with a zero integrand value at
 the origin, which is exact for the leading extended-source term S ~ 1/r
 (s^2 S is then linear, and the trapezoid rule integrates it exactly).
+field_gradient is that phi' alone, for the loops that need no phi.
 
 Fields of the form phi = phi0 + q/r + b0*r are the far-field shape of the
 auxiliary-field model; extract_coupling_asymptotics recovers (q, b0) by a
@@ -62,11 +63,34 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def enclosed_source(source: np.ndarray, r: np.ndarray) -> np.ndarray:
     """int_0^r s^2 S(s) ds at each node: the cumulative trapezoid from the
-    origin, where the integrand r^2 S is taken as 0.  The coupling of
-    solve_radial_poisson is this over r^2, minus point_charge / r^2."""
+    origin, where the integrand r^2 S is taken as 0."""
     r_ext = np.concatenate(([0.0], r))
     integrand = np.concatenate(([0.0], r * r * source))
     return cumulative_trapezoid(integrand, r_ext)[1:]
+
+
+def _charge_gradient(point_charge: float, r: np.ndarray) -> np.ndarray:
+    """q/r^2 at each node; DomainError unless q and q/r^2 are finite (then
+    q/r is too, as |q/r| <= max(|q|, |q/r^2|))."""
+    if not np.isfinite(point_charge):
+        raise DomainError("point_charge must be finite")
+    with np.errstate(over="ignore"):
+        charge = point_charge / r**2
+    if not np.isfinite(charge).all():
+        raise DomainError(f"point_charge {float(point_charge)!r} overflows q/r or "
+                          f"q/r^2 on the grid (r_min = {float(r[0])!r})")
+    return charge
+
+
+def field_gradient(source, grid: RadialGrid, point_charge: float = 0.0) -> np.ndarray:
+    """The coupling b = phi' of lap_r phi = source(r) with a point charge q,
+    (int_0^r s^2 S ds - q) / r^2: solve_radial_poisson's dphi bit for bit,
+    without its phi and asymptotic fit.  DomainError for a source that is
+    not finite or not integrable at the origin, or a bad charge."""
+    r = grid.r
+    s = grid_values(source, grid, "source")
+    _check_integrable(r, s)
+    return enclosed_source(s, r) / r**2 - _charge_gradient(point_charge, r)
 
 
 def solve_radial_poisson(
@@ -81,25 +105,14 @@ def solve_radial_poisson(
     the gauge constant never enters the coupling b = phi'.
     """
     r = grid.r
-    s = grid_values(source, grid, "source")
-    _check_integrable(r, s)
-    if not np.isfinite(point_charge):
-        raise DomainError("point_charge must be finite")
-
-    enclosed = enclosed_source(s, r)
-
-    # smooth part by quadrature, integrated inward from the outer boundary so
-    # the far field (where the asymptotics are read off) stays clean; the
-    # point charge is superposed as the exact q/r solution, never discretized
-    dphi_smooth = enclosed / r**2
+    # smooth part (q = 0 subtracts an exact 0) by quadrature, integrated
+    # inward from the outer boundary so the far field (where the asymptotics
+    # are read off) stays clean; the point charge is superposed as the exact
+    # q/r solution, never discretized
+    dphi_smooth = field_gradient(source, grid)
+    charge_dphi = _charge_gradient(point_charge, r)
     inner = cumulative_trapezoid(dphi_smooth, r)
-    with np.errstate(over="ignore"):
-        charge_phi, charge_dphi = point_charge / r, point_charge / r**2
-    if not (np.isfinite(charge_phi).all() and np.isfinite(charge_dphi).all()):
-        raise DomainError(f"point_charge {float(point_charge)!r} overflows q/r or "
-                          f"q/r^2 on the grid (r_min = {float(r[0])!r})")
-    phi = -point_charge / grid.r_max - (inner[-1] - inner)
-    phi = phi + charge_phi
+    phi = -point_charge / grid.r_max - (inner[-1] - inner) + point_charge / r
     dphi = dphi_smooth - charge_dphi
 
     q_fit, b0_fit, cond, rms = _fit_asymptotics(r, phi)

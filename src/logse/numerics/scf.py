@@ -56,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError
-from ..grids import (FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights,
-                     grid_values)
+from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights
 from ..observables import LOG_FLOOR
 from ._lapack import solve_banded
 from .imagtime import (
@@ -68,7 +67,7 @@ from .imagtime import (
     stationary,
 )
 from .options import SolverOptions
-from .poisson import FieldState, enclosed_source, solve_radial_poisson
+from .poisson import FieldState, field_gradient, solve_radial_poisson
 
 # the continuation gives up once a rejected rung would halve its lambda
 # step below this
@@ -171,10 +170,8 @@ def self_consistent_minimal_model(
         return (4.0 * math.pi * lam) * np.asarray(f((u / r) ** 2, r), dtype=float)
 
     def coupled(u, lam):
-        """(b, w, F1, omega, residual) of u in the field its density sources;
-        b is solve_radial_poisson's coupling of that source, bit for bit."""
-        s = grid_values(source(u, lam), grid, "the field source")
-        coupling = enclosed_source(s, r) / r**2 - point_charge / r**2
+        """(b, w, F1, omega, residual) of u in the field its density sources."""
+        coupling = field_gradient(source(u, lam), grid, point_charge)
         return (coupling, *stationary(u, coupling, r, h))
 
     def newton_iterate(u, state, lam):
@@ -236,8 +233,7 @@ def self_consistent_minimal_model(
     u = r * _initial_guess(grid, psi0, N, FULL_SPHERE)
     lam0 = 0.0 if np.any(source_derivative((u / r) ** 2, r)) else 1.0
     relaxed = ground_state_from_coupling_values(
-        solve_radial_poisson(source(u, lam0), grid, point_charge=point_charge).dphi,
-        N, grid, opts, psi0=u / r)
+        field_gradient(source(u, lam0), grid, point_charge), N, grid, opts, psi0=u / r)
     u = r * relaxed.psi.values.real
     lam_done, lam_step = 0.0, 1.0
     while lam_done < 1.0:

@@ -8,8 +8,9 @@ import numpy as np
 def radial_laplacian_interior(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     """d^2 f/dr^2 + (2/r) df/dr at interior nodes via 3-point central stencils.
 
-    Works on non-uniform grids (Lagrange form); reduces to the classic
-    central differences when the spacing is constant.  Returns n-2 values.
+    The classic central differences, written in the Lagrange form of the
+    3-point stencil with each node's own steps: its rounding is what
+    criterion 1's residual rows are pinned to.  Returns n-2 values.
     """
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]

@@ -180,6 +180,12 @@ def test_removed_log_floor_exits_2_naming_it(tmp_path, capsys):
                                      "1e-300", "log_floor")
 
 
+@pytest.mark.parametrize("command", ["analytic", "groundstate", "evolve", "field"])
+def test_removed_spacing_exits_2_naming_it(tmp_path, capsys, command):
+    removed_option_exits_2_naming_it(tmp_path, capsys, command, "--spacing", "uniform",
+                                     "spacing")
+
+
 def test_max_sweeps_bounds_the_coupled_newton_steps(tmp_path, capsys):
     # --max-sweeps still parses, as the budget of coupled Newton steps
     assert run(tmp_path, "field", "--f-model", "linear-rho", "--eps", "5",
@@ -241,7 +247,6 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "groundstate", "--r-min", "0.5") == 2
     assert run(tmp_path, "evolve", "--r-min", "0.05") == 2
     assert run(tmp_path, "field", "--r-min", "0.05") == 2
-    assert run(tmp_path, "analytic", "--spacing", "log") == 2
     assert "--r-min" in capsys.readouterr().err
     for only in ("11", "0", "x"):
         assert run(tmp_path, "report", "--only", only) == 2

@@ -33,16 +33,15 @@ def test_grid_constructors_and_properties():
     assert g.r_min == 1e-3 and g.r_max == 12.0 and g.n_points == 256
     assert g.h == pytest.approx((12.0 - 1e-3) / 255)
 
-    lg = RadialGrid.log(1e-3, 12.0, 256)
-    with pytest.raises(DomainError):
-        lg.h  # spacing undefined on log grids
-
     og = RadialGrid.uniform_from_origin(8.0, 512)
     assert og.origin_step() == og.h
     assert og.r_min == pytest.approx(og.h)
-    for other in (g, lg):  # r_min != h, and no h at all
-        with pytest.raises(DomainError):
-            other.origin_step()
+    with pytest.raises(DomainError):  # r_min != h
+        g.origin_step()
+
+    c1 = RadialGrid.uniform(1e-3, 12.0, 4096)  # criterion 1's grid: the linspace bits
+    assert np.array_equal(c1.r, np.linspace(1e-3, 12.0, 4096))
+    assert c1.h == c1.r[1] - c1.r[0]
 
 
 @pytest.mark.parametrize("n", [64, 65, 512, 640, 641, 4000])
@@ -57,17 +56,16 @@ def test_grid_rule_weights_match_integrate_radial(n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from(["origin_step", "uniform", "log"]), n=st.integers(4, 4097),
+@given(kind=st.sampled_from(["origin_step", "uniform"]), n=st.integers(4, 4097),
        r_max=st.floats(0.5, 1000.0), r_min_frac=st.floats(1e-4, 0.5),
        decay=st.floats(0.05, 2.0), origin_power=st.sampled_from([0, 2]))
 def test_grid_rule_matches_scipy_simpson_plus_panel(kind, n, r_max, r_min_frac, decay,
                                                     origin_power):
-    # uniform grids take the weight vector, log grids scipy.integrate.simpson
+    # scipy.integrate.simpson is the reference for the uniform weight vector
     if kind == "origin_step":
         grid = RadialGrid.uniform_from_origin(r_max, n)
     else:
-        maker = RadialGrid.uniform if kind == "uniform" else RadialGrid.log
-        grid = maker(r_min_frac * r_max, r_max, n)
+        grid = RadialGrid.uniform(r_min_frac * r_max, r_max, n)
     r = grid.r
     f = r**origin_power * np.exp(-decay * r / r_max) + 0.25
     exact = simpson(f, x=r) + f[0] * r[0] / (origin_power + 1.0)
@@ -79,9 +77,8 @@ def test_grid_rule_matches_scipy_simpson_plus_panel(kind, n, r_max, r_min_frac, 
 
 
 def test_grid_rule_weights_need_origin_step_grid():
-    for grid in (RadialGrid.uniform(0.5, 8.0, 640), RadialGrid.log(1e-3, 8.0, 640)):
-        with pytest.raises(DomainError):
-            grid_rule_weights(grid)
+    with pytest.raises(DomainError):
+        grid_rule_weights(RadialGrid.uniform(0.5, 8.0, 640))
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,12 +88,13 @@ def test_uniformity_is_read_from_the_nodes(r_max, n):
     assert og.origin_step() == og.h == og.r[1] - og.r[0]
     assert RadialGrid.uniform(0.25 * r_max, r_max, n).h == pytest.approx(
         0.75 * r_max / (n - 1), rel=1e-9)
-    with pytest.raises(DomainError):
-        RadialGrid.log(0.5 * r_max, r_max, n).h
+    with pytest.raises(DomainError, match="uniformly spaced"):
+        RadialGrid(np.geomspace(0.5 * r_max, r_max, n))
 
 
-# r_min == r[1] - r[0] as on the solvers' grid, but the steps grow by 1% a node
-STRETCHED = RadialGrid(np.concatenate([[0.01], 0.02 * 1.01 ** np.arange(560)]))
+# uniform nodes, but r_min != h: with the left ghost node at r = 0, where the
+# solvers put it, the stencil's nodes are not uniform
+OFF_ORIGIN = RadialGrid.uniform(0.5, 8.0, 640)
 
 
 @pytest.mark.parametrize("solve", [
@@ -108,8 +106,8 @@ STRETCHED = RadialGrid(np.concatenate([[0.01], 0.02 * 1.01 ** np.arange(560)]))
     grid_rule_weights,
 ], ids=["relaxation", "linear", "real_time", "scf", "grid_rule_weights"])
 def test_solvers_reject_a_non_uniform_grid(solve):
-    with pytest.raises(DomainError, match="uniform grid"):
-        solve(STRETCHED)
+    with pytest.raises(DomainError, match="r_min == h"):
+        solve(OFF_ORIGIN)
 
 
 def test_grid_validation():
@@ -165,11 +163,14 @@ GRID64 = RadialGrid.uniform_from_origin(10.0, 64)
     lambda: RadialGrid(np.array([1.0, 2.0, np.nan, 4.0])),
     lambda: RadialGrid(np.array([np.nan, 2.0, 3.0, 4.0])),
     lambda: RadialGrid(np.array([1.0, 2.0, 3.0, np.inf])),
+    # r_min == r[1] - r[0] as on the solvers' grid, but the steps grow by 1% a node
+    lambda: RadialGrid(np.concatenate([[0.01], 0.02 * 1.01 ** np.arange(560)])),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_weight=np.nan),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_weight=np.inf),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_entropy=np.nan),
     lambda: RadialWavefunction(GRID64, np.ones(64), angular_entropy=-np.inf),
 ], ids=["grid-of-3-nodes", "grid-nan-inside", "grid-nan-first", "grid-inf-last",
+         "grid-stretched",
         "weight-nan", "weight-inf", "entropy-nan", "entropy-inf"])
 def test_grid_and_wavefunction_parameters_rejected(build):
     with pytest.raises(DomainError):

@@ -439,16 +439,6 @@ def test_coupling_array_must_be_finite():
         ground_state_from_coupling_values(bad, 1.0, GRID8, SolverOptions())
 
 
-def test_relax_requires_uniform_grid():
-    grid = RadialGrid.log(1e-3, 8.0, 256)
-    with pytest.raises(DomainError):
-        ground_state_from_coupling_values(
-            CouplingProfile(PI, 0.0).evaluate(grid.r), 1.0, grid, SolverOptions()
-        )
-    with pytest.raises(DomainError):
-        linear_ground_state(np.zeros_like(grid.r), 1.0, grid, SolverOptions())
-
-
 def test_engines_require_origin_step_grid():
     # a uniform grid whose r_min is not h puts the left ghost node off r = 0
     grid = RadialGrid.uniform(0.5, 8.0, 640)

@@ -6,6 +6,7 @@ import pytest
 
 from logse import DomainError, RadialGrid
 from logse.numerics import extract_coupling_asymptotics, solve_radial_poisson
+from logse.numerics.poisson import field_gradient
 
 GRID = RadialGrid.uniform_from_origin(100.0, 8192)
 
@@ -104,3 +105,23 @@ def test_non_finite_inputs_rejected():
         solve_radial_poisson(bad, GRID)
     with pytest.raises(DomainError):
         solve_radial_poisson(np.zeros_like(GRID.r), GRID, point_charge=np.inf)
+
+
+@pytest.mark.parametrize("point_charge", [0.0, 1.0, -0.5])
+def test_field_gradient_is_the_solvers_dphi_bit_for_bit(point_charge):
+    grid = RadialGrid.uniform_from_origin(8.0, 512)
+    r = grid.r
+    for source in (2.0 / r, 4.0 * np.exp(-r * r) + 1.0 / r, lambda x: np.cos(x) / x):
+        dphi = solve_radial_poisson(source, grid, point_charge=point_charge).dphi
+        assert np.array_equal(field_gradient(source, grid, point_charge), dphi)
+
+
+@pytest.mark.parametrize("source, point_charge, match", [
+    (1.0 / GRID.r**4, 0.0, "not integrable"),
+    (np.full(GRID.n_points, np.nan), 0.0, "one value per grid node"),
+    (np.zeros(GRID.n_points), np.inf, "must be finite"),
+    (np.zeros(GRID.n_points), 1e308, "overflows"),
+], ids=["non-integrable", "nan", "inf-charge", "overflowing-charge"])
+def test_field_gradient_checks_like_the_solver(source, point_charge, match):
+    with pytest.raises(DomainError, match=match):
+        field_gradient(source, GRID, point_charge)

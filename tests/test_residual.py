@@ -93,12 +93,3 @@ def test_residual_profile_excludes_boundary_rows():
     grid = RadialGrid.uniform(1e-3, 10.0, 256)
     prof = residual_profile(sol.sample(grid), sol.omega, sol.profile)
     assert prof.shape == (254,)
-
-
-def test_residual_works_on_log_grids():
-    # non-uniform stencils stay second order on smoothly graded grids, but
-    # tiny inner spacings hit subtractive cancellation in the second
-    # difference, so log grids are noise-limited rather than truncation-limited
-    sol = case_general(8, 2.0)
-    grid = RadialGrid.log(1e-3, 12.0, 2048)
-    assert residual(sol.sample(grid), sol.omega, sol.profile) < 5e-4
