@@ -312,6 +312,7 @@ def cmd_groundstate(args, conf) -> int:
         "steps": result.steps,
         "newton_steps": result.newton_steps,
         "rejected_steps": result.rejected_steps,
+        "initial_exponent": result.initial_exponent,
         "config": conf,
     }
     reference = _matching_case(conf)

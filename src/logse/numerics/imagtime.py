@@ -25,6 +25,16 @@ every dt, where renormalization alone drifts with dt when b(r) varies.  The
 run stops once the stationary residual max|H u + omega_n u| / max|u| is
 below tol, and returns that iterate as it is.
 
+Without psi0 the flow starts from the far-field Gausson exp(-a r^2/2),
+a = b(r_max) clamped to [(r_max/8)^-2, 1/h^2] (_start_exponent): for
+constant b the Gausson exp(-b r^2/2) is the exact ground state
+(Bialynicki-Birula & Mycielski, Ann. Phys. 100, 1976), and
+b(r) = b0 - q/r^2 keeps its Gaussian tail.  Where an inner node's b exceeds
+b(r_max) beyond roundoff (q < 0, the collapse basin in which the narrow
+start stalls), or b(r_max) is not above (r_max/8)^-2 (the inverse-square
+family), the start is the Gaussian of width r_max/8.  From it the Gausson
+on (8, 640) takes 26 iterations; from the far field, 2.
+
 The flow decreases the discrete functional whose constrained minimizer is
 its fixed point (a = angular_weight, the log floored as in w),
 
@@ -130,6 +140,10 @@ _NEWTON_HANDOVER = 0.1
 # a Newton iterate with an entry below -_NODE_ROUNDOFF max(u) has a node;
 # far-tail entries within roundoff of zero may take either sign
 _NODE_ROUNDOFF = 1e-10
+# the start without psi0 follows b(r_max) unless an inner node's coupling
+# exceeds it by more than this many ulps of max|b|
+_FAR_FIELD_ULPS = 8.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -141,13 +155,40 @@ class GroundStateResult:
     newton_steps: int
     rejected_steps: int  # flow trials rejected (E_h rose, or no finite norm)
     history: list  # rows (step, residual, norm, omega_estimate), one per iteration
+    initial_exponent: float | None  # a of the start exp(-a r^2/2); None if psi0 given
 
 
-def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float) -> np.ndarray:
-    """|psi0| normalized to N by the grid rule; a Gaussian of width r_max/8 if None."""
+def _start_exponent(coupling: np.ndarray, grid: RadialGrid, h: float) -> float:
+    """a of the start exp(-a r^2/2) that a relaxation without psi0 takes.
+
+    The far-field coupling b(r_max) clamped to [(r_max/8)^-2, 1/h^2]; the
+    cap keeps the start representable on the grid (for b = 1e300 it would
+    underflow to zero on every node).  Where an inner node's b exceeds
+    b(r_max) by more than _FAR_FIELD_ULPS ulps of max|b|, a is the lower
+    clamp, the r_max/8-wide Gaussian; the ulps admit the roundoff of a
+    constant b computed as a field (inner nodes a few ulps above b(r_max)).
+    """
+    low = (grid.r_max / 8.0) ** -2
+    far = float(coupling[-1])
+    slack = _FAR_FIELD_ULPS * _EPS * float(np.abs(coupling).max())
+    if float(coupling[:-1].max()) - far > slack:
+        return low
+    return min(max(far, low), 1.0 / (h * h))
+
+
+def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float,
+                   exponent: float | None = None) -> np.ndarray:
+    """|psi0| normalized to N by the grid rule.  If psi0 is None, the
+    Gaussian exp(-exponent r^2/2) (_start_exponent); when exponent is None or
+    (r_max/8)^-2, the Gaussian of width r_max/8, evaluated as
+    exp(-0.5 (r/(r_max/8))^2): written as exp(-a r^2/2) it differs in the
+    last bits, which moved the inverse-square omega by 1e-15."""
     if psi0 is None:
         sigma = grid.r_max / 8.0
-        psi = np.exp(-0.5 * (grid.r / sigma) ** 2)
+        if exponent is None or exponent == sigma**-2:
+            psi = np.exp(-0.5 * (grid.r / sigma) ** 2)
+        else:
+            psi = np.exp(-0.5 * exponent * grid.r**2)
     else:
         if isinstance(psi0, RadialWavefunction):
             psi0 = psi0.values
@@ -211,7 +252,7 @@ def discrete_energy(u, omega, coupling, h, angular_weight):
     omega_term = omega * float(uu.sum())
     coupling_term = float(coupling @ uu)
     scale = angular_weight * h
-    margin = 2.0 * math.sqrt(u.size) * np.finfo(float).eps
+    margin = 2.0 * math.sqrt(u.size) * _EPS
     return (scale * (omega_term + coupling_term),
             (_ENERGY_ROUNDOFF - margin) * scale * (abs(omega_term) + abs(coupling_term)))
 
@@ -258,9 +299,13 @@ def ground_state_from_coupling_values(
     angular_weight=1 for the radial-only normalization of the separable
     (b0 = 0, q = 1) family: the amplitude matters to the logarithmic term,
     so the weight selects which member of the family the flow converges to.
-    The flow hands over to guarded Newton steps once its residual is below
-    _NEWTON_HANDOVER (see the module docstring); opts.max_steps and history
-    count flow and Newton iterations alike.  Raises ConvergenceError
+    Without psi0 the flow starts from exp(-a r^2/2), a = b(r_max) clamped to
+    [(r_max/8)^-2, 1/h^2], or from the Gaussian of width r_max/8 where b
+    rises toward the origin (_start_exponent); the result's initial_exponent
+    is that a, None when psi0 is given.  The flow hands over to guarded
+    Newton steps once its residual is below _NEWTON_HANDOVER (see the
+    module docstring); opts.max_steps and history count flow and Newton
+    iterations alike.  Raises ConvergenceError
     (carrying the last iterate and the residual history) when opts.max_steps
     is exhausted, or when a flow step leaves no finite positive norm (then
     the last iterate is the one before it).  Raises DomainError, before the
@@ -274,14 +319,15 @@ def ground_state_from_coupling_values(
     r = grid.r
     h = grid.origin_step()
     tol = opts.convergence_tol
-    floor = np.finfo(float).eps / (h * h) if h * h > 0.0 else math.inf
+    floor = _EPS / (h * h) if h * h > 0.0 else math.inf
     if not tol > floor:
         raise DomainError(f"convergence_tol {tol:g} is not above the residual's roundoff "
                           f"floor eps/h^2 = {floor:.3g} on this grid (h = {h:.3g})")
     dt0 = opts.dt if opts.dt is not None else _RELAX_DT
     dt = dt0
 
-    u = r * _initial_guess(grid, psi0, N, angular_weight)
+    exponent = None if psi0 is not None else _start_exponent(coupling, grid, h)
+    u = r * _initial_guess(grid, psi0, N, angular_weight, exponent)
     quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
     system = SPDTridiagonalSystem(r.size)  # each flow step's matrix and right-hand side
     jacobian = TridiagonalSystem(r.size, 2)  # each Newton step's, with [F u]
@@ -293,7 +339,7 @@ def ground_state_from_coupling_values(
             grid=grid, values=u / r, target_norm=N, angular_weight=angular_weight
         )
         return GroundStateResult(psi, omega, converged, steps, newton_steps,
-                                 rejected_steps, history)
+                                 rejected_steps, history, exponent)
 
     def newton_iterate(u, w, f, omega):
         """The bordered Newton iterate from u and the norm of its linearized

@@ -34,15 +34,18 @@ Methods, SIAM 2003).  The relaxation (ground_state_from_coupling_values) runs
 in the field that lambda0 f sources at the guess, chosen so that this field
 is the self-consistent one for every density: lambda0 = 1 when df/drho
 vanishes on the guess, and the relaxation is the whole solve; lambda0 = 0
-otherwise, the point charge's field -q/r^2 alone (b = 0 when q = 0).  The
-rungs then run to lambda = 1, which is tried first; each starts from the
-last accepted state (the relaxed one until a rung is accepted) and takes
-coupled Newton steps until the residual is below tol.  A rejected rung
-halves the lambda step from the last accepted lambda (0 until a rung is
-accepted); an accepted one doubles it.  A failure of the relaxation is
-raised as it is.  Relaxing in the frozen field of lambda f at every rung
-instead drove the eps = 20 and 30 linear-density states off the branch (the
-rungs stalled near lambda 0.94 and 0.63) and took the eps = 10 solve 1.6 s.
+otherwise, the point charge's field -q/r^2 alone (b = 0 when q = 0).  That
+field does not depend on the guess's values, so without a psi0 from the
+caller the relaxation gets none and takes its own start from the field
+(imagtime._start_exponent).  The rungs then run to lambda = 1, which is
+tried first; each starts from the last accepted state (the relaxed one
+until a rung is accepted) and takes coupled Newton steps until the residual
+is below tol.  A rejected rung halves the lambda step from the last
+accepted lambda (0 until a rung is accepted); an accepted one doubles it.
+A failure of the relaxation is raised as it is.  Relaxing in the frozen
+field of lambda f at every rung instead drove the eps = 20 and 30
+linear-density states off the branch (the rungs stalled near lambda 0.94
+and 0.63) and took the eps = 10 solve 1.6 s.
 
 The shipped source maps carry df/drho as their attribute `drho`; for any
 other map a pointwise forward difference stands in, O(n).
@@ -233,7 +236,8 @@ def self_consistent_minimal_model(
     u = r * _initial_guess(grid, psi0, N, FULL_SPHERE)
     lam0 = 0.0 if np.any(source_derivative((u / r) ** 2, r)) else 1.0
     relaxed = ground_state_from_coupling_values(
-        field_gradient(source(u, lam0), grid, point_charge), N, grid, opts, psi0=u / r)
+        field_gradient(source(u, lam0), grid, point_charge), N, grid, opts,
+        psi0=None if psi0 is None else u / r)
     u = r * relaxed.psi.values.real
     lam_done, lam_step = 0.0, 1.0
     while lam_done < 1.0:

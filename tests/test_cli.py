@@ -265,7 +265,7 @@ def test_groundstate_accepts_explicit_origin_step(tmp_path):
 
 def test_exit_code_3_on_nonconvergence(tmp_path, capsys):
     assert run(tmp_path, "groundstate", "--b0", "3.14", "--q", "0",
-               "--max-steps", "25") == 3
+               "--max-steps", "1") == 3
 
 
 @pytest.mark.parametrize("argv", [

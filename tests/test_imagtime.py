@@ -30,7 +30,8 @@ from logse.numerics import (
     linear_ground_state,
     relaxation_energy,
 )
-from logse.numerics import imagtime
+from logse.numerics import f_constant_over_r, imagtime
+from logse.numerics.poisson import field_gradient
 from logse.numerics._lapack import SPDTridiagonalSystem
 from logse.numerics.stencils import second_difference_dirichlet
 
@@ -81,11 +82,13 @@ def test_relax_inverse_square_coupling():
 
 
 def test_relax_nonconvergence_carries_iterate_and_history():
-    # tol 1e-11 is reached in 26 steps on this grid; 10 are not enough
+    # from the r_max/8-wide guess tol 1e-11 is reached in 26 steps on this
+    # grid; 10 are not enough
     with pytest.raises(ConvergenceError) as err:
         ground_state_from_coupling_values(
             CouplingProfile(PI, 0.0).evaluate(GRID8.r), 1.0, GRID8,
             SolverOptions(max_steps=10, convergence_tol=1e-11),
+            psi0=_default_guess(GRID8),
         )
     assert err.value.last is not None
     assert err.value.last.psi.values.shape == GRID8.r.shape
@@ -96,10 +99,11 @@ def test_relax_nonconvergence_carries_iterate_and_history():
 
 
 def test_relax_reaches_a_tolerance_just_above_the_roundoff_floor():
-    # eps/h^2 = 1.42e-12 on GRID8; the residual's floor is about 2.95e-12
+    # eps/h^2 = 1.42e-12 on GRID8; the residual's floor is about 2.95e-12;
+    # from the r_max/8-wide guess the flow and Newton take 26 steps to 1e-11
     res = ground_state_from_coupling_values(
         CouplingProfile(PI, 0.0).evaluate(GRID8.r), 1.0, GRID8,
-        SolverOptions(convergence_tol=1e-11))
+        SolverOptions(convergence_tol=1e-11), psi0=_default_guess(GRID8))
     assert res.converged and res.steps == 26
 
 
@@ -120,7 +124,8 @@ def test_relax_rejects_tolerance_below_roundoff_floor(grid, tol, monkeypatch):
 
 
 def _default_guess(grid):
-    """The engine's guess when psi0 is None: a Gaussian of width r_max/8."""
+    """The Gaussian of width r_max/8: the engine's guess when psi0 is None
+    and the coupling rises toward the origin or b(r_max) <= (r_max/8)^-2."""
     return np.exp(-0.5 * (grid.r / (grid.r_max / 8.0)) ** 2)
 
 
@@ -213,9 +218,11 @@ def test_engine_iterates_match_banded_reference_step(profile, grid, weight, gues
 def test_gausson_takes_reference_step_count():
     # the engine's flow rows are the reference flow's, step rule included, up
     # to the handover to Newton, and Newton lands on the state the flow
-    # converges to at any fixed step
+    # converges to at any fixed step; from the r_max/8-wide guess, which
+    # the flow has to reshape into the Gausson
     b = CouplingProfile(PI, 0.0).evaluate(GRID8.r)
-    res = ground_state_from_coupling_values(b, 1.0, GRID8, SolverOptions())
+    res = ground_state_from_coupling_values(b, 1.0, GRID8, SolverOptions(),
+                                            psi0=_default_guess(GRID8))
     flow_steps = res.steps - res.newton_steps
     assert (flow_steps, res.newton_steps, res.rejected_steps) == (23, 3, 0)
     reference = _reference_iterates(b, GRID8, 4 * PI, _default_guess(GRID8), flow_steps,
@@ -230,13 +237,98 @@ def test_gausson_takes_reference_step_count():
     assert np.max(np.abs(res.psi.values - converged)) <= 1e-8 * np.max(np.abs(converged))
 
 
+def test_default_gausson_starts_from_the_far_field_exponent():
+    # b = pi is the Gausson's own exponent: from exp(-pi r^2/2) only the
+    # discretization error is left to relax
+    b = CouplingProfile(PI, 0.0).evaluate(GRID8.r)
+    res = ground_state_from_coupling_values(b, 1.0, GRID8)
+    old = ground_state_from_coupling_values(b, 1.0, GRID8, psi0=_default_guess(GRID8))
+    assert res.converged and res.steps <= 3
+    assert res.initial_exponent == PI and old.initial_exponent is None
+    assert res.omega == pytest.approx(old.omega, rel=1e-12)
+
+
+@pytest.mark.parametrize("profile, grid, weight", [
+    (CouplingProfile(PI, -0.1), GRID8, 4 * PI),
+    (CouplingProfile(PI, -0.5), GRID8, 4 * PI),
+    (CouplingProfile(PI, -1.0), GRID8, 4 * PI),
+    (CouplingProfile(0.0, 1.0), RadialGrid.uniform_from_origin(30.0, 800), 1.0),
+    (CouplingProfile(1.0, 0.5), GRID8, 4 * PI),
+], ids=["q-0.1", "q-0.5", "q-1", "inverse_square", "b0-1-q0.5"])
+def test_start_stays_the_wide_gaussian_where_the_far_field_does_not_lead(profile, grid,
+                                                                         weight):
+    # b falls away from the origin (q < 0), or b(r_max) <= (r_max/8)^-2:
+    # the run is the one from the r_max/8-wide guess, bit for bit
+    b = profile.evaluate(grid.r)
+    res = ground_state_from_coupling_values(b, 1.0, grid, angular_weight=weight)
+    old = ground_state_from_coupling_values(b, 1.0, grid, angular_weight=weight,
+                                            psi0=_default_guess(grid))
+    assert res.initial_exponent == (grid.r_max / 8.0) ** -2
+    assert np.array_equal(res.psi.values, old.psi.values)
+    assert (res.omega, res.steps) == (old.omega, old.steps)
+
+
+def test_far_field_start_allows_a_roundoff_rise_toward_the_origin():
+    # the q = 0 constant-over-r field on (8, 1024) is pi to roundoff, with
+    # inner nodes a few ulps above b(r_max)
+    grid = RadialGrid.uniform_from_origin(8.0, 1024)
+    b = field_gradient(4.0 * PI * f_constant_over_r(PI)(None, grid.r), grid, 0.0)
+    assert b[:-1].max() > b[-1]
+    res = ground_state_from_coupling_values(b, 1.0, grid)
+    assert res.converged and res.initial_exponent == b[-1]
+
+
+# the 15-state catalog at n = 800, each state with the L2 distance of its
+# relaxed state to the closed form
+_CATALOG_N800 = [
+    ("constant N=1", case_constant(1, PI), 8.106e-05),
+    ("constant N=8", case_constant(8, PI), 9.176e-04),
+    ("constant N=64", case_constant(64, PI), 1.040e-02),
+    ("general N=1 q=2", case_general(1, 2.0), 2.693e-05),
+    ("general N=1 q=3", case_general(1, 3.0), 2.178e-05),
+    ("general N=1 q=-0.5", case_general(1, -0.5), 4.330e-01),
+    ("general N=1 q=-1", case_general(1, -1.0), 8.813e-01),
+    ("general N=1 q=6", case_general(1, 6.0), 1.431e-05),
+    ("general N=8 q=2", case_general(8, 2.0), 1.904e-05),
+    ("q1 N=1", case_q1(1, PI), 3.671e-05),
+    ("q1 N=2", case_q1(2, PI), 5.326e-05),
+    ("q1 N=4", case_q1(4, PI), 7.524e-05),
+    ("inverse_square N=1", case_inverse_square(1), 7.015e-05),
+    ("inverse_square N=4", case_inverse_square(4), 1.403e-04),
+    ("inverse_square N=16", case_inverse_square(16), 2.807e-04),
+]
+
+
+def _catalog_r_max(sol):
+    """8 N^(1/3) for constant b, 30/mu^2 for the inverse-square tail, else 8."""
+    if sol.mu_sq is not None:
+        return 30.0 / sol.mu_sq
+    return 8.0 * sol.norm ** (1 / 3) if sol.profile.q_tilde == 0.0 else 8.0
+
+
+def test_catalog_work_count():
+    # iteration counts do not depend on the machine; a change to the start
+    # or to the step rule that costs iterations, or moves a state, shows here
+    total = 0
+    for name, sol, l2 in _CATALOG_N800:
+        grid = RadialGrid.uniform_from_origin(_catalog_r_max(sol), 800)
+        res = ground_state_from_coupling_values(sol.profile.evaluate(grid.r), sol.norm,
+                                                grid, angular_weight=sol.angular_weight)
+        assert res.converged, name
+        assert l2_distance(res.psi, sol.psi) == pytest.approx(l2, rel=1e-2), name
+        total += res.steps
+    assert total <= 200
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_relax_blow_up_raises_with_last_finite_iterate():
-    # b = 1e300 overflows the first step; the error carries the guess
+    # b = 1e300 overflows the first step; the error carries the guess, whose
+    # exponent is capped at 1/h^2 (exp(-1e300 r^2/2) is zero on every node)
     with pytest.raises(ConvergenceError, match="no finite positive norm") as err:
         ground_state_from_coupling_values(np.full_like(GRID8.r, 1e300), 1.0, GRID8)
     last = err.value.last
     assert last.steps == 0 and not last.converged and err.value.history == []
+    assert last.initial_exponent == 1.0 / GRID8.h**2
     assert np.all(np.isfinite(last.psi.values))
     assert last.psi.norm() == pytest.approx(1.0, rel=1e-12)
 

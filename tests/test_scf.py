@@ -188,13 +188,13 @@ def test_strong_density_source_never_reports_false_convergence(eps):
 
 
 def count_relaxations(monkeypatch):
-    """Calls of the relaxation from the SCF, counted as they are made."""
+    """Calls of the relaxation from the SCF, (args, result) as each returns."""
     calls = []
     relax = scf.ground_state_from_coupling_values
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return relax(*args, **kwargs)
+        calls.append((args, relax(*args, **kwargs)))
+        return calls[-1][1]
 
     monkeypatch.setattr(scf, "ground_state_from_coupling_values", counted)
     return calls
@@ -208,7 +208,7 @@ def test_linear_density_relaxes_once_and_keeps_its_frequency(monkeypatch, eps, o
     # continuation in lambda takes it from there by Newton steps
     calls = count_relaxations(monkeypatch)
     res = self_consistent_minimal_model(f_linear_density(eps), 1.0, GRID512)
-    assert len(calls) == 1 and np.all(calls[0][0] == 0.0)
+    assert len(calls) == 1 and np.all(calls[0][0][0] == 0.0)
     assert res.omega == pytest.approx(omega, rel=1e-6)
     own_field_check(res, f_linear_density(eps), GRID512, SolverOptions().convergence_tol)
 
@@ -223,6 +223,22 @@ def test_tolerance_below_roundoff_fails_after_one_relaxation(monkeypatch):
     assert len(calls) == 1
     assert "continuation stopped" in str(err.value)
     assert err.value.last.values.shape == GRID512.r.shape
+
+
+def test_relaxation_without_a_guess_starts_from_the_field(monkeypatch):
+    # with no psi0 the relaxation builds its start from the field it relaxes
+    # in, here b = pi - 0.5/r^2, instead of the r_max/8-wide Gaussian
+    calls = count_relaxations(monkeypatch)
+    grid = RadialGrid.uniform_from_origin(8.0, 512)
+    wide = np.exp(-0.5 * (grid.r / (grid.r_max / 8.0)) ** 2)
+    for psi0 in (None, wide):
+        res = self_consistent_minimal_model(f_constant_over_r(PI), 1.0, grid,
+                                            point_charge=0.5, psi0=psi0)
+        assert res.converged
+    (_, far_field), (_, from_wide) = calls
+    assert far_field.initial_exponent == pytest.approx(PI - 0.5 / grid.r_max**2, rel=1e-12)
+    assert from_wide.initial_exponent is None
+    assert far_field.steps < from_wide.steps
 
 
 def test_source_map_without_derivative_uses_difference_quotient():
