@@ -33,7 +33,7 @@ b(r) = b0 - q/r^2 keeps its Gaussian tail.  Where an inner node's b exceeds
 b(r_max) beyond roundoff (q < 0, the collapse basin in which the narrow
 start stalls), or b(r_max) is not above (r_max/8)^-2 (the inverse-square
 family), the start is the Gaussian of width r_max/8.  From it the Gausson
-on (8, 640) takes 26 iterations; from the far field, 2.
+on (8, 640) takes 22 iterations; from the far field, 2.
 
 The flow decreases the discrete functional whose constrained minimizer is
 its fixed point (a = angular_weight, the log floored as in w),
@@ -60,9 +60,9 @@ is not above the starting step: then ConvergenceError is raised with the
 iterate before it, as when dt underflows to zero.  Rejected trials are
 counted in GroundStateResult.rejected_steps; they take no history row.
 
-The flow converges linearly, so once it is close it only polishes.  Once
-its residual is below _NEWTON_HANDOVER the engine hands over to Newton's
-method on F(u, omega) = H u + omega u = 0 with the norm constraint
+The flow converges linearly, so from the first flow iterate on the engine
+tries Newton's method on F(u, omega) = H u + omega u = 0 with the norm
+constraint
 a quad . (u u) = N, a = angular_weight (Kelley, Solving Nonlinear Equations
 with Newton's Method, SIAM 2003).  The Jacobian in u is the symmetric
 tridiagonal J = D2 + diag(w + 2b [rho > floor] + omega) (the floored log
@@ -80,17 +80,34 @@ omega absorbs where b varies: for b = -1/r^2 it raised a Newton iterate's
 residual from 6e-3 to 1.07, all of it at the origin.  O(n) per step.
 
 Newton converges to whichever stationary state is near, excited ones and
--u included, so a ground-state guard accepts an iterate only if its residual
-is below the current one and it has no node (no entry below
--_NODE_ROUNDOFF max u; far-tail entries at roundoff may take either sign).
-A rejected iterate is discarded and a flow step taken in its place; Newton
-resumes once the flow's residual is below half the residual the rejected
-iterate started from.  A Newton step is taken whole or not at all; it is
-not checked against E_h and leaves dt as it is.  The flow step, the
-stationary terms, E_h, the guard's node test and the border elimination are
-module-level functions (flow_step, stationary, discrete_energy, nodeless,
-bordered_newton_update); the SCF's coupled Newton solve shares the last
-three.
+-u included, so a ground-state guard takes an iterate only if it has no
+negative lobe and its residual is below the current one.  An iterate whose
+entries all lie above -_SHALLOW_DEPTH max u is taken as |u| before the
+residual test (fold_shallow): where q != 0 pins the density at the origin,
+Newton from an early flow iterate overshoots the far tail's sign (the
+point charge's first iterate: -2.9e-4 max u beyond r = 3.5, which |u|
+turns into a residual of 1.5 from 68).  Measured tail overshoots reach
+-1.8e-2 max u, lobes of -u and of excited states start at -4.7e-2; a
+deeper iterate is rejected.  A rejected iterate is discarded and a flow
+step taken in its place; Newton resumes once the flow's residual is below
+half the residual the rejected iterate started from.  A Newton step is
+taken whole or not at all; it is not checked against E_h and leaves dt as
+it is.  A rejected attempt leaves no history row.
+
+Where b varies, omega is first order in the residual: its variation at
+fixed u.u is -2 (F + b u) . du / (u.u), whose b u part vanishes against
+du orthogonal to u only for constant b.  A state returned at a residual
+just below tol then carries an omega error of about tol (1.5e-7 relative
+for the inverse-square state stopped at 3.4e-7), which moves with dt.  So
+where b is not constant to within roundoff (_constant), one more guarded
+Newton step follows the step that reached tol, within opts.max_steps; it
+takes the residual to roundoff, and omega with it.  For constant b the
+returned state is the first below tol.
+
+The flow step, the stationary terms, E_h, the guard's sign test and the
+border elimination are module-level functions (flow_step, stationary,
+discrete_energy, fold_shallow, bordered_newton_update); the SCF's coupled
+Newton solve shares stationary and bordered_newton_update.
 
 The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
@@ -135,11 +152,11 @@ from .stencils import second_difference_dirichlet
 _RELAX_DT = 0.01
 # a flow step may raise E_h by this fraction of its terms' magnitudes
 _ENERGY_ROUNDOFF = 1e-12
-# stationary residual below which the flow hands over to Newton
-_NEWTON_HANDOVER = 0.1
-# a Newton iterate with an entry below -_NODE_ROUNDOFF max(u) has a node;
-# far-tail entries within roundoff of zero may take either sign
-_NODE_ROUNDOFF = 1e-10
+# a Newton iterate whose entries all lie above
+# -_SHALLOW_DEPTH max(u) is taken as |u|: its negative entries are a sign
+# overshoot in the far tail (measured down to -1.8e-2 max u), not a lobe of
+# -u or of an excited state (-4.7e-2 max u and deeper)
+_SHALLOW_DEPTH = 3e-2
 # the start without psi0 follows b(r_max) unless an inner node's coupling
 # exceeds it by more than this many ulps of max|b|
 _FAR_FIELD_ULPS = 8.0
@@ -170,10 +187,20 @@ def _start_exponent(coupling: np.ndarray, grid: RadialGrid, h: float) -> float:
     """
     low = (grid.r_max / 8.0) ** -2
     far = float(coupling[-1])
-    slack = _FAR_FIELD_ULPS * _EPS * float(np.abs(coupling).max())
-    if float(coupling[:-1].max()) - far > slack:
+    if float(coupling[:-1].max()) - far > _coupling_slack(coupling):
         return low
     return min(max(far, low), 1.0 / (h * h))
+
+
+def _coupling_slack(coupling: np.ndarray) -> float:
+    """_FAR_FIELD_ULPS ulps of max|b|: how far a constant b computed as a
+    field may stray from constant by roundoff."""
+    return _FAR_FIELD_ULPS * _EPS * float(np.abs(coupling).max())
+
+
+def _constant(coupling: np.ndarray) -> bool:
+    """b constant on the grid to within _coupling_slack."""
+    return float(coupling.max()) - float(coupling.min()) <= _coupling_slack(coupling)
 
 
 def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float,
@@ -257,9 +284,14 @@ def discrete_energy(u, omega, coupling, h, angular_weight):
             (_ENERGY_ROUNDOFF - margin) * scale * (abs(omega_term) + abs(coupling_term)))
 
 
-def nodeless(u: np.ndarray) -> bool:
-    """No entry below -_NODE_ROUNDOFF max(u): the ground-state guard's test."""
-    return bool(u.min() > -_NODE_ROUNDOFF * u.max())
+def fold_shallow(u: np.ndarray):
+    """The relaxation guard's sign test of a Newton iterate u: |u|, taken in
+    place, when every entry lies above -_SHALLOW_DEPTH max(u) (a far-tail
+    sign overshoot at most), or None when u has a deeper negative lobe (-u,
+    an excited state)."""
+    if not u.min() > -_SHALLOW_DEPTH * u.max():
+        return None
+    return np.abs(u, out=u)
 
 
 def bordered_newton_update(u, x1, x2, quad, N, angular_weight):
@@ -269,20 +301,26 @@ def bordered_newton_update(u, x1, x2, quad, N, angular_weight):
     Eliminates the border, u_lin = u - x1 + ((quad u . x1)/(quad u . x2)) x2,
     and puts u_lin back on the norm along x2 (the root s nearest 0 of
     a quad . (u_lin + s x2)^2 = N).  Returns (u_new, norm of u_lin); u_new is
-    None when it is not finite.
+    None when it is not finite or no such root exists.
     """
+    border = quad * u
+    along = float(border @ x2)
+    shift = float(border @ x1) / along if along else math.nan
+    if not math.isfinite(shift):  # a singular border or a solve that overflowed
+        return None, math.nan
     with np.errstate(all="ignore"):
-        border = quad * u
-        u_new = u - x1 + (border @ x1) / (border @ x2) * x2
-        excess = angular_weight * (quad @ (u_new * u_new)) - N
-        slope = 2.0 * angular_weight * (quad @ (u_new * x2))
-        curvature = angular_weight * (quad @ (x2 * x2))
-        s = -2.0 * excess / (slope + np.sign(slope) * np.sqrt(
-            slope * slope - 4.0 * curvature * excess))
+        u_new = u - x1 + shift * x2
+        excess = angular_weight * float(quad @ (u_new * u_new)) - N
+        slope = 2.0 * angular_weight * float(quad @ (u_new * x2))
+        curvature = angular_weight * float(quad @ (x2 * x2))
+        discriminant = slope * slope - 4.0 * curvature * excess
+        if not (slope and 0.0 <= discriminant < math.inf):
+            return None, N + excess
+        s = -2.0 * excess / (slope + math.copysign(math.sqrt(discriminant), slope))
         u_new += s * x2
-    if not np.all(np.isfinite(u_new)):
+    if not np.isfinite(u_new).all():
         u_new = None
-    return u_new, float(N + excess)
+    return u_new, N + excess
 
 
 def ground_state_from_coupling_values(
@@ -302,10 +340,10 @@ def ground_state_from_coupling_values(
     Without psi0 the flow starts from exp(-a r^2/2), a = b(r_max) clamped to
     [(r_max/8)^-2, 1/h^2], or from the Gaussian of width r_max/8 where b
     rises toward the origin (_start_exponent); the result's initial_exponent
-    is that a, None when psi0 is given.  The flow hands over to guarded
-    Newton steps once its residual is below _NEWTON_HANDOVER (see the
-    module docstring); opts.max_steps and history count flow and Newton
-    iterations alike.  Raises ConvergenceError
+    is that a, None when psi0 is given.  Guarded Newton steps are tried from
+    the first flow iterate on, and where b varies one more follows the step
+    that reached tol (see the module docstring); opts.max_steps and history
+    count flow and Newton iterations alike.  Raises ConvergenceError
     (carrying the last iterate and the residual history) when opts.max_steps
     is exhausted, or when a flow step leaves no finite positive norm (then
     the last iterate is the one before it).  Raises DomainError, before the
@@ -331,6 +369,8 @@ def ground_state_from_coupling_values(
     quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
     system = SPDTridiagonalSystem(r.size)  # each flow step's matrix and right-hand side
     jacobian = TridiagonalSystem(r.size, 2)  # each Newton step's, with [F u]
+    two_b, live = 2.0 * coupling, np.empty(r.size, dtype=bool)
+    inv_h2, d2_diagonal = 1.0 / (h * h), 2.0 / (h * h)
     history = []
     newton_steps = rejected_steps = 0
 
@@ -341,40 +381,47 @@ def ground_state_from_coupling_values(
         return GroundStateResult(psi, omega, converged, steps, newton_steps,
                                  rejected_steps, history, exponent)
 
-    def newton_iterate(u, w, f, omega):
-        """The bordered Newton iterate from u and the norm of its linearized
-        step (bordered_newton_update); None for the iterate when the solve
-        fails or the iterate is not finite."""
-        jacobian.d[:] = (w + 2.0 * coupling * ((u / r) ** 2 > LOG_FLOOR)
-                         + omega - 2.0 / (h * h))
-        jacobian.dl.fill(1.0 / (h * h))
-        jacobian.du.fill(1.0 / (h * h))
+    def newton_step(u, w, f, omega, residual):
+        """The bordered Newton iterate from u as the ground-state guard takes
+        it: (u_new, stationary terms of u_new, norm of its linearized step),
+        or None when the solve fails, the iterate is not finite or has a deep
+        lobe (fold_shallow), or its residual is not below residual."""
+        d = jacobian.d  # w + 2b [rho > floor] + omega - 2/h^2, in that order
+        np.divide(u, r, out=d)
+        np.greater(np.multiply(d, d, out=d), LOG_FLOOR, out=live)
+        np.multiply(two_b, live, out=d)
+        d += w
+        d += omega
+        d -= d2_diagonal
+        jacobian.dl.fill(inv_h2)
+        jacobian.du.fill(inv_h2)
         x = jacobian.b
         x[:, 0], x[:, 1] = f, u
         if jacobian.solve() != 0:
-            return None, math.nan
-        return bordered_newton_update(u, x[:, 0], x[:, 1], quad, N, angular_weight)
+            return None
+        u_new, norm = bordered_newton_update(u, x[:, 0], x[:, 1], quad, N, angular_weight)
+        if u_new is None or fold_shallow(u_new) is None:
+            return None
+        trial = stationary(u_new, coupling, r, h)
+        return (u_new, trial, norm) if trial[3] < residual else None
 
     w, f, omega, _ = stationary(u, coupling, r, h)
-    energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
+    energy = None  # E_h of u and its allowance, computed when a flow step needs them
     # the guess is never handed to Newton, and the first flow step doubles dt
-    residual = math.inf
-    handover = _NEWTON_HANDOVER
+    residual = handover = math.inf
     for step in range(1, opts.max_steps + 1):
-        accepted = False
+        newton = None
         if residual < handover:
-            u_new, norm = newton_iterate(u, w, f, omega)
-            # the ground-state guard: no node and a smaller residual
-            if u_new is not None and nodeless(u_new):
-                trial = stationary(u_new, coupling, r, h)
-                accepted = trial[3] < residual
-            if accepted:
-                u, (w, f, omega, residual) = u_new, trial
-                energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
-                newton_steps += 1
-            else:
+            newton = newton_step(u, w, f, omega, residual)
+            if newton is None:
                 handover = residual / 2.0
-        if not accepted:
+        if newton is not None:
+            u, (w, f, omega, residual), norm = newton
+            energy = None
+            newton_steps += 1
+        else:
+            if energy is None:
+                energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
             while True:
                 u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, quad, N,
                                               angular_weight, system)
@@ -408,8 +455,17 @@ def ground_state_from_coupling_values(
         if residual < tol:
             break
 
-    final = result(u, omega, step, residual < tol)
-    if not final.converged:
+    converged = residual < tol
+    if converged and step < opts.max_steps and not _constant(coupling):
+        # where b varies, omega is first order in the residual: polish once
+        newton = newton_step(u, w, f, omega, residual)
+        if newton is not None:
+            u, (w, f, omega, residual), norm = newton
+            step += 1
+            newton_steps += 1
+            history.append((step, residual, norm, omega))
+    final = result(u, omega, step, converged)
+    if not converged:
         raise ConvergenceError(
             f"relaxation did not reach residual < {tol:g} within "
             f"{step} steps (last residual {residual:.3e})",

@@ -25,18 +25,23 @@ relaxation's border elimination (imagtime.bordered_newton_update), O(n).
 After a step z is recomputed from the new density, so F2 = 0 holds exactly,
 and omega is the iterate's Rayleigh quotient.  The coupled residual is then
 max|F1| / max|u| in the field the state's own density sources.  As in the
-relaxation, a step is accepted only if its iterate has no node and its
-residual falls.
+relaxation, a step is accepted only if its iterate has no node (nodeless;
+unlike the relaxation's guard it folds no sign overshoot) and its residual
+falls.
 
 Globalization: one relaxation, then natural continuation in the source
 strength, lambda f (Allgower & Georg, Introduction to Numerical Continuation
 Methods, SIAM 2003).  The relaxation (ground_state_from_coupling_values) runs
 in the field that lambda0 f sources at the guess, chosen so that this field
 is the self-consistent one for every density: lambda0 = 1 when df/drho
-vanishes on the guess, and the relaxation is the whole solve; lambda0 = 0
-otherwise, the point charge's field -q/r^2 alone (b = 0 when q = 0).  That
-field does not depend on the guess's values, so without a psi0 from the
-caller the relaxation gets none and takes its own start from the field
+vanishes on the guess; lambda0 = 0 otherwise, the point charge's field
+-q/r^2 alone (b = 0 when q = 0).  When lambda0 = 1 and df/drho vanishes
+on the relaxed density too, the relaxation is the whole solve: its state,
+omega and residual are returned with the full solve_radial_poisson of its
+density, without a rung (the rung's first stationary call would repeat the
+relaxation's last one in the same field).  That
+field does not depend on the guess's values, so the relaxation gets the
+caller's psi0 as it is, and without one takes its own start from the field
 (imagtime._start_exponent).  The rungs then run to lambda = 1, which is
 tried first; each starts from the last accepted state (the relaxed one
 until a rung is accepted) and takes coupled Newton steps until the residual
@@ -66,7 +71,6 @@ from .imagtime import (
     _initial_guess,
     bordered_newton_update,
     ground_state_from_coupling_values,
-    nodeless,
     stationary,
 )
 from .options import SolverOptions
@@ -75,6 +79,9 @@ from .poisson import FieldState, field_gradient, solve_radial_poisson
 # the continuation gives up once a rejected rung would halve its lambda
 # step below this
 _MIN_LAMBDA_STEP = 2.0**-10
+# a coupled Newton iterate with an entry below -_NODE_ROUNDOFF max(u) has a
+# node; far-tail entries within roundoff of zero may take either sign
+_NODE_ROUNDOFF = 1e-10
 
 
 @dataclass
@@ -85,6 +92,11 @@ class SCFResult:
     sweeps: int  # coupled Newton steps over all rungs
     converged: bool
     history: list  # rows (lam, newton_step, residual, omega); see the solver
+
+
+def nodeless(u: np.ndarray) -> bool:
+    """No entry below -_NODE_ROUNDOFF max(u): the coupled Newton guard."""
+    return bool(u.min() > -_NODE_ROUNDOFF * u.max())
 
 
 def f_constant_over_r(b0: float):
@@ -236,10 +248,14 @@ def self_consistent_minimal_model(
     u = r * _initial_guess(grid, psi0, N, FULL_SPHERE)
     lam0 = 0.0 if np.any(source_derivative((u / r) ** 2, r)) else 1.0
     relaxed = ground_state_from_coupling_values(
-        field_gradient(source(u, lam0), grid, point_charge), N, grid, opts,
-        psi0=None if psi0 is None else u / r)
-    u = r * relaxed.psi.values.real
+        field_gradient(source(u, lam0), grid, point_charge), N, grid, opts, psi0=psi0)
+    u, omega = r * relaxed.psi.values.real, relaxed.omega
     lam_done, lam_step = 0.0, 1.0
+    if lam0 == 1.0 and not np.any(source_derivative((u / r) ** 2, r)):
+        # f is flat in rho at the relaxed state too: its field is the one
+        # relaxed in, and the relaxation is the whole solve
+        history.append((1.0, 0, relaxed.history[-1][1], omega))
+        lam_done = 1.0
     while lam_done < 1.0:
         lam = min(1.0, lam_done + lam_step)
         try:
@@ -254,13 +270,13 @@ def self_consistent_minimal_model(
                     history=history,
                 ) from err
             continue
-        u, lam_done = u_rung, lam
+        u, omega, lam_done = u_rung, state[3], lam
         lam_step *= 2.0
 
     return SCFResult(
         psi=RadialWavefunction(grid, u / r, N),
         field=solve_radial_poisson(source(u, 1.0), grid, point_charge=point_charge),
-        omega=state[3],
+        omega=omega,
         sweeps=sweeps,
         converged=True,
         history=history,

@@ -138,6 +138,25 @@ def test_density_independent_source_takes_no_newton_step():
     own_field_check(res, f_constant_over_r(PI), GRID512, 1e-8, point_charge=1.0)
 
 
+def test_density_independent_source_returns_the_relaxation(monkeypatch):
+    # the relaxation's field is the self-consistent one, so the solve takes
+    # one field gradient and one full Poisson solve, and omega and the
+    # residual are the relaxation's own
+    relaxations, gradients = [], []
+    relax, gradient = scf.ground_state_from_coupling_values, scf.field_gradient
+    monkeypatch.setattr(scf, "ground_state_from_coupling_values",
+                        lambda *a, **k: relaxations.append(relax(*a, **k)) or relaxations[-1])
+    monkeypatch.setattr(scf, "field_gradient",
+                        lambda *a, **k: gradients.append(1) or gradient(*a, **k))
+    res = self_consistent_minimal_model(f_constant_over_r(1.0), 1.0, GRID512,
+                                        point_charge=0.5)
+    (relaxed,) = relaxations
+    assert len(gradients) == 1
+    assert res.omega == relaxed.omega
+    assert res.history == [(1.0, 0, relaxed.history[-1][1], relaxed.omega)]
+    assert np.array_equal(res.psi.values, relaxed.psi.values)
+
+
 def test_sweep_budget_exhaustion_raises_with_history():
     with pytest.raises(ConvergenceError) as err:
         self_consistent_minimal_model(
