@@ -104,6 +104,16 @@ Newton step follows the step that reached tol, within opts.max_steps; it
 takes the residual to roundoff, and omega with it.  For constant b the
 returned state is the first below tol.
 
+A state that reaches tol is refused with ConvergenceError when it is as
+narrow as the grid: when origin_scale, h^2 max|D2 u| / max|u|, is above
+_GRID_SCALE = 0.5.  For q < 0 the discrete functional is unbounded
+below as the state concentrates at the origin, and at N = 8 Newton reaches
+such a grid-scale collapse in tens of iterations (rho(r_min) 1e5 and more,
+omega -716 to -5.6e5, origin scale 1.05 to 1.93 on (8, 640) and
+(10, 2000)).  A state resolved on its grid reads about 2 h^2 b (the
+Gausson: 1.1e-3 on (8, 640), 0.11 on (8, 64), 0.43 on (8, 32), where a
+node falls every half width); a grid coarser still is refused too.
+
 The flow step, the stationary terms, E_h, the guard's sign test and the
 border elimination are module-level functions (flow_step, stationary,
 discrete_energy, fold_shallow, bordered_newton_update); the SCF's coupled
@@ -157,6 +167,10 @@ _ENERGY_ROUNDOFF = 1e-12
 # overshoot in the far tail (measured down to -1.8e-2 max u), not a lobe of
 # -u or of an excited state (-4.7e-2 max u and deeper)
 _SHALLOW_DEPTH = 3e-2
+# a converged state with origin_scale above this is grid-scale: the
+# Gausson reads 0.11 on (8, 64) and 0.43 on (8, 32), about 2 h^2 b;
+# collapses onto the origin (q < 0, N = 8) read 1.05 to 1.93
+_GRID_SCALE = 0.5
 # the start without psi0 follows b(r_max) unless an inner node's coupling
 # exceeds it by more than this many ulps of max|b|
 _FAR_FIELD_ULPS = 8.0
@@ -294,6 +308,13 @@ def fold_shallow(u: np.ndarray):
     return np.abs(u, out=u)
 
 
+def origin_scale(u: np.ndarray, h: float) -> float:
+    """h^2 max|D2 u| / max|u|: the relative change of u's slope across one
+    node, largest at the origin for a state as narrow as the grid."""
+    return h * h * float(np.abs(second_difference_dirichlet(u, h)).max()) / float(
+        np.abs(u).max())
+
+
 def bordered_newton_update(u, x1, x2, quad, N, angular_weight):
     """The Newton iterate from u on the norm N, given x1 = J^-1 F and
     x2 = J^-1 u (u-parts of the solves with the Jacobian J of F(u, omega)).
@@ -301,26 +322,20 @@ def bordered_newton_update(u, x1, x2, quad, N, angular_weight):
     Eliminates the border, u_lin = u - x1 + ((quad u . x1)/(quad u . x2)) x2,
     and puts u_lin back on the norm along x2 (the root s nearest 0 of
     a quad . (u_lin + s x2)^2 = N).  Returns (u_new, norm of u_lin); u_new is
-    None when it is not finite or no such root exists.
+    None when it is not finite.
     """
-    border = quad * u
-    along = float(border @ x2)
-    shift = float(border @ x1) / along if along else math.nan
-    if not math.isfinite(shift):  # a singular border or a solve that overflowed
-        return None, math.nan
     with np.errstate(all="ignore"):
-        u_new = u - x1 + shift * x2
-        excess = angular_weight * float(quad @ (u_new * u_new)) - N
-        slope = 2.0 * angular_weight * float(quad @ (u_new * x2))
-        curvature = angular_weight * float(quad @ (x2 * x2))
-        discriminant = slope * slope - 4.0 * curvature * excess
-        if not (slope and 0.0 <= discriminant < math.inf):
-            return None, N + excess
-        s = -2.0 * excess / (slope + math.copysign(math.sqrt(discriminant), slope))
+        border = quad * u
+        u_new = u - x1 + (border @ x1) / (border @ x2) * x2
+        excess = angular_weight * (quad @ (u_new * u_new)) - N
+        slope = 2.0 * angular_weight * (quad @ (u_new * x2))
+        curvature = angular_weight * (quad @ (x2 * x2))
+        s = -2.0 * excess / (slope + np.sign(slope) * np.sqrt(
+            slope * slope - 4.0 * curvature * excess))
         u_new += s * x2
-    if not np.isfinite(u_new).all():
+    if not np.all(np.isfinite(u_new)):
         u_new = None
-    return u_new, N + excess
+    return u_new, float(N + excess)
 
 
 def ground_state_from_coupling_values(
@@ -345,11 +360,12 @@ def ground_state_from_coupling_values(
     that reached tol (see the module docstring); opts.max_steps and history
     count flow and Newton iterations alike.  Raises ConvergenceError
     (carrying the last iterate and the residual history) when opts.max_steps
-    is exhausted, or when a flow step leaves no finite positive norm (then
-    the last iterate is the one before it).  Raises DomainError, before the
-    first step, when opts.convergence_tol is not above eps/h^2: roundoff in
-    D2 u keeps the residual above about 1.6-2.1 eps/h^2, so no budget would
-    reach it.  A tolerance between eps/h^2 and that measured floor passes
+    is exhausted, when a flow step leaves no finite positive norm (then
+    the last iterate is the one before it), or when the state that reached
+    tol is grid-scale (origin_scale above _GRID_SCALE).  Raises
+    DomainError, before the first step, when opts.convergence_tol is not
+    above eps/h^2: roundoff in D2 u keeps the residual above about 1.6-2.1
+    eps/h^2, so no budget would reach it.  A tolerance between eps/h^2 and that measured floor passes
     this check and may still exhaust opts.max_steps.
     """
     opts = opts or SolverOptions()
@@ -369,8 +385,6 @@ def ground_state_from_coupling_values(
     quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
     system = SPDTridiagonalSystem(r.size)  # each flow step's matrix and right-hand side
     jacobian = TridiagonalSystem(r.size, 2)  # each Newton step's, with [F u]
-    two_b, live = 2.0 * coupling, np.empty(r.size, dtype=bool)
-    inv_h2, d2_diagonal = 1.0 / (h * h), 2.0 / (h * h)
     history = []
     newton_steps = rejected_steps = 0
 
@@ -386,15 +400,10 @@ def ground_state_from_coupling_values(
         it: (u_new, stationary terms of u_new, norm of its linearized step),
         or None when the solve fails, the iterate is not finite or has a deep
         lobe (fold_shallow), or its residual is not below residual."""
-        d = jacobian.d  # w + 2b [rho > floor] + omega - 2/h^2, in that order
-        np.divide(u, r, out=d)
-        np.greater(np.multiply(d, d, out=d), LOG_FLOOR, out=live)
-        np.multiply(two_b, live, out=d)
-        d += w
-        d += omega
-        d -= d2_diagonal
-        jacobian.dl.fill(inv_h2)
-        jacobian.du.fill(inv_h2)
+        jacobian.d[:] = (w + 2.0 * coupling * ((u / r) ** 2 > LOG_FLOOR)
+                         + omega - 2.0 / (h * h))
+        jacobian.dl.fill(1.0 / (h * h))
+        jacobian.du.fill(1.0 / (h * h))
         x = jacobian.b
         x[:, 0], x[:, 1] = f, u
         if jacobian.solve() != 0:
@@ -406,7 +415,7 @@ def ground_state_from_coupling_values(
         return (u_new, trial, norm) if trial[3] < residual else None
 
     w, f, omega, _ = stationary(u, coupling, r, h)
-    energy = None  # E_h of u and its allowance, computed when a flow step needs them
+    energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
     # the guess is never handed to Newton, and the first flow step doubles dt
     residual = handover = math.inf
     for step in range(1, opts.max_steps + 1):
@@ -417,11 +426,9 @@ def ground_state_from_coupling_values(
                 handover = residual / 2.0
         if newton is not None:
             u, (w, f, omega, residual), norm = newton
-            energy = None
+            energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
             newton_steps += 1
         else:
-            if energy is None:
-                energy, allowance = discrete_energy(u, omega, coupling, h, angular_weight)
             while True:
                 u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, quad, N,
                                               angular_weight, system)
@@ -470,6 +477,16 @@ def ground_state_from_coupling_values(
             f"relaxation did not reach residual < {tol:g} within "
             f"{step} steps (last residual {residual:.3e})",
             last=final,
+            history=history,
+        )
+    scale = origin_scale(u, h)
+    if not scale <= _GRID_SCALE:
+        raise ConvergenceError(
+            f"relaxation converged onto a grid-scale state after {step} steps: "
+            f"h^2 max|D2 u| / max|u| = {scale:.3g} is above {_GRID_SCALE:g} "
+            f"(omega {omega:.6g}, rho(r_min) {(u[0] / r[0]) ** 2:.3g}); a collapse "
+            f"onto the origin, or a grid too coarse for the state",
+            last=result(u, omega, step, False),
             history=history,
         )
     return final

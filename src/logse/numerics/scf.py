@@ -35,14 +35,15 @@ Methods, SIAM 2003).  The relaxation (ground_state_from_coupling_values) runs
 in the field that lambda0 f sources at the guess, chosen so that this field
 is the self-consistent one for every density: lambda0 = 1 when df/drho
 vanishes on the guess; lambda0 = 0 otherwise, the point charge's field
--q/r^2 alone (b = 0 when q = 0).  When lambda0 = 1 and df/drho vanishes
-on the relaxed density too, the relaxation is the whole solve: its state,
-omega and residual are returned with the full solve_radial_poisson of its
-density, without a rung (the rung's first stationary call would repeat the
-relaxation's last one in the same field).  That
-field does not depend on the guess's values, so the relaxation gets the
-caller's psi0 as it is, and without one takes its own start from the field
-(imagtime._start_exponent).  The rungs then run to lambda = 1, which is
+-q/r^2 alone (b = 0 when q = 0).  That field does not depend on the
+guess's values, so the relaxation gets the caller's psi0 as it is, and
+without one takes its own start from the field (imagtime._start_exponent).
+When lambda0 = 1 and the relaxed density sources the very field it relaxed
+in (the source arrays are equal), the relaxation is the whole solve: its
+state, omega and residual are returned with the full solve_radial_poisson
+of its density, without a rung (whose first stationary call would repeat
+the relaxation's last one).  A map flat in rho only piecewise can source
+another field at the relaxed density; then the rungs follow.  The rungs then run to lambda = 1, which is
 tried first; each starts from the last accepted state (the relaxed one
 until a rung is accepted) and takes coupled Newton steps until the residual
 is below tol.  A rejected rung halves the lambda step from the last
@@ -247,13 +248,14 @@ def self_consistent_minimal_model(
 
     u = r * _initial_guess(grid, psi0, N, FULL_SPHERE)
     lam0 = 0.0 if np.any(source_derivative((u / r) ** 2, r)) else 1.0
+    relaxed_source = source(u, lam0)
     relaxed = ground_state_from_coupling_values(
-        field_gradient(source(u, lam0), grid, point_charge), N, grid, opts, psi0=psi0)
+        field_gradient(relaxed_source, grid, point_charge), N, grid, opts, psi0=psi0)
     u, omega = r * relaxed.psi.values.real, relaxed.omega
     lam_done, lam_step = 0.0, 1.0
-    if lam0 == 1.0 and not np.any(source_derivative((u / r) ** 2, r)):
-        # f is flat in rho at the relaxed state too: its field is the one
-        # relaxed in, and the relaxation is the whole solve
+    if lam0 == 1.0 and np.array_equal(source(u, 1.0), relaxed_source):
+        # the relaxed density sources the field it relaxed in, so the
+        # relaxation is the whole solve
         history.append((1.0, 0, relaxed.history[-1][1], omega))
         lam_done = 1.0
     while lam_done < 1.0:

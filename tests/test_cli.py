@@ -268,6 +268,11 @@ def test_exit_code_3_on_nonconvergence(tmp_path, capsys):
                "--max-steps", "1") == 3
 
 
+def test_exit_code_3_on_a_grid_scale_collapse(tmp_path, capsys):
+    assert run(tmp_path, "groundstate", "--q", "-0.5", "--N", "8") == 3
+    assert "grid-scale state" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("groundstate", "--b0", "1e300", "--max-steps", "50"),
     ("groundstate", "--q", "1e300", "--max-steps", "50"),

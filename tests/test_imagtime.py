@@ -580,6 +580,33 @@ def test_negative_q_closed_form_is_not_the_minimizer():
     assert l2_distance(res.psi, sol.psi) > 0.1
 
 
+def test_relaxation_refuses_a_converged_grid_scale_collapse():
+    # for q < 0 at N = 8 Newton reaches a state as narrow as the grid
+    # (rho(r_min) 4.6e5, omega -3.0e4), which is not a ground state of the
+    # continuum; at N = 1 the same q relaxes to a resolved hole state
+    b = CouplingProfile(PI, -0.5).evaluate(GRID8.r)
+    with pytest.raises(ConvergenceError, match="grid-scale state") as err:
+        ground_state_from_coupling_values(b, 8.0, GRID8)
+    last = err.value.last
+    assert not last.converged
+    assert imagtime.origin_scale(GRID8.r * last.psi.values.real, GRID8.h) > 1.0
+    res = ground_state_from_coupling_values(b, 1.0, GRID8)
+    assert imagtime.origin_scale(GRID8.r * res.psi.values.real, GRID8.h) < 2e-2
+
+
+@pytest.mark.parametrize("n, returned", [(32, True), (64, True), (16, False)])
+def test_coarse_grid_gausson_is_refused_only_below_two_nodes_per_width(n, returned):
+    # the Gausson's origin scale is about 2 h^2 b: 0.43 on (8, 32), 1.67 on
+    # (8, 16), where its width 1/sqrt(pi) is about one step
+    grid = RadialGrid.uniform_from_origin(8.0, n)
+    b = np.full(n, PI)
+    if returned:
+        assert ground_state_from_coupling_values(b, 1.0, grid).converged
+    else:
+        with pytest.raises(ConvergenceError, match="grid-scale state"):
+            ground_state_from_coupling_values(b, 1.0, grid)
+
+
 def test_coupling_array_must_be_finite():
     bad = np.full_like(GRID8.r, np.nan)
     with pytest.raises(DomainError):

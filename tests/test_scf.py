@@ -157,6 +157,20 @@ def test_density_independent_source_returns_the_relaxation(monkeypatch):
     assert np.array_equal(res.psi.values, relaxed.psi.values)
 
 
+def test_source_changed_by_the_relaxation_is_solved_in_its_own_field():
+    # f is flat in rho away from rho = 0.5, so its forward difference
+    # vanishes on the guess (rho <= 0.18) and the relaxation runs at lambda 1
+    # in the field the guess sources; the relaxed density (peak near 1)
+    # crosses 0.5 and sources another field, in which the relaxed state's
+    # residual is 2.2, so the solve goes on to the rung
+    def f(rho, r):
+        return np.where(rho > 0.5, 2.0 * PI, PI) / (2.0 * PI * r)
+
+    res = self_consistent_minimal_model(f, 1.0, GRID512)
+    assert res.sweeps > 0
+    own_field_check(res, f, GRID512, SolverOptions().convergence_tol)
+
+
 def test_sweep_budget_exhaustion_raises_with_history():
     with pytest.raises(ConvergenceError) as err:
         self_consistent_minimal_model(
