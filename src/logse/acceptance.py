@@ -99,12 +99,10 @@ def _criterion(cid, title, runtime_limit=None):
 
 
 @_criterion(1, "general-case eigenvalues and Eq-residual convergence", runtime_limit=5.0)
-def criterion_1(check, notes, n_points: int = 4096):
+def criterion_1(check, notes):
     """Eigenvalue reproduction and stationary residual for the general case."""
-    grid_fine = RadialGrid.uniform(1e-3, 12.0, n_points)
-    # the refinement check needs the half grid to clear the operator's
-    # 16-interior-point minimum
-    grid_half = RadialGrid.uniform(1e-3, 12.0, n_points // 2) if n_points >= 64 else None
+    grid_fine = RadialGrid.uniform(1e-3, 12.0, 4096)
+    grid_half = RadialGrid.uniform(1e-3, 12.0, 2048)
     for N in (1, 8, 64):
         for q in (2.0, 3.0, -1.0):
             sol = case_general(N, q)
@@ -113,12 +111,11 @@ def criterion_1(check, notes, n_points: int = 4096):
             check(f"b0 exact N={N} q={q:g}", sol.profile.b0_tilde, "== pi/N^(2/3)",
                   sol.profile.b0_tilde == PI / N ** (2.0 / 3.0))
             res_fine = residual(sol.sample(grid_fine), sol.omega, sol.profile)
-            check(f"residual n={n_points} N={N} q={q:g}", res_fine, "< 1e-5")
-            if grid_half is not None:
-                res_half = residual(sol.sample(grid_half), sol.omega, sol.profile)
-                ratio = res_half / res_fine
-                check(f"refinement ratio N={N} q={q:g}", ratio, "in [3.5, 4.5]",
-                      3.5 <= ratio <= 4.5)
+            check(f"residual n=4096 N={N} q={q:g}", res_fine, "< 1e-5")
+            res_half = residual(sol.sample(grid_half), sol.omega, sol.profile)
+            ratio = res_half / res_fine
+            check(f"refinement ratio N={N} q={q:g}", ratio, "in [3.5, 4.5]",
+                  3.5 <= ratio <= 4.5)
             if res_fine >= 1e-5:
                 h = grid_fine.h
                 floor = 1.25 * sol.profile.b0_tilde**2 * h * h
@@ -287,10 +284,9 @@ def criterion_10(check, notes):
     check("min slack of the remainder bound over x in [0.5, 2]", min(slacks), ">= 0", ok)
 
 
-def run_all(only=None, c1_n_points: int = 4096) -> list[CriterionResult]:
+def run_all(only=None) -> list[CriterionResult]:
     """Run the selected criteria (all by default) in ascending order."""
-    return [criterion_1(n_points=c1_n_points) if cid == 1 else ALL_CRITERIA[cid]()
-            for cid in sorted(only or ALL_CRITERIA)]
+    return [ALL_CRITERIA[cid]() for cid in sorted(only or ALL_CRITERIA)]
 
 
 def format_report(results) -> str:

@@ -48,6 +48,7 @@ from .numerics import (
 )
 
 PI = math.pi
+_DEFAULTS = SolverOptions()
 
 # Each subcommand's settings, key -> (flag type or tuple of choices, default,
 # help).  The flag is "--" plus the key with "_" written as "-", and a config
@@ -61,8 +62,8 @@ _CASE = {
     "L2": (float, 0.0, "angular separation constant"),
     "SY": (float, 0.0, "angular entropy constant"),
 }
-# when all three are given, b0 and q are read as physical (energy,
-# energy*length^2) and converted to dimensionless form
+# when all three are given, b0 is read as a physical energy and q (and field's
+# point_charge and eps, which enter b as q does) as an energy*length^2
 _SCALES = {
     "hbar": (float, None, "reduced Planck constant"),
     "mass": (float, None, "particle mass"),
@@ -72,7 +73,6 @@ _SCALES = {
 
 def _grid(r_max, n) -> dict:
     return {
-        "r_min": (float, None, "inner radius (omit for an origin-step uniform grid)"),
         "r_max": (float, r_max, "outer radius"),
         "n": (int, n, "number of grid points"),
     }
@@ -80,14 +80,15 @@ def _grid(r_max, n) -> dict:
 
 SETTINGS = {
     # r_max None: 12, or 30/mu^2 for the inverse-square tail
-    "analytic": {**_CASE, **_grid(None, 2048), **_SCALES},
+    "analytic": {**_CASE, "r_min": (float, None, "inner radius (omit for r_max/n)"),
+                 **_grid(None, 2048), **_SCALES},
     "groundstate": {
         "b0": (float, PI, "constant part of the coupling"),
         "q": (float, 0.0, "inverse-square coupling charge"),
         "N": (float, 1.0, "normalization (particle number)"),
         "dt": (float, None, "first relaxation step (omit for 0.01)"),
-        "max_steps": (int, 25000, "budget of flow and Newton iterations"),
-        "tol": (float, 1e-6, "tolerance on the stationary residual"),
+        "max_steps": (int, _DEFAULTS.max_steps, "budget of flow and Newton iterations"),
+        "tol": (float, _DEFAULTS.convergence_tol, "tolerance on the stationary residual"),
         "weight": (("sphere", "radial"), "sphere",
                    "norm convention: 4*pi*r^2 (sphere) or r^2 (radial)"),
         **_grid(8.0, 640), **_SCALES,
@@ -106,7 +107,7 @@ SETTINGS = {
         "eps": (float, 1e-3, "strength of the linear-rho source"),
         "point_charge": (float, 0.0, "point charge at the origin"),
         "N": (float, 1.0, "normalization (particle number)"),
-        "tol": (float, 1e-6, "tolerance on the coupled residual"),
+        "tol": (float, _DEFAULTS.convergence_tol, "tolerance on the coupled residual"),
         "max_sweeps": (int, 200,
                        "budget of coupled Newton steps over all continuation rungs"),
         **_grid(8.0, 512), **_SCALES,
@@ -114,8 +115,6 @@ SETTINGS = {
     "report": {
         "json": (bool, False, "also write a machine-readable report"),
         "only": (str, None, "comma-separated criterion ids, e.g. 2,9,10"),
-        "c1_n": (int, 4096,
-                 "grid size for the residual criterion (discretization control)"),
     },
 }
 
@@ -175,7 +174,7 @@ def _resolve(args) -> dict:
 
 
 def _apply_scales(conf: dict) -> dict:
-    """A copy of conf, with physical (b0, q) converted to dimensionless when
+    """A copy of conf, with physical couplings converted to dimensionless when
     unit scales are given; the command runs on it and may change it."""
     out = dict(conf)
     given = [conf.get(key) is not None for key in ("hbar", "mass", "a")]
@@ -184,16 +183,16 @@ def _apply_scales(conf: dict) -> dict:
     if not all(given):
         raise DomainError("physical units need all three of --hbar, --mass, --a")
     scales = ScaleSet(conf["hbar"], conf["mass"], conf["a"])
-    profile = to_dimensionless(conf.get("b0", 0.0) or 0.0,
-                               conf.get("q", 0.0) or 0.0, scales)
-    out["b0"] = profile.b0_tilde
-    if "q" in conf:
-        out["q"] = profile.q_tilde
+    out["b0"] = to_dimensionless(conf["b0"], 0.0, scales).b0_tilde
+    for key in ("q", "point_charge", "eps"):
+        if key in conf:
+            out[key] = to_dimensionless(0.0, conf[key], scales).q_tilde
     return out
 
 
 def _grid_from(conf) -> RadialGrid:
-    if conf["r_min"] is None:
+    # only analytic has an r_min: the solvers' grid is the origin-step one
+    if conf.get("r_min") is None:
         return RadialGrid.uniform_from_origin(conf["r_max"], conf["n"])
     return RadialGrid.uniform(conf["r_min"], conf["r_max"], conf["n"])
 
@@ -363,7 +362,7 @@ def cmd_evolve(args, conf) -> int:
             f"dt * max|b(r)| = {opts.dt * max_coupling:.2f} > 1: the nonlinear phase "
             f"step is unstable at the inner grid edge (r = {grid.r_min:g}); lower "
             f"--dt to at most {1.0 / max_coupling:.3g}, or move the edge out with "
-            "--r-min (on the origin-step grid, r_min = r_max/n)")
+            "a smaller --n (the edge sits at r_max/n)")
     result = evolve_real_time(psi0, sol.profile, opts, n_steps=conf["steps"],
                               snapshot_stride=conf["stride"], keep_snapshots=True)
     rho0 = psi0.normalized().density()
@@ -446,8 +445,8 @@ def cmd_report(args, conf) -> int:
         only = [tok.strip() for tok in str(conf["only"]).split(",") if tok.strip()]
         if not only or not set(only) <= set(map(str, acceptance.ALL_CRITERIA)):
             raise DomainError(f"--only takes criterion ids 1-10, got {conf['only']!r}")
-        only = [int(tok) for tok in only]
-    results = acceptance.run_all(only=only, c1_n_points=conf["c1_n"])
+        only = {int(tok) for tok in only}
+    results = acceptance.run_all(only=only)
     print(acceptance.format_report(results))
     if conf["json"]:
         paths = _paths(args, {"json": "report.json"})

@@ -143,7 +143,7 @@ class RadialGrid:
         h = self.h
         if abs(self.r_min - h) > 1e-12 * h:
             raise DomainError("the solvers need a grid with r_min == h "
-                              "(RadialGrid.uniform_from_origin; omit --r-min)")
+                              "(RadialGrid.uniform_from_origin)")
         return h
 
 

@@ -107,7 +107,7 @@ def evolve_real_time(
     if stiffness > 1.0:
         warnings.warn(
             f"dt * max|b(r)| = {stiffness:.2f} > 1: the nonlinear phase step is "
-            "stiff at the inner grid edge; reduce dt or coarsen r_min",
+            "stiff at the inner grid edge; reduce dt or use fewer grid points",
             stacklevel=2,
         )
 

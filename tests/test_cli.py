@@ -79,9 +79,11 @@ def test_evolve_refuses_stiff_phase_step(tmp_path, capsys):
     assert run(tmp_path, "evolve", "--case", "q1") == 2
     err = capsys.readouterr().err
     assert "dt * max|b(r)| = 4.00 > 1" in err
-    assert "--dt" in err and "--r-min" in err
+    assert "--dt" in err and "--n" in err
     assert not (tmp_path / "evolve_result.json").exists()
     assert run(tmp_path, "evolve", "--case", "q1", "--dt", "2e-5", "--steps", "10") == 0
+    # a coarser grid moves the inner edge out: dt max|b| = 1e-4 |pi - 1/0.01^2| = 0.9997
+    assert run(tmp_path, "evolve", "--case", "q1", "--n", "1000") == 0
 
 
 def test_groundstate_refuses_tolerance_below_roundoff_floor(tmp_path, capsys):
@@ -186,6 +188,18 @@ def test_removed_spacing_exits_2_naming_it(tmp_path, capsys, command):
                                      "spacing")
 
 
+@pytest.mark.parametrize("command, flag, value, key", [
+    ("groundstate", "--r-min", "0.0125", "r_min"),
+    ("evolve", "--r-min", "0.005", "r_min"),
+    ("field", "--r-min", "0.015625", "r_min"),
+    ("report", "--c1-n", "16384", "c1_n"),
+], ids=["groundstate-r_min", "evolve-r_min", "field-r_min", "report-c1_n"])
+def test_removed_grid_settings_exit_2_naming_them(tmp_path, capsys, command, flag, value, key):
+    # the solvers always take the origin-step grid (each value here is its
+    # default h = r_max/n), and criterion 1 its fixed grid
+    removed_option_exits_2_naming_it(tmp_path, capsys, command, flag, value, key)
+
+
 def test_max_sweeps_bounds_the_coupled_newton_steps(tmp_path, capsys):
     # --max-sweeps still parses, as the budget of coupled Newton steps
     assert run(tmp_path, "field", "--f-model", "linear-rho", "--eps", "5",
@@ -228,13 +242,20 @@ def test_report_subset_and_json(tmp_path, capsys):
 
 
 def test_report_coarse_grid_control_fails_with_explanation(tmp_path, capsys):
-    # deliberately coarse grid: the residual criterion must fail and the
-    # output must explain the O(h^2) floor
-    code = run(tmp_path, "report", "--only", "1", "--c1-n", "32")
+    # criterion 1's fixed grid (n = 4096) is too coarse for its N = 1 rows:
+    # the residual criterion must fail and the output explain the O(h^2) floor
+    code = run(tmp_path, "report", "--only", "1")
     out = capsys.readouterr().out
     assert code == 4
     assert "[FAIL] criterion  1" in out
     assert "truncation floor" in out
+
+
+def test_report_runs_a_repeated_criterion_once(tmp_path, capsys):
+    assert run(tmp_path, "report", "--only", "9,9", "--json") == 0
+    assert "1/1 criteria passed" in capsys.readouterr().out
+    data = json.loads((tmp_path / "report_report.json").read_text())
+    assert [c["id"] for c in data["criteria"]] == [9]
 
 
 def test_exit_code_2_on_bad_domain(tmp_path, capsys):
@@ -244,23 +265,9 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "evolve", "--dt", "inf", "--steps", "3") == 2
     assert run(tmp_path, "groundstate", "--tol", "inf", "--max-steps", "5") == 2
     assert run(tmp_path, "field", "--max-sweeps", "0") == 2
-    assert run(tmp_path, "groundstate", "--r-min", "0.5") == 2
-    assert run(tmp_path, "evolve", "--r-min", "0.05") == 2
-    assert run(tmp_path, "field", "--r-min", "0.05") == 2
-    assert "--r-min" in capsys.readouterr().err
     for only in ("11", "0", "x"):
         assert run(tmp_path, "report", "--only", only) == 2
         assert "criterion ids 1-10" in capsys.readouterr().err
-
-
-def test_groundstate_accepts_explicit_origin_step(tmp_path):
-    # --r-min 0.0125 is the default grid's h = 8 / 640, so r_min == h holds
-    assert run(tmp_path / "a", "groundstate") == 0
-    assert run(tmp_path / "b", "groundstate", "--r-min", "0.0125") == 0
-    default, explicit = (json.loads((tmp_path / d / "groundstate_result.json").read_text())
-                         for d in "ab")
-    assert explicit["converged"]
-    assert explicit["omega"] == pytest.approx(default["omega"], rel=1e-10)
 
 
 def test_exit_code_3_on_nonconvergence(tmp_path, capsys):
@@ -458,6 +465,21 @@ def test_physical_scales_convert_coupling(tmp_path):
     data = json.loads((tmp_path / "analytic_result.json").read_text())
     assert data["profile"]["b0_tilde"] == pytest.approx(PI, rel=1e-15)
     assert data["omega"] == pytest.approx(3 * PI, rel=1e-14)
+
+
+@pytest.mark.parametrize("physical, dimensionless", [
+    (["--b0", "0.5", "--point-charge", "0.25"], ["--point-charge", "0.5"]),
+    (["--f-model", "linear-rho", "--eps", "5e-4"], ["--f-model", "linear-rho"]),
+], ids=["point_charge", "eps"])
+def test_field_converts_point_charge_and_eps_like_q(tmp_path, physical, dimensionless):
+    # with (hbar, m, a) = (1, 1, 1): b0_tilde = 2 b0 and q_tilde = 2 q, and the
+    # point charge and eps carry q's units
+    assert run(tmp_path / "physical", "field", *physical,
+               "--hbar", "1", "--mass", "1", "--a", "1") == 0
+    assert run(tmp_path / "dimensionless", "field", *dimensionless) == 0
+    for name in ("field_psi.csv", "field_field.csv"):
+        assert ((tmp_path / "physical" / name).read_bytes()
+                == (tmp_path / "dimensionless" / name).read_bytes())
 
 
 def test_partial_physical_scales_rejected(tmp_path):
