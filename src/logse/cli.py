@@ -86,7 +86,6 @@ SETTINGS = {
         "b0": (float, PI, "constant part of the coupling"),
         "q": (float, 0.0, "inverse-square coupling charge"),
         "N": (float, 1.0, "normalization (particle number)"),
-        "dt": (float, None, "first relaxation step (omit for 0.01)"),
         "max_steps": (int, _DEFAULTS.max_steps, "budget of flow and Newton iterations"),
         "tol": (float, _DEFAULTS.convergence_tol, "tolerance on the stationary residual"),
         "weight": (("sphere", "radial"), "sphere",
@@ -297,8 +296,7 @@ def cmd_groundstate(args, conf) -> int:
     """Imaginary-time ground-state relaxation."""
     grid = _grid_from(conf)
     profile = CouplingProfile(conf["b0"], conf["q"])
-    opts = SolverOptions(dt=conf["dt"], max_steps=conf["max_steps"],
-                         convergence_tol=conf["tol"])
+    opts = SolverOptions(max_steps=conf["max_steps"], convergence_tol=conf["tol"])
     weight = 4.0 * PI if conf["weight"] == "sphere" else 1.0
     result = ground_state_from_coupling_values(profile.evaluate(grid.r), conf["N"], grid, opts,
                                                angular_weight=weight)
@@ -354,16 +352,16 @@ def cmd_evolve(args, conf) -> int:
     conf.update(b0=sol.profile.b0_tilde, q=sol.profile.q_tilde)
     grid = _grid_from(conf)
     psi0 = sol.sample(grid)
-    opts = SolverOptions(dt=conf["dt"])
+    dt = conf["dt"]
     # the library only warns: a stiff kick still returns a trajectory
     max_coupling = float(np.max(np.abs(sol.profile.evaluate(grid.r))))
-    if opts.dt * max_coupling > 1.0:
+    if dt * max_coupling > 1.0:
         raise DomainError(
-            f"dt * max|b(r)| = {opts.dt * max_coupling:.2f} > 1: the nonlinear phase "
+            f"dt * max|b(r)| = {dt * max_coupling:.2f} > 1: the nonlinear phase "
             f"step is unstable at the inner grid edge (r = {grid.r_min:g}); lower "
             f"--dt to at most {1.0 / max_coupling:.3g}, or move the edge out with "
             "a smaller --n (the edge sits at r_max/n)")
-    result = evolve_real_time(psi0, sol.profile, opts, n_steps=conf["steps"],
+    result = evolve_real_time(psi0, sol.profile, dt, n_steps=conf["steps"],
                               snapshot_stride=conf["stride"], keep_snapshots=True)
     rho0 = psi0.normalized().density()
     density_drift = float(np.max(np.abs(result.psi.density() - rho0)))
@@ -373,7 +371,7 @@ def cmd_evolve(args, conf) -> int:
         "command": "evolve",
         "case": sol.case.value,
         "steps": conf["steps"],
-        "dt": conf["dt"],
+        "dt": dt,
         "norm_drift": result.norm_drift,
         "density_drift": density_drift,
         "phase_final": float(result.phases[-1]),

@@ -45,8 +45,8 @@ the second form by b r^2 rho ln rho = w u^2 and u.Hu = -omega_n u.u, so it
 costs one dot product beyond stationary (discrete_energy).  The step dt is
 sized by the residual, pseudo-transient continuation with switched
 evolution relaxation (Mulder & van Leer, AIAA 85-1519, 1985; Kelley & Keyes,
-SIAM J. Numer. Anal. 35, 1998): it starts at opts.dt (_RELAX_DT if None),
-and after each accepted flow step it is multiplied by
+SIAM J. Numer. Anal. 35, 1998): it starts at the constant _RELAX_DT, not
+settable, and after each accepted flow step it is multiplied by
 min(residual before / residual after, 2), the guess's residual counting as
 infinite.  A flow step is accepted only if E_h does not rise by more than
 _ENERGY_ROUNDOFF times a h (|omega_n u.u| + |b.u^2|), roundoff; the check
@@ -158,7 +158,7 @@ from ._lapack import SPDTridiagonalSystem, TridiagonalSystem, eigh_tridiagonal_l
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
-# starting relaxation step when opts.dt is None
+# starting relaxation step
 _RELAX_DT = 0.01
 # a flow step may raise E_h by this fraction of its terms' magnitudes
 _ENERGY_ROUNDOFF = 1e-12
@@ -377,8 +377,7 @@ def ground_state_from_coupling_values(
     if not tol > floor:
         raise DomainError(f"convergence_tol {tol:g} is not above the residual's roundoff "
                           f"floor eps/h^2 = {floor:.3g} on this grid (h = {h:.3g})")
-    dt0 = opts.dt if opts.dt is not None else _RELAX_DT
-    dt = dt0
+    dt = dt0 = _RELAX_DT
 
     exponent = None if psi0 is not None else _start_exponent(coupling, grid, h)
     u = r * _initial_guess(grid, psi0, N, angular_weight, exponent)

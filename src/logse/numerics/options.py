@@ -3,32 +3,31 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from ..errors import DomainError
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise DomainError unless value is an integer (not a bool) >= least."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass
 class SolverOptions:
-    """Knobs shared by the relaxation / propagation / SCF drivers.
+    """Iteration budget and residual tolerance of the relaxation and the SCF.
 
-    For the relaxation dt is the starting pseudo-time step (None selects
-    0.01); the relaxation then sizes its steps by the residual and checks
-    each against the discrete energy (see numerics.imagtime).  Real-time
-    evolution takes dt as its fixed step and needs it explicit.  The floor
-    under ln|psi|^2 is the constant observables.LOG_FLOOR.
+    The relaxation starts at the constant step imagtime._RELAX_DT; real-time
+    evolution takes its dt as an argument.
     """
 
-    dt: float | None = None
     max_steps: int = 25_000
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.dt is not None and not 0 < self.dt < math.inf:
-            raise DomainError(
-                "dt must be positive and finite (or None for the relaxation default)"
-            )
-        if self.max_steps < 1:
-            raise DomainError("max_steps must be at least 1")
+        check_count("max_steps", self.max_steps, 1)
         if not 0 < self.convergence_tol < math.inf:
             raise DomainError("convergence_tol must be positive and finite")

@@ -25,6 +25,7 @@ step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,7 +37,7 @@ from ..observables import LOG_FLOOR
 from ..scales import CouplingProfile
 # solve_banded is unused here: perfbench/tracing.py HOOKS wraps this name
 from ._lapack import TridiagonalLU, solve_banded  # noqa: F401
-from .options import SolverOptions
+from .options import check_count
 
 _NORM_DRIFT_LIMIT = 1e-6  # allowed relative drift per 1000 steps
 _NORM_CHECK_EVERY = 1000
@@ -73,29 +74,29 @@ def half_angle_phase(t, out):
 def evolve_real_time(
     psi0: RadialWavefunction,
     profile: CouplingProfile,
-    opts: SolverOptions,
+    dt: float,
     n_steps: int,
     snapshot_stride: int = 0,
     keep_snapshots: bool = False,
 ) -> EvolutionResult:
-    """Propagate psi0 for n_steps of size opts.dt.
+    """Propagate psi0 for n_steps of size dt.
 
     snapshot_stride > 0 records diagnostics every that many steps (plus the
     initial and final states), 0 only those two; keep_snapshots additionally
-    stores the field values for trajectory output.  Negative n_steps or
-    snapshot_stride, or a grid without r_min == h, raise DomainError.  Aborts
-    with ConvergenceError if the conserved discrete norm drifts by more than
-    1e-6 per 1000 steps.
+    stores the field values for trajectory output.  A dt that is not positive
+    and finite, n_steps or snapshot_stride that is not a non-negative integer,
+    or a grid without r_min == h raise DomainError.  Aborts with
+    ConvergenceError if the conserved discrete norm drifts by more than 1e-6
+    per 1000 steps.
     """
-    if opts.dt is None:
-        raise DomainError("real-time evolution needs an explicit dt")
-    if n_steps < 0 or snapshot_stride < 0:
-        raise DomainError("n_steps and snapshot_stride must be non-negative")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"the time step dt must be positive and finite, got {dt:g}")
+    check_count("n_steps", n_steps, 0)
+    check_count("snapshot_stride", snapshot_stride, 0)
     grid = psi0.grid
     r = grid.r
     h = grid.origin_step()
     n = r.size
-    dt = opts.dt
 
     psi0 = psi0.normalized()
     u = (r * np.asarray(psi0.values, dtype=complex)).copy()

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConvergenceError, DomainError
+from ..errors import ConvergenceError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights
 from ..observables import LOG_FLOOR
 from ._lapack import solve_banded
@@ -74,7 +74,7 @@ from .imagtime import (
     ground_state_from_coupling_values,
     stationary,
 )
-from .options import SolverOptions
+from .options import SolverOptions, check_count
 from .poisson import FieldState, field_gradient, solve_radial_poisson
 
 # the continuation gives up once a rejected rung would halve its lambda
@@ -172,8 +172,7 @@ def self_consistent_minimal_model(
     relaxation is raised as it is.
     """
     opts = opts or SolverOptions()
-    if max_sweeps < 1:
-        raise DomainError("max_sweeps must be at least 1")
+    check_count("max_sweeps", max_sweeps, 1)
     r = grid.r
     h = grid.origin_step()
     tol = opts.convergence_tol

@@ -200,6 +200,11 @@ def test_removed_grid_settings_exit_2_naming_them(tmp_path, capsys, command, fla
     removed_option_exits_2_naming_it(tmp_path, capsys, command, flag, value, key)
 
 
+def test_removed_relaxation_step_exits_2_naming_it(tmp_path, capsys):
+    # the relaxation always starts at the constant step imagtime._RELAX_DT
+    removed_option_exits_2_naming_it(tmp_path, capsys, "groundstate", "--dt", "0.01", "dt")
+
+
 def test_max_sweeps_bounds_the_coupled_newton_steps(tmp_path, capsys):
     # --max-sweeps still parses, as the budget of coupled Newton steps
     assert run(tmp_path, "field", "--f-model", "linear-rho", "--eps", "5",
@@ -262,7 +267,10 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
     assert run(tmp_path, "analytic", "--case", "general", "--N", "1", "--q", "0") == 2
     assert run(tmp_path, "groundstate", "--N", "-1") == 2
     assert run(tmp_path, "evolve", "--steps", "-3") == 2
-    assert run(tmp_path, "evolve", "--dt", "inf", "--steps", "3") == 2
+    for dt in ("0", "-1e-4", "nan", "inf"):  # inf: the stiff-kick refusal
+        assert run(tmp_path, "evolve", f"--dt={dt}", "--steps", "3") == 2
+        err = capsys.readouterr().err
+        assert "dt" in err and "relaxation" not in err
     assert run(tmp_path, "groundstate", "--tol", "inf", "--max-steps", "5") == 2
     assert run(tmp_path, "field", "--max-sweeps", "0") == 2
     for only in ("11", "0", "x"):

@@ -101,13 +101,37 @@ OFF_ORIGIN = RadialGrid.uniform(0.5, 8.0, 640)
     lambda g: ground_state_from_coupling_values(np.full(g.n_points, PI), 1.0, g),
     lambda g: linear_ground_state(g.r**2, 1.0, g),
     lambda g: evolve_real_time(case_constant(1, PI).sample(g), CouplingProfile(PI, 0.0),
-                               SolverOptions(dt=1e-4), n_steps=1),
+                               dt=1e-4, n_steps=1),
     lambda g: self_consistent_minimal_model(f_constant_over_r(1.0), 1.0, g),
     grid_rule_weights,
 ], ids=["relaxation", "linear", "real_time", "scf", "grid_rule_weights"])
 def test_solvers_reject_a_non_uniform_grid(solve):
     with pytest.raises(DomainError, match="r_min == h"):
         solve(OFF_ORIGIN)
+
+
+def _evolve_counts(n_steps=1, snapshot_stride=0):
+    grid = RadialGrid.uniform_from_origin(8.0, 64)
+    evolve_real_time(case_constant(1, PI).sample(grid), CouplingProfile(PI, 0.0), dt=1e-4,
+                     n_steps=n_steps, snapshot_stride=snapshot_stride)
+
+
+COUNTS = {
+    "max_steps": lambda v: SolverOptions(max_steps=v),
+    "n_steps": lambda v: _evolve_counts(n_steps=v),
+    "snapshot_stride": lambda v: _evolve_counts(snapshot_stride=v),
+    "max_sweeps": lambda v: self_consistent_minimal_model(
+        f_constant_over_r(1.0), 1.0, RadialGrid.uniform_from_origin(8.0, 64), max_sweeps=v),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+@pytest.mark.parametrize("value", [2.5, 1e9, True])
+def test_iteration_counts_must_be_integers(name, value):
+    # a float budget escaped as a TypeError from range or was rounded up by a
+    # step counter; True was taken as 1
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        COUNTS[name](value)
 
 
 def test_grid_validation():

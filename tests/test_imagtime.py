@@ -346,15 +346,16 @@ def test_step_size_underflow_raises_with_the_guess(monkeypatch):
 
 
 @GAUSSON_AND_INVERSE_SQUARE
-def test_relaxed_state_independent_of_dt(profile, grid, weight):
+def test_relaxed_state_independent_of_dt(profile, grid, weight, monkeypatch):
     # the Rayleigh quotient inside the step makes the fixed point the discrete
     # stationary state for every dt, also where b(r) is not constant
     b = profile.evaluate(grid.r)
     coarse = ground_state_from_coupling_values(
         b, 1.0, grid, SolverOptions(), angular_weight=weight
     )
+    monkeypatch.setattr(imagtime, "_RELAX_DT", 0.005)
     fine = ground_state_from_coupling_values(
-        b, 1.0, grid, SolverOptions(dt=0.005), angular_weight=weight
+        b, 1.0, grid, SolverOptions(), angular_weight=weight
     )
     assert l2_distance(coarse.psi, fine.psi) < 1e-6
     assert coarse.omega == pytest.approx(fine.omega, rel=1e-8)
@@ -409,9 +410,9 @@ def test_catalog_states_converge_nodeless_through_newton(sol):
     assert l2_distance(res.psi, sol.psi) < 1e-3  # criterion 5's bound
 
 
-@pytest.mark.parametrize("dt", [None, 0.001])
+@pytest.mark.parametrize("dt", [None, 0.001])  # None: the default _RELAX_DT
 @pytest.mark.parametrize("guess", ["default", "wide"])
-def test_guard_never_returns_a_state_with_nodes(dt, guess):
+def test_guard_never_returns_a_state_with_nodes(dt, guess, monkeypatch):
     # at a fixed step 0.01 the flow oscillated with period 2 on this grid and
     # never handed over; Newton started from early flow iterates lands on
     # states with nodes (-psi, or hundreds of nodes), which the guard
@@ -420,9 +421,11 @@ def test_guard_never_returns_a_state_with_nodes(dt, guess):
     sol = case_general(1, 6.0)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     psi0 = _default_guess(grid) if guess == "wide" else None
+    if dt is not None:
+        monkeypatch.setattr(imagtime, "_RELAX_DT", dt)
     try:
         res = ground_state_from_coupling_values(
-            sol.profile.evaluate(grid.r), 1.0, grid, SolverOptions(dt=dt, max_steps=1000),
+            sol.profile.evaluate(grid.r), 1.0, grid, SolverOptions(max_steps=1000),
             psi0=psi0,
         )
     except ConvergenceError:
@@ -551,9 +554,10 @@ def test_accepted_flow_steps_never_raise_discrete_energy(b0, q, N, n, dt):
     flow_step = imagtime.flow_step
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(imagtime, "flow_step", spy)
+        patch.setattr(imagtime, "_RELAX_DT", dt)
         try:
             res = ground_state_from_coupling_values(
-                b, N, grid, SolverOptions(dt=dt, max_steps=300))
+                b, N, grid, SolverOptions(max_steps=300))
         except ConvergenceError:
             res = None
     rejected = 0
@@ -622,7 +626,7 @@ def test_engines_require_origin_step_grid():
     with pytest.raises(DomainError):
         linear_ground_state(np.zeros_like(grid.r), 1.0, grid)
     with pytest.raises(DomainError):
-        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4), 10)
+        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=10)
 
 
 @pytest.mark.parametrize("N", [0.0, -1.0, math.inf, math.nan])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from logse.analytic import case_constant
 from logse.cli import main
 from logse.grids import RadialGrid
-from logse.numerics import SolverOptions, evolve_real_time
+from logse.numerics import evolve_real_time
 from logse.output import (
     CSV_FORMAT,
     _block_rows,
@@ -135,7 +135,7 @@ def test_evolve_trajectory_matches_concatenated_write(tmp_path):
                  "--out", str(tmp_path)]) == 0
     sol = case_constant(1.0, np.pi)
     grid = RadialGrid.uniform_from_origin(10.0, 500)
-    result = evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4),
+    result = evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4,
                               n_steps=200, snapshot_stride=50, keep_snapshots=True)
     columns = [[np.full_like(grid.r, t), grid.r, v.real, v.imag, np.abs(v) ** 2]
                for t, v in result.snapshots]

@@ -17,7 +17,7 @@ from logse import (
     case_constant,
     case_general,
 )
-from logse.numerics import SolverOptions, evolve_real_time
+from logse.numerics import evolve_real_time
 from logse.numerics.realtime import half_angle_phase
 
 PI = math.pi
@@ -27,7 +27,7 @@ def test_stationary_gausson_phase_and_density():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=1e-4),
+    res = evolve_real_time(psi0, sol.profile, dt=1e-4,
                            n_steps=1000, snapshot_stride=100)
     assert res.norm_drift < 1e-10
     rho0 = psi0.normalized().density()
@@ -39,8 +39,7 @@ def test_stationary_gausson_phase_and_density():
 def test_free_propagation_conserves_norm():
     grid = RadialGrid.uniform_from_origin(10.0, 2000)
     psi0 = case_constant(1, PI).sample(grid)
-    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0),
-                           SolverOptions(dt=1e-4), n_steps=1000)
+    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=1e-4, n_steps=1000)
     assert res.norm_drift < 1e-10
     # free spreading: the density does move
     assert np.max(np.abs(res.psi.density() - psi0.normalized().density())) > 1e-4
@@ -51,7 +50,7 @@ def test_variable_coupling_stationary_state():
     sol = case_general(1, 2.0)
     grid = RadialGrid.uniform_from_origin(10.0, 1500)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=2e-5), n_steps=5000)
+    res = evolve_real_time(psi0, sol.profile, dt=2e-5, n_steps=5000)
     rho0 = psi0.normalized().density()
     assert np.max(np.abs(res.psi.density() - rho0)) < 5e-5
     assert res.phases[-1] == pytest.approx(-sol.omega * res.times[-1], rel=1e-3)
@@ -63,7 +62,7 @@ def test_skewed_q1_state_is_stationary():
     sol = case_q1(2, PI)  # k != 0: exp(k r) times Gaussian
     grid = RadialGrid.uniform_from_origin(10.0, 1500)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=2e-5), n_steps=2500)
+    res = evolve_real_time(psi0, sol.profile, dt=2e-5, n_steps=2500)
     assert np.max(np.abs(res.psi.density() - psi0.normalized().density())) < 5e-5
     assert res.phases[-1] == pytest.approx(-sol.omega * res.times[-1], rel=1e-3)
 
@@ -72,14 +71,13 @@ def test_stiff_inner_node_warns():
     sol = case_general(1, 2.0)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     with pytest.warns(UserWarning, match="stiff"):
-        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4),
-                         n_steps=1)
+        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=1)
 
 
 def test_snapshots_and_times():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(8.0, 512)
-    res = evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4),
+    res = evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4,
                            n_steps=500, snapshot_stride=100, keep_snapshots=True)
     assert len(res.snapshots) == 6  # t = 0 plus every 100 steps
     assert res.times[0] == 0.0
@@ -92,12 +90,13 @@ def test_snapshots_and_times():
 def test_evolve_preconditions():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(8.0, 256)
+    for dt in (0.0, -1e-4, math.nan, math.inf):
+        with pytest.raises(DomainError, match="time step dt must be positive and finite"):
+            evolve_real_time(sol.sample(grid), sol.profile, dt=dt, n_steps=10)
     with pytest.raises(DomainError):
-        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(), 10)
+        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=-3)
     with pytest.raises(DomainError):
-        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4), -3)
-    with pytest.raises(DomainError):
-        evolve_real_time(sol.sample(grid), sol.profile, SolverOptions(dt=1e-4), 10,
+        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=10,
                          snapshot_stride=-1)
 
 
@@ -143,7 +142,7 @@ def test_fused_kicks_match_plain_strang_loop():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(8.0, 512)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=1e-4), n_steps=1100,
+    res = evolve_real_time(psi0, sol.profile, dt=1e-4, n_steps=1100,
                            snapshot_stride=7, keep_snapshots=True)
     times, norms, phases, snapshots, final = _plain_strang(
         psi0, sol.profile, 1e-4, 1100, 7)
@@ -163,7 +162,7 @@ def test_fused_kicks_match_plain_strang_loop_on_criterion_6_grid():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, SolverOptions(dt=1e-4), n_steps=200,
+    res = evolve_real_time(psi0, sol.profile, dt=1e-4, n_steps=200,
                            snapshot_stride=50, keep_snapshots=True)
     times, norms, phases, snapshots, final = _plain_strang(
         psi0, sol.profile, 1e-4, 200, 50)
@@ -211,8 +210,7 @@ def test_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi0 = RadialWavefunction(grid, u / grid.r)
-    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0),
-                           SolverOptions(dt=2.0 * lam), n_steps=1)
+    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=2.0 * lam, n_steps=1)
     u_in = grid.r * psi0.normalized().values
     u_out = grid.r * res.psi.values
     norm_in, norm_out = np.sum(np.abs(u_in) ** 2), np.sum(np.abs(u_out) ** 2)
@@ -232,5 +230,5 @@ def test_nonfinite_state_raises_convergence_error(n_steps, failing_step):
     psi0 = case_constant(1, PI).sample(grid)
     with pytest.warns(UserWarning, match="stiff"):
         with pytest.raises(ConvergenceError, match=f"after {failing_step} steps"):
-            evolve_real_time(psi0, CouplingProfile(1e308, 0.0), SolverOptions(dt=1.0),
+            evolve_real_time(psi0, CouplingProfile(1e308, 0.0), dt=1.0,
                              n_steps=n_steps)
