@@ -22,7 +22,9 @@ and raise ValueError for a shape that does not fit.  The systems that live
 across a solve own their buffers and bind their call once, so each solve
 passes pointers looked up at construction: the flow step's
 (SPDTridiagonalSystem, ptsv), the Newton step's (TridiagonalSystem, gtsv)
-and the Crank-Nicolson factors (TridiagonalLU, gttrf then gttrs).
+and the Crank-Nicolson factors (TridiagonalLU, gttrf then gttrs), which on
+even grids of 2,000 points or more factor the system that realtime's
+odd-even reduction leaves rather than the whole matrix.
 
 eigh_tridiagonal_lowest and solve_banded make the LAPACK calls that scipy's
 eigh_tridiagonal(d, e, select="i", select_range=(0, 0)) and

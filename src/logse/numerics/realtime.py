@@ -12,9 +12,20 @@ so the discrete l2 norm of u -- the trapezoid quadrature of w r^2 |psi|^2 --
 is conserved to roundoff; the phase kicks conserve |psi| pointwise.
 
 A kick builds exp(i theta) from one tangent (half_angle_phase).  The kinetic
-step is the Cayley identity (I+A)^-1 (I-A) u = 2 (I+A)^-1 u - u: (I+A)/2 is
-factored once (LAPACK gttrf), and a step back-substitutes (gttrs) on a copy of
-u and subtracts u in place.  Both routines come from numerics._lapack's
+step is the Cayley identity (I+A)^-1 (I-A) u = M^-1 u - u with M = (I+A)/2 =
+tridiag(c, a, c), a = 1/2 + lam, c = -lam/2 (CayleyStep).  M is strictly
+diagonally dominant for every dt > 0 (|a| > |lam| = 2|c|), so odd-even
+(cyclic) reduction is stable on it: each level eliminates the odd rows and
+leaves a tridiagonal system of half the order in the even ones, at the cost
+of a few vectorised operations per step.  Every odd row is interior, so a
+level is two scalars, and the system it leaves differs from a Toeplitz one
+only in its first diagonal entry.  Levels are taken while the order is even,
+the half keeps at least _REDUCTION_MIN_ROWS rows and |lam| <= 1e3; the
+system left at the bottom is factored once (LAPACK gttrf) and a step
+back-substitutes (gttrs) there.  The odd rows are then recovered level by
+level, and the top level writes M^-1 u - u straight into u's even and odd
+slices.  With no level a step is gttrs on a copy of the whole u followed by
+subtracting u in place.  Both routines come from numerics._lapack's
 TridiagonalLU, which calls the LAPACK that numpy has loaded (scipy's
 extension where numpy's library does not export them) on a buffer bound
 once.  Between two steps where nothing is recorded, the second half kick of
@@ -41,6 +52,13 @@ from .options import check_count
 
 _NORM_DRIFT_LIMIT = 1e-6  # allowed relative drift per 1000 steps
 _NORM_CHECK_EVERY = 1000
+# odd-even reduction halves the Crank-Nicolson system while the half keeps at
+# least this many rows; below it gttrs on the whole system is as fast
+_REDUCTION_MIN_ROWS = 1000
+# the reduced systems' entries are ~|lam| while their row sums stay ~1, so
+# rounding the entries moves the smoothest modes by ~eps |lam|; up to this
+# |lam| the step stays within 2x of gttrs's own error on the whole system
+_REDUCTION_MAX_LAM = 1e3
 
 
 @dataclass
@@ -69,6 +87,68 @@ def half_angle_phase(t, out):
     np.multiply(tan, c, out=tan)
     np.subtract(c, 1.0, out=out.real)
     return out
+
+
+class CayleyStep:
+    """The Crank-Nicolson step u -> (I+A)^-1 (I-A) u = M^-1 u - u, in place,
+    for M = (I+A)/2 = tridiag(c, a, c) of order n, a = 1/2 + lam, c = -lam/2.
+
+    levels is the number of odd-even reduction levels (see the module
+    docstring); with none, M is factored whole and a step is the plain
+    gttrs-then-subtract.  Raises np.linalg.LinAlgError if the system left
+    at the bottom is singular.
+    """
+
+    def __init__(self, n, lam):
+        first = a = 0.5 + lam
+        c = -0.5 * lam
+        self._levels = []
+        while (abs(lam) <= _REDUCTION_MAX_LAM and n % 2 == 0
+               and n // 2 >= _REDUCTION_MIN_ROWS):
+            # every odd row is interior (diagonal a), so the even rows keep a
+            # first diagonal entry of their own and are Toeplitz elsewhere
+            g = c * c / a
+            self._levels.append((1.0 / a, c / a))
+            n, first, a, c = n // 2, first - g, a - 2.0 * g, -g
+        self.levels = len(self._levels)
+        d, off = np.full(n, a), np.full(n - 1, c)
+        d[0] = first
+        self._lu = TridiagonalLU(off, d, off)
+        if self._levels:
+            inv, p = self._levels[0]
+            self._top = (inv - 1.0, p)
+
+    def __call__(self, u):
+        if not self._levels:
+            np.subtract(self._lu.solve(u), u, out=u)
+            return
+        rhs = [u]
+        for _, p in self._levels:
+            # even row 2k: b[2k] - p (b[2k-1] + b[2k+1]), no b[-1]
+            odd = rhs[-1][1::2]
+            s = odd.copy()
+            s[1:] += odd[:-1]
+            s *= p
+            rhs.append(np.subtract(rhs[-1][0::2], s, out=s))
+        x = self._lu.solve(rhs.pop())
+        for (inv, p), b in zip(self._levels[:0:-1], rhs[:0:-1]):
+            full = np.empty(2 * x.size, dtype=complex)
+            full[0::2] = x
+            _odd_rows(x, b[1::2], inv, p, out=full[1::2])
+            x = full
+        _odd_rows(x, u[1::2], *self._top, out=u[1::2])
+        np.subtract(x, u[0::2], out=u[0::2])
+
+
+def _odd_rows(even, b, scale, p, out):
+    """Odd row 2k+1 of a level from its even rows' solution: out[k] =
+    scale b[k] - p (even[k] + even[k+1]), no even[m]; scale is 1/a, or
+    1/a - 1 to subtract b as well."""
+    s = even.copy()
+    s[:-1] += even[1:]
+    s *= p
+    np.multiply(b, scale, out=out)
+    out -= s
 
 
 def evolve_real_time(
@@ -112,12 +192,10 @@ def evolve_real_time(
             stacklevel=2,
         )
 
-    # (I+A)/2 with A = lam tridiag(-1, 2, -1), lam = i dt/(2h^2): Crank-Nicolson
-    # for i du/dt = -u'' with Dirichlet ghosts
-    lam = 0.5j * dt / (h * h)
-    off = np.full(n - 1, -0.5 * lam)
+    # A = lam tridiag(-1, 2, -1), lam = i dt/(2h^2): Crank-Nicolson for
+    # i du/dt = -u'' with Dirichlet ghosts
     try:
-        lu = TridiagonalLU(off, np.full(n, 0.5 + lam), off)
+        cayley = CayleyStep(n, 0.5j * dt / (h * h))
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"the Crank-Nicolson matrix: {exc}") from exc
 
@@ -172,7 +250,7 @@ def evolve_real_time(
     completed = True  # u holds a whole Strang step (its last half kick applied)
     for step in range(1, n_steps + 1):
         kick(u, kick_half if completed else kick_full)
-        np.subtract(lu.solve(u), u, out=u)
+        cayley(u)
 
         snapshot = step % stride == 0 or step == n_steps
         norm_check = step % _NORM_CHECK_EVERY == 0

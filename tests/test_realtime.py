@@ -18,7 +18,9 @@ from logse import (
     case_general,
 )
 from logse.numerics import evolve_real_time
-from logse.numerics.realtime import half_angle_phase
+from logse.numerics._lapack import TridiagonalLU
+from logse.numerics.realtime import CayleyStep, half_angle_phase
+from logse.observables import LOG_FLOOR
 
 PI = math.pi
 
@@ -218,6 +220,87 @@ def test_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
     a = 1j * lam * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
     want = solve(np.eye(n) + a, (np.eye(n) - a) @ u_in)
     assert np.linalg.norm(u_out - want) <= 1e-12 * np.linalg.norm(u_in)
+
+
+# odd-even reduction levels by order for |lam| <= 1e3; 4001 is odd, so it
+# stops at once, and a larger |lam| takes no level
+_REDUCTION_LEVELS = {2000: 1, 2002: 1, 4000: 2, 4001: 0, 4004: 2, 8000: 3}
+
+
+@pytest.mark.parametrize("n", sorted(_REDUCTION_LEVELS))
+@settings(max_examples=10, deadline=None)
+@given(log_lam=st.floats(-3.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_reduced_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
+    # as above on the orders where odd-even reduction runs, against the
+    # Cayley identity 2 (I+A)^-1 u - u solved banded (a dense solve at
+    # n = 8000 would take 1 GB)
+    lam = 10.0 ** log_lam
+    levels = _REDUCTION_LEVELS[n] if lam <= 1e3 else 0
+    assert CayleyStep(n, 1j * lam).levels == levels
+    grid = RadialGrid.uniform_from_origin(float(n), n)  # h = 1
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi0 = RadialWavefunction(grid, u / grid.r)
+    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=2.0 * lam, n_steps=1)
+    u_in = grid.r * psi0.normalized().values
+    u_out = grid.r * res.psi.values
+    norm_in, norm_out = np.sum(np.abs(u_in) ** 2), np.sum(np.abs(u_out) ** 2)
+    assert abs(norm_out - norm_in) <= 1e-13 * norm_in
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = -1j * lam
+    ab[1] = 1.0 + 2j * lam
+    want = 2.0 * solve_banded((1, 1), ab, u_in) - u_in
+    assert np.linalg.norm(u_out - want) <= 1e-12 * np.linalg.norm(u_in)
+
+
+@pytest.mark.parametrize("n, levels", sorted(_REDUCTION_LEVELS.items()))
+@pytest.mark.parametrize("lam", [1e-3, 0.3, 8.0, 1e3])
+def test_reduced_kinetic_step_matches_gttrs_to_roundoff(n, levels, lam):
+    # the reduction against the whole-system gttrs it replaces, at fixed
+    # lam (8 is criterion 6's) and a smooth state as well as a rough one;
+    # either solve's roundoff grows like eps |lam|
+    cayley = CayleyStep(n, 1j * lam)
+    assert cayley.levels == levels
+    off = np.full(n - 1, -0.5j * lam)
+    lu = TridiagonalLU(off, np.full(n, 0.5 + 1j * lam), off)
+    x = np.linspace(0.0, 1.0, n)
+    rough = np.random.default_rng(n).standard_normal(n) * (1.0 + 0.5j)
+    for u in (np.sin(np.pi * x) * np.exp(3j * x), rough):
+        got = u.copy()
+        cayley(got)
+        want = lu.solve(u) - u
+        assert np.linalg.norm(got - want) <= 2e-15 * max(1.0, lam) * np.linalg.norm(u)
+        assert abs(np.linalg.norm(got) / np.linalg.norm(u) - 1.0) <= 1e-13
+
+
+def test_grid_below_the_reduction_cut_off_steps_bit_for_bit_as_plain_gttrs():
+    # (8, 640) takes no reduction level: the propagator must give the bytes of
+    # a Strang loop that factors (I+A)/2 whole and subtracts u after gttrs
+    sol = case_constant(1, PI)
+    grid = RadialGrid.uniform_from_origin(8.0, 640)
+    dt, n_steps = 1e-4, 200
+    res = evolve_real_time(sol.sample(grid), sol.profile, dt=dt, n_steps=n_steps)
+
+    r, h, n = grid.r, grid.h, grid.r.size
+    assert CayleyStep(n, 0.5j * dt / (h * h)).levels == 0
+    u = (r * np.asarray(sol.sample(grid).normalized().values, dtype=complex)).copy()
+    lam = 0.5j * dt / (h * h)
+    off = np.full(n - 1, -0.5 * lam)
+    lu = TridiagonalLU(off, np.full(n, 0.5 + lam), off)
+    kick_full = 0.5 * dt * sol.profile.evaluate(r)
+    kick_half = 0.5 * kick_full
+    inv_r2 = 1.0 / (r * r)
+
+    def kick(vec, coef):
+        theta = np.log(np.maximum(np.abs(vec) ** 2 * inv_r2, LOG_FLOOR)) * coef
+        return vec * half_angle_phase(theta, np.empty(n, dtype=complex))
+
+    # no snapshot or norm check until the end: the kicks between steps fuse
+    u = kick(u, kick_half)
+    for step in range(1, n_steps + 1):
+        np.subtract(lu.solve(u), u, out=u)
+        u = kick(u, kick_full if step < n_steps else kick_half)
+    np.testing.assert_array_equal(res.psi.values, u / r)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
