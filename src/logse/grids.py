@@ -8,10 +8,10 @@ machinery covers both conventions used by the analytic catalog:
 * separable radial factors R(r): norm = int r^2 |R|^2 dr        (weight 1),
   with the angular entropy constant S_Y carried alongside.
 
-Every grid is uniform.  Integrals use one grid rule, integrate_radial:
-composite Simpson (one dot product with uniform weights) plus the
-[0, r_min] panel; grid_rule_weights returns the same rule as a weight vector
-for loops that integrate on one grid.
+Every grid is uniform.  Integrals of sampled states use one grid rule,
+integrate_radial: composite Simpson (one dot product with uniform weights)
+plus the [0, r_min] panel.  The solvers hold their norm in the h-sum
+a h sum u^2 instead (numerics.imagtime).
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
 
     The weights are h/3 (1, 4, 2, ..., 4, 1); for even n, scipy's convention
     applies them to the first n - 1 nodes and closes the last interval with
-    h (-1/12, 8/12, 5/12).  O(n) to build; a loop that integrates on one grid
-    builds them once.
+    h (-1/12, 8/12, 5/12).  O(n) to build.
     """
     m = n if n % 2 else n - 1  # nodes under the plain Simpson panels
     weights = np.empty(n)
@@ -62,22 +61,10 @@ def integrate_radial(grid: RadialGrid, f: np.ndarray, origin_power: int = 2) -> 
 
     The panel assumes f ~ r^origin_power near the origin, the behaviour of
     r^2-weighted densities (power 2) and of bare density-log terms (power 0).
-    Every norm and distance of a state uses this rule.
+    Every norm and distance of a sampled state uses this rule; the solvers
+    hold their norm in the h-sum.
     """
     return simpson(f, grid) + float(f[0]) * grid.r_min / (origin_power + 1.0)
-
-
-def grid_rule_weights(grid: RadialGrid) -> np.ndarray:
-    """The grid rule as weights w: w @ f == integrate_radial(grid, f) to
-    roundoff, the r^2-weighted densities' rule (origin power 2).
-
-    Defined on the solvers' grid (r_min == h, else
-    DomainError): simpson_weights with r_min / 3 added to the first weight
-    for the [0, r_min] panel.
-    """
-    weights = simpson_weights(grid.n_points, grid.origin_step())
-    weights[0] += grid.r_min / 3.0
-    return weights
 
 
 # steps of a uniform grid lie within this many eps * r_max of the first one;

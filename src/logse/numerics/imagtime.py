@@ -18,12 +18,14 @@ stiff = min(w + 2b, 0), each step solves
 
 (an SPD tridiagonal system: one LAPACK ptsv call on its diagonal and
 off-diagonal, in buffers a relaxation keeps for all its steps) and
-renormalizes.  w + 2b = d(w u)/du is the log term's Jacobian; taking its
-non-positive part (the -2q/r^2 stiffness near the origin) implicitly lifts
-the h^2 step limit and keeps the matrix SPD and diagonally dominant.  omega_n makes the fixed point H u + omega u = 0 for
-every dt, where renormalization alone drifts with dt when b(r) varies.  The
-run stops once the stationary residual max|H u + omega_n u| / max|u| is
-below tol, and returns that iterate as it is.
+renormalizes to a h u.u = N (a = angular_weight).  w + 2b = d(w u)/du is
+the log term's Jacobian; taking its non-positive part (the -2q/r^2
+stiffness near the origin) implicitly lifts the h^2 step limit and keeps
+the matrix SPD and diagonally dominant.  omega_n makes the fixed point
+H u + omega u = 0 for every dt, where renormalization alone drifts with dt
+when b(r) varies.  The run stops once the stationary residual
+max|H u + omega_n u| / max|u| is below tol, and returns that iterate as it
+is.
 
 Without psi0 the flow starts from the far-field Gausson exp(-a r^2/2),
 a = b(r_max) clamped to [(r_max/8)^-2, 1/h^2] (_start_exponent): for
@@ -35,8 +37,8 @@ start stalls), or b(r_max) is not above (r_max/8)^-2 (the inverse-square
 family), the start is the Gaussian of width r_max/8.  From it the Gausson
 on (8, 640) takes 22 iterations; from the far field, 2.
 
-The flow decreases the discrete functional whose constrained minimizer is
-its fixed point (a = angular_weight, the log floored as in w),
+The flow decreases the discrete functional whose minimizer on
+a h u.u = N is its fixed point (the log floored as in w),
 
     E_h(u) = -a h u.D2u - a h sum b r^2 (rho ln rho - rho)
            = a h (omega_n u.u + b.u^2),
@@ -62,20 +64,19 @@ counted in GroundStateResult.rejected_steps; they take no history row.
 
 The flow converges linearly, so from the first flow iterate on the engine
 tries Newton's method on F(u, omega) = H u + omega u = 0 with the norm
-constraint
-a quad . (u u) = N, a = angular_weight (Kelley, Solving Nonlinear Equations
-with Newton's Method, SIAM 2003).  The Jacobian in u is the symmetric
-tridiagonal J = D2 + diag(w + 2b [rho > floor] + omega) (the floored log
-term is flat), bordered by u (the omega column) and by 2a quad u (the
-constraint row).  One step solves J [x1 x2] = [F u] by one LAPACK gtsv
-call (J is indefinite, so with partial pivoting) and eliminates the border,
+constraint a h u.u = N (Kelley, Solving Nonlinear Equations with Newton's
+Method, SIAM 2003).  The Jacobian in u is the symmetric tridiagonal
+J = D2 + diag(w + 2b [rho > floor] + omega) (the floored log term is
+flat), bordered by u (the omega column) and by 2a h u (the constraint row).
+One step solves J [x1 x2] = [F u] by one LAPACK gtsv call (J is
+indefinite, so with partial pivoting) and eliminates the border,
 
-    u_lin = u - x1 + ((quad u . x1) / (quad u . x2)) x2,
+    u_lin = u - x1 + ((u . x1) / (u . x2)) x2,
 
 which keeps the norm to first order.  The iterate is put back on the norm
 along x2, u_new = u_lin + s x2 with the root s nearest 0 of
-a quad . (u_new u_new) = N, and omega is its Rayleigh quotient, as after a
-flow step.  Scaling u_lin instead would add b ln(scale^2) to w, which no
+a h u_new.u_new = N, and omega is its Rayleigh quotient, as after a flow
+step.  Scaling u_lin instead would add b ln(scale^2) to w, which no
 omega absorbs where b varies: for b = -1/r^2 it raised a Newton iterate's
 residual from 6e-3 to 1.07, all of it at the origin.  O(n) per step.
 
@@ -126,15 +127,14 @@ Every LAPACK routine here comes from numerics._lapack, which calls the
 LAPACK that numpy has loaded (scipy's extension where numpy's library does
 not export the routines).
 
-Two inner products, each for its reason.  Every norm, distance and energy
-of a state uses the grid rule (grids.integrate_radial: Simpson plus the
-[0, r_min] panel); as b(r) ln rho makes the stationary state depend on its
-amplitude, the flow renormalizes each step in it, the norm its returned
-state is held to, as one dot product with the rule's weight vector
-(grids.grid_rule_weights).  The Rayleigh quotient uses h * sum u v, in
-which D2 is symmetric; it also defines linear_ground_state's eigenvalue,
-and the real-time propagator conserves it as the norm in which its Cayley
-step is unitary.
+One inner product for the engines: the flow, Newton and the SCF hold the
+norm as the h-sum a h u.u, in which D2 is symmetric, E_h and omega are
+taken and the real-time Cayley step is unitary.  So the returned state
+minimizes E_h on a h u.u = N, and dE_h*/db0 = S_h + N_h holds on the grid
+(S_h = -a h sum r^2 rho ln rho, N_h = a h u.u).  The grid rule
+(grids.integrate_radial) stays with sampled states and the start
+(_initial_guess); a returned state's grid-rule norm reads N to O(h^2)
+(6.6e-7 relative for the catalog's inverse-square states at n = 800).
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ from ..grids import (
     FULL_SPHERE,
     RadialGrid,
     RadialWavefunction,
-    grid_rule_weights,
     grid_values,
     integrate_radial,
 )
@@ -219,7 +218,8 @@ def _constant(coupling: np.ndarray) -> bool:
 
 def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float,
                    exponent: float | None = None) -> np.ndarray:
-    """|psi0| normalized to N by the grid rule.  If psi0 is None, the
+    """|psi0| normalized to N by the grid rule (the first flow step moves it
+    onto the h-sum norm).  If psi0 is None, the
     Gaussian exp(-exponent r^2/2) (_start_exponent); when exponent is None or
     (r_max/8)^-2, the Gaussian of width r_max/8, evaluated as
     exp(-0.5 (r/(r_max/8))^2): written as exp(-a r^2/2) it differs in the
@@ -248,16 +248,16 @@ def stationary(u: np.ndarray, coupling: np.ndarray, r: np.ndarray, h: float):
     return w, f, omega, float(np.abs(f).max()) / float(np.abs(u).max())
 
 
-def flow_step(u, w, omega, coupling, dt, h, quad, N, angular_weight, system):
+def flow_step(u, w, omega, coupling, dt, h, N, angular_weight, system):
     """One step of the normalized flow from u, whose w and omega are those
-    of stationary(u, ...); quad is the grid's grid_rule_weights.  The step's
-    matrix and right-hand side go in the buffers of system, an
-    SPDTridiagonalSystem of order u.size, which a relaxation keeps for all
-    its steps.
+    of stationary(u, ...).  The step's matrix and right-hand side go in the
+    buffers of system, an SPDTridiagonalSystem of order u.size, which a
+    relaxation keeps for all its steps.
 
-    Returns (u_new, norm, info): norm is the solve's grid-rule norm before
-    u_new is renormalized to N, info is ptsv's.  Unless info == 0 and norm
-    is finite and positive, u_new is the solve as it came out.
+    Returns (u_new, norm, info): norm is the solve's norm a h sum u^2
+    (a = angular_weight) before u_new is renormalized to N, info is ptsv's.
+    Unless info == 0 and norm is finite and positive, u_new is the solve as
+    it came out.
     """
     stiff = np.minimum(w + 2.0 * coupling, 0.0)
     d, b = system.d, system.b
@@ -271,7 +271,7 @@ def flow_step(u, w, omega, coupling, dt, h, quad, N, angular_weight, system):
     b += u
     info = system.solve()
     with np.errstate(over="ignore"):
-        norm = angular_weight * float(quad @ (b * b))
+        norm = angular_weight * h * float(b @ b)
     if info == 0 and 0.0 < norm < math.inf:
         return b * math.sqrt(N / norm), norm, info
     return b.copy(), norm, info
@@ -315,21 +315,22 @@ def origin_scale(u: np.ndarray, h: float) -> float:
         np.abs(u).max())
 
 
-def bordered_newton_update(u, x1, x2, quad, N, angular_weight):
-    """The Newton iterate from u on the norm N, given x1 = J^-1 F and
-    x2 = J^-1 u (u-parts of the solves with the Jacobian J of F(u, omega)).
+def bordered_newton_update(u, x1, x2, h, N, angular_weight):
+    """The Newton iterate from u on the norm a h u.u = N (a = angular_weight),
+    given x1 = J^-1 F and x2 = J^-1 u (u-parts of the solves with the
+    Jacobian J of F(u, omega)).
 
-    Eliminates the border, u_lin = u - x1 + ((quad u . x1)/(quad u . x2)) x2,
-    and puts u_lin back on the norm along x2 (the root s nearest 0 of
-    a quad . (u_lin + s x2)^2 = N).  Returns (u_new, norm of u_lin); u_new is
+    Eliminates the border, u_lin = u - x1 + ((u . x1)/(u . x2)) x2, and puts
+    u_lin back on the norm along x2 (the root s nearest 0 of
+    a h (u_lin + s x2)^2 = N).  Returns (u_new, norm of u_lin); u_new is
     None when it is not finite.
     """
+    scale = angular_weight * h
     with np.errstate(all="ignore"):
-        border = quad * u
-        u_new = u - x1 + (border @ x1) / (border @ x2) * x2
-        excess = angular_weight * (quad @ (u_new * u_new)) - N
-        slope = 2.0 * angular_weight * (quad @ (u_new * x2))
-        curvature = angular_weight * (quad @ (x2 * x2))
+        u_new = u - x1 + (u @ x1) / (u @ x2) * x2
+        excess = scale * (u_new @ u_new) - N
+        slope = 2.0 * scale * (u_new @ x2)
+        curvature = scale * (x2 @ x2)
         s = -2.0 * excess / (slope + np.sign(slope) * np.sqrt(
             slope * slope - 4.0 * curvature * excess))
         u_new += s * x2
@@ -381,7 +382,6 @@ def ground_state_from_coupling_values(
 
     exponent = None if psi0 is not None else _start_exponent(coupling, grid, h)
     u = r * _initial_guess(grid, psi0, N, angular_weight, exponent)
-    quad = grid_rule_weights(grid)  # norm of u: quad @ (u * u)
     system = SPDTridiagonalSystem(r.size)  # each flow step's matrix and right-hand side
     jacobian = TridiagonalSystem(r.size, 2)  # each Newton step's, with [F u]
     history = []
@@ -407,7 +407,7 @@ def ground_state_from_coupling_values(
         x[:, 0], x[:, 1] = f, u
         if jacobian.solve() != 0:
             return None
-        u_new, norm = bordered_newton_update(u, x[:, 0], x[:, 1], quad, N, angular_weight)
+        u_new, norm = bordered_newton_update(u, x[:, 0], x[:, 1], h, N, angular_weight)
         if u_new is None or fold_shallow(u_new) is None:
             return None
         trial = stationary(u_new, coupling, r, h)
@@ -429,7 +429,7 @@ def ground_state_from_coupling_values(
             newton_steps += 1
         else:
             while True:
-                u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, quad, N,
+                u_new, norm, info = flow_step(u, w, omega, coupling, dt, h, N,
                                               angular_weight, system)
                 if info == 0 and 0.0 < norm < math.inf:
                     trial = stationary(u_new, coupling, r, h)

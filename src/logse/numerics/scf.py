@@ -14,8 +14,8 @@ unknowns are (u, z, omega):
     F2_i = z_i - z_{i-1} - (h/2) (g_{i-1} + g_i) = 0,  g = 4 pi r^2 f(rho, r),
 
 z being solve_radial_poisson's enclosed-source integral (the cumulative
-trapezoid from the origin, z_{-1} = g_{-1} = 0), closed by the grid-rule norm
-a quad . (u u) = N as in the relaxation.
+trapezoid from the origin, z_{-1} = g_{-1} = 0), closed by the h-sum norm
+4 pi h u.u = N as in the relaxation.
 
 Newton step.  Interleaving (u_i, z_i) makes the Jacobian banded with
 bandwidths (3, 2), bordered by the omega column u and the norm row: one step
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError
-from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_rule_weights
+from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction
 from ..observables import LOG_FLOOR
 from ._lapack import solve_banded
 from .imagtime import (
@@ -176,7 +176,6 @@ def self_consistent_minimal_model(
     r = grid.r
     h = grid.origin_step()
     tol = opts.convergence_tol
-    quad = grid_rule_weights(grid)
     source_derivative = _source_derivative(f)
     history = []
     sweeps = 0
@@ -213,8 +212,7 @@ def self_consistent_minimal_model(
             x = solve_banded((3, 2), ab, rhs)
         except np.linalg.LinAlgError:
             return None
-        return bordered_newton_update(u, x[0::2, 0], x[0::2, 1], quad, N,
-                                      FULL_SPHERE)[0]
+        return bordered_newton_update(u, x[0::2, 0], x[0::2, 1], h, N, FULL_SPHERE)[0]
 
     def rung(u, lam):
         """Coupled Newton steps at lam from u; (u, coupled state) once the

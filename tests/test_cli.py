@@ -288,6 +288,13 @@ def test_exit_code_3_on_a_grid_scale_collapse(tmp_path, capsys):
     assert "grid-scale state" in capsys.readouterr().err
 
 
+def test_groundstate_q_minus_0_2_is_refused_as_a_grid_scale_collapse(tmp_path, capsys):
+    # at its defaults the run collapses onto the origin; it is refused well
+    # within its 25,000-step budget
+    assert run(tmp_path, "groundstate", "--q=-0.2") == 3
+    assert "grid-scale state after 659 steps" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ("groundstate", "--b0", "1e300", "--max-steps", "50"),
     ("groundstate", "--q", "1e300", "--max-steps", "50"),

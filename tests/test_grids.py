@@ -14,7 +14,7 @@ from logse import (
     case_constant,
     l2_distance,
 )
-from logse.grids import grid_rule_weights, integrate_radial
+from logse.grids import integrate_radial
 from logse.numerics import (
     SolverOptions,
     evolve_real_time,
@@ -44,17 +44,6 @@ def test_grid_constructors_and_properties():
     assert c1.h == c1.r[1] - c1.r[0]
 
 
-@pytest.mark.parametrize("n", [64, 65, 512, 640, 641, 4000])
-def test_grid_rule_weights_match_integrate_radial(n):
-    # odd n: plain Simpson; even n: scipy's last-interval correction.  The
-    # integrands stay large at r_max, where that correction acts.
-    grid = RadialGrid.uniform_from_origin(8.0, n)
-    r = grid.r
-    for f in (r**2 * np.exp(-r / 4.0), np.cos(r) + 2.0):
-        exact = integrate_radial(grid, f)
-        assert abs(grid_rule_weights(grid) @ f - exact) <= 1e-13 * abs(exact)
-
-
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["origin_step", "uniform"]), n=st.integers(4, 4097),
        r_max=st.floats(0.5, 1000.0), r_min_frac=st.floats(1e-4, 0.5),
@@ -74,11 +63,6 @@ def test_grid_rule_matches_scipy_simpson_plus_panel(kind, n, r_max, r_min_frac, 
     reference = cumulative_trapezoid(np.concatenate(([0.0], r * r * source)),
                                      np.concatenate(([0.0], r)), initial=0.0)[1:]
     assert np.array_equal(enclosed_source(source, r), reference)
-
-
-def test_grid_rule_weights_need_origin_step_grid():
-    with pytest.raises(DomainError):
-        grid_rule_weights(RadialGrid.uniform(0.5, 8.0, 640))
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,8 +87,7 @@ OFF_ORIGIN = RadialGrid.uniform(0.5, 8.0, 640)
     lambda g: evolve_real_time(case_constant(1, PI).sample(g), CouplingProfile(PI, 0.0),
                                dt=1e-4, n_steps=1),
     lambda g: self_consistent_minimal_model(f_constant_over_r(1.0), 1.0, g),
-    grid_rule_weights,
-], ids=["relaxation", "linear", "real_time", "scf", "grid_rule_weights"])
+], ids=["relaxation", "linear", "real_time", "scf"])
 def test_solvers_reject_a_non_uniform_grid(solve):
     with pytest.raises(DomainError, match="r_min == h"):
         solve(OFF_ORIGIN)

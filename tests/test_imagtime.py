@@ -21,7 +21,6 @@ from logse import (
     case_q1,
     l2_distance,
 )
-from logse.grids import grid_rule_weights, integrate_radial
 from logse.observables import LOG_FLOOR
 from logse.numerics import (
     SolverOptions,
@@ -131,7 +130,8 @@ def _default_guess(grid):
 
 def _reference_iterates(b, grid, weight, guess, n_steps, tol=None, step_rule=False):
     """(psi, residual, omega) after each step of the flow, solved by
-    solveh_banded on the banded matrix and renormalized by integrate_radial;
+    solveh_banded on the banded matrix and renormalized in the h-sum
+    a h u.u (a = weight);
     stops early below tol.  The step is 0.01 throughout, or with step_rule
     it starts at 0.01 and follows the engine's rule: a step that raises E_h
     (here the h-sum of its definition) by more than 1e-12 times
@@ -163,7 +163,7 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None, step_rule=Fal
         matrix[0] = -dt / h**2
         matrix[1] = 1.0 + 2.0 * dt / h**2 - dt * stiff
         u_new = solveh_banded(matrix, u + dt * (w - stiff + omega) * u)
-        u_new *= math.sqrt(1.0 / (weight * integrate_radial(grid, u_new * u_new)))
+        u_new *= math.sqrt(1.0 / (weight * h * (u_new @ u_new)))
         w_new = log_term(u_new)
         hu, omega_new = h_and_omega(u_new, w_new)
         energy_new, allowance_new = energy_and_allowance(u_new, w_new, omega_new)
@@ -186,14 +186,13 @@ def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
     psi0: imagtime.flow_step at the fixed step _RELAX_DT, each from the w and
     omega of imagtime.stationary, as the relaxation takes them before Newton."""
     r, h = grid.r, grid.h
-    quad = grid_rule_weights(grid)
     u = r * imagtime._initial_guess(grid, psi0, 1.0, weight)
     system = SPDTridiagonalSystem(r.size)
     iterates = []
     for _ in range(n_steps):
         w, _, omega, _ = imagtime.stationary(u, b, r, h)
-        u, _, info = imagtime.flow_step(u, w, omega, b, imagtime._RELAX_DT, h, quad,
-                                        1.0, weight, system)
+        u, _, info = imagtime.flow_step(u, w, omega, b, imagtime._RELAX_DT, h, 1.0,
+                                        weight, system)
         assert info == 0
         iterates.append(RadialWavefunction(grid, u / r, 1.0, weight))
     return iterates
@@ -203,7 +202,8 @@ def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
 @pytest.mark.parametrize("guess", ["default", "broad"])
 def test_engine_iterates_match_banded_reference_step(profile, grid, weight, guess):
     # the default guess vanishes at both ends; the broad one keeps u large at
-    # r_max, where the even-n last-interval weights of the norm act
+    # r_max, where the even-n last-interval weights of the guess's grid-rule
+    # norm act
     r = grid.r
     psi0 = None if guess == "default" else np.exp(-r / grid.r_max)
     b = profile.evaluate(r)
@@ -371,8 +371,8 @@ def test_relaxed_state_independent_of_dt(profile, grid, weight, monkeypatch):
     ids=["gausson", "q1", "inverse_square"],
 )
 def test_returned_state_is_stationary(profile, grid, weight):
-    # the flow projects onto the norm the returned state is held to, so the
-    # state it hands back meets the stopping residual itself
+    # the flow and Newton hold the h-sum norm a h u.u that E_h and omega
+    # use, and the state handed back meets the stopping residual itself
     opts = SolverOptions()
     b = profile.evaluate(grid.r)
     res = ground_state_from_coupling_values(b, 1.0, grid, opts, angular_weight=weight)
@@ -380,7 +380,7 @@ def test_returned_state_is_stationary(profile, grid, weight):
     w = b * np.log(np.maximum(res.psi.density(), LOG_FLOOR))
     hu = second_difference_dirichlet(u, grid.h) + w * u
     assert np.max(np.abs(hu + res.omega * u)) / np.max(np.abs(u)) < opts.convergence_tol
-    assert res.psi.norm() == pytest.approx(1.0, abs=1e-12)
+    assert weight * grid.h * (u @ u) == pytest.approx(1.0, abs=1e-12)
 
 
 def _sized_grid(sol, n=800):
@@ -596,6 +596,42 @@ def test_relaxation_refuses_a_converged_grid_scale_collapse():
     assert imagtime.origin_scale(GRID8.r * last.psi.values.real, GRID8.h) > 1.0
     res = ground_state_from_coupling_values(b, 1.0, GRID8)
     assert imagtime.origin_scale(GRID8.r * res.psi.values.real, GRID8.h) < 2e-2
+
+
+@pytest.mark.parametrize("n, N, q", [(640, 1.0, -0.2), (2560, 8.0, -0.15),
+                                     (2560, 8.0, -0.18), (2560, 8.0, -0.25)])
+def test_collapse_is_refused_within_the_budget(n, N, q):
+    # the flow renormalizes in the h-sum a h u.u, the norm in which E_h and
+    # omega are taken, so its E_h falls along the collapse and the run meets
+    # the grid-scale refusal in 24 to 659 iterations, within the budget
+    grid = RadialGrid.uniform_from_origin(8.0, n)
+    b = CouplingProfile(PI, q).evaluate(grid.r)
+    with pytest.raises(ConvergenceError, match="grid-scale state"):
+        ground_state_from_coupling_values(b, N, grid, SolverOptions(max_steps=1000))
+
+
+@pytest.mark.parametrize("q, N", [(0.0, 1.0), (2.0, 1.0), (1.0, 2.0)],
+                         ids=["gausson", "general-q2", "q1-N2"])
+def test_energy_derivative_in_b0_is_entropy_plus_norm(q, N):
+    # b0 enters E_h only as -b0 a h sum r^2 (rho ln rho - rho), so at the
+    # minimizer on a h u.u = N the envelope theorem gives
+    # dE_h*/db0 = S_h + N_h; central differences at delta = 1e-4 miss it by
+    # 1.4e-10 (Gausson), 8.1e-11 and 5.6e-11, and by up to 1.5e-8 when the
+    # norm is held in the grid rule
+    r, h, weight, delta = GRID8.r, GRID8.h, 4 * PI, 1e-4
+    opts = SolverOptions(convergence_tol=1e-11)
+
+    def relaxed(b0):
+        b = CouplingProfile(b0, q).evaluate(r)
+        u = r * ground_state_from_coupling_values(b, N, GRID8, opts).psi.values.real
+        return u, _energy_and_allowance(u, b, h, weight)[0]
+
+    u, _ = relaxed(PI)
+    rho = (u / r) ** 2
+    entropy = -weight * h * np.sum(r**2 * rho * np.log(np.maximum(rho, LOG_FLOOR)))
+    target = entropy + weight * h * (u @ u)
+    slope = (relaxed(PI + delta)[1] - relaxed(PI - delta)[1]) / (2 * delta)
+    assert abs(slope - target) <= 2e-10 * abs(target)
 
 
 @pytest.mark.parametrize("n, returned", [(32, True), (64, True), (16, False)])

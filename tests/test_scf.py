@@ -96,8 +96,8 @@ GRID512 = RadialGrid.uniform_from_origin(8.0, 512)
 def own_field_check(res, f, grid, tol, point_charge=0.0):
     """The returned state against its own field: the field must be
     solve_radial_poisson of the state's density, the state nodeless (up to
-    roundoff in the far tail) and its stationary residual at the returned
-    omega in that field below tol."""
+    roundoff in the far tail), its stationary residual at the returned
+    omega in that field below tol and its h-sum norm 4 pi h u.u equal to 1."""
     rho = res.psi.density()
     field = solve_radial_poisson(4 * PI * np.asarray(f(rho, grid.r), dtype=float), grid,
                                  point_charge=point_charge)
@@ -107,7 +107,7 @@ def own_field_check(res, f, grid, tol, point_charge=0.0):
     w = field.dphi * np.log(np.maximum(rho, LOG_FLOOR))
     stationary = second_difference_dirichlet(u, grid.h) + w * u + res.omega * u
     assert np.max(np.abs(stationary)) / np.max(np.abs(u)) < tol
-    assert res.psi.norm() == pytest.approx(1.0, rel=1e-12)
+    assert 4 * PI * grid.h * (u @ u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_history_and_sweep_accounting():
