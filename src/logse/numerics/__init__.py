@@ -6,7 +6,6 @@ from .imagtime import (
     GroundStateResult,
     ground_state_from_coupling_values,
     linear_ground_state,
-    relaxation_energy,
 )
 from .realtime import EvolutionResult, evolve_real_time
 from .poisson import FieldState, extract_coupling_asymptotics, solve_radial_poisson
@@ -25,7 +24,6 @@ __all__ = [
     "GroundStateResult",
     "ground_state_from_coupling_values",
     "linear_ground_state",
-    "relaxation_energy",
     "EvolutionResult",
     "evolve_real_time",
     "FieldState",

@@ -115,10 +115,11 @@ omega -716 to -5.6e5, origin scale 1.05 to 1.93 on (8, 640) and
 Gausson: 1.1e-3 on (8, 640), 0.11 on (8, 64), 0.43 on (8, 32), where a
 node falls every half width); a grid coarser still is refused too.
 
-The flow step, the stationary terms, E_h, the guard's sign test and the
-border elimination are module-level functions (flow_step, stationary,
-discrete_energy, fold_shallow, bordered_newton_update); the SCF's coupled
-Newton solve shares stationary and bordered_newton_update.
+The flow step, the stationary terms, E_h, the Jacobian's diagonal, the
+guard's sign test and the border elimination are module-level functions
+(flow_step, stationary, discrete_energy, jacobian_diagonal, fold_shallow,
+bordered_newton_update); the SCF's coupled Newton solve shares all but
+flow_step and discrete_energy.
 
 The linear ground state of -lap psi + V psi = omega psi needs no flow: it is
 the lowest eigenpair of the symmetric tridiagonal matrix -D2 + diag(V),
@@ -131,7 +132,8 @@ One inner product for the engines: the flow, Newton and the SCF hold the
 norm as the h-sum a h u.u, in which D2 is symmetric, E_h and omega are
 taken and the real-time Cayley step is unitary.  So the returned state
 minimizes E_h on a h u.u = N, and dE_h*/db0 = S_h + N_h holds on the grid
-(S_h = -a h sum r^2 rho ln rho, N_h = a h u.u).  The grid rule
+(S_h = -a h sum r^2 rho ln rho, N_h = a h u.u), as does
+dE_h*/dq = a h sum (rho ln rho - rho).  The grid rule
 (grids.integrate_radial) stays with sampled states and the start
 (_initial_guess); a returned state's grid-rule norm reads N to O(h^2)
 (6.6e-7 relative for the catalog's inverse-square states at n = 800).
@@ -145,14 +147,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError
-from ..grids import (
-    FULL_SPHERE,
-    RadialGrid,
-    RadialWavefunction,
-    grid_values,
-    integrate_radial,
-)
-from ..observables import LOG_FLOOR, _kinetic_energy, _xlogx
+from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_values
+from ..observables import LOG_FLOOR
 from ._lapack import SPDTridiagonalSystem, TridiagonalSystem, eigh_tridiagonal_lowest
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
@@ -219,17 +215,13 @@ def _constant(coupling: np.ndarray) -> bool:
 def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float,
                    exponent: float | None = None) -> np.ndarray:
     """|psi0| normalized to N by the grid rule (the first flow step moves it
-    onto the h-sum norm).  If psi0 is None, the
-    Gaussian exp(-exponent r^2/2) (_start_exponent); when exponent is None or
-    (r_max/8)^-2, the Gaussian of width r_max/8, evaluated as
-    exp(-0.5 (r/(r_max/8))^2): written as exp(-a r^2/2) it differs in the
-    last bits, which moved the inverse-square omega by 1e-15."""
+    onto the h-sum norm).  If psi0 is None, the Gaussian
+    exp(-exponent r^2/2) (_start_exponent), exponent (r_max/8)^-2 when None:
+    the Gaussian of width r_max/8."""
     if psi0 is None:
-        sigma = grid.r_max / 8.0
-        if exponent is None or exponent == sigma**-2:
-            psi = np.exp(-0.5 * (grid.r / sigma) ** 2)
-        else:
-            psi = np.exp(-0.5 * exponent * grid.r**2)
+        if exponent is None:
+            exponent = (grid.r_max / 8.0) ** -2
+        psi = np.exp(-0.5 * exponent * grid.r**2)
     else:
         if isinstance(psi0, RadialWavefunction):
             psi0 = psi0.values
@@ -306,6 +298,14 @@ def fold_shallow(u: np.ndarray):
     if not u.min() > -_SHALLOW_DEPTH * u.max():
         return None
     return np.abs(u, out=u)
+
+
+def jacobian_diagonal(u, w, omega, coupling, r, h):
+    """The diagonal of the Newton Jacobian in u of F = H u + omega u, whose
+    w and omega are those of stationary(u, ...): w + 2b [rho > LOG_FLOOR]
+    + omega - 2/h^2 (the floored log term is flat); its off-diagonals are
+    1/h^2."""
+    return w + 2.0 * coupling * ((u / r) ** 2 > LOG_FLOOR) + omega - 2.0 / (h * h)
 
 
 def origin_scale(u: np.ndarray, h: float) -> float:
@@ -399,8 +399,7 @@ def ground_state_from_coupling_values(
         it: (u_new, stationary terms of u_new, norm of its linearized step),
         or None when the solve fails, the iterate is not finite or has a deep
         lobe (fold_shallow), or its residual is not below residual."""
-        jacobian.d[:] = (w + 2.0 * coupling * ((u / r) ** 2 > LOG_FLOOR)
-                         + omega - 2.0 / (h * h))
+        jacobian.d[:] = jacobian_diagonal(u, w, omega, coupling, r, h)
         jacobian.dl.fill(1.0 / (h * h))
         jacobian.du.fill(1.0 / (h * h))
         x = jacobian.b
@@ -527,26 +526,3 @@ def linear_ground_state(
         grid=grid, values=u / grid.r, target_norm=N, angular_weight=angular_weight
     ).normalized()
     return psi, float(omega)
-
-
-def relaxation_energy(psi: RadialWavefunction, coupling) -> float:
-    """Continuum energy functional of a sampled state, by quadrature.
-
-    E = int [ |d psi/dr|^2 - b(r) (rho ln rho - rho) ] w r^2 dr, with the
-    coupling b(r) given as values on psi's grid.  Both terms use the grid
-    rule; the kinetic term takes d psi/dr from np.gradient, and the log
-    term's [0, r_min] panel has origin power 0, since r^2 b(r) -> -q at the
-    origin.  Its variation reproduces the stationary equation to O(h^2).
-
-    This is not the functional the flow decreases: that is the h-sum E_h of
-    discrete_energy, whose kinetic term is -u.D2u and which has no
-    [0, r_min] panel.  At the relaxed states on (8, 640) they differ by
-    1.2e-5 relative (Gausson) and 2.6e-2 (general N = 1, q = 2, where
-    b u^2 -> -q psi(0)^2 at the origin).
-    """
-    r = psi.grid.r
-    rho = psi.density()
-    log_term = r**2 * np.asarray(coupling, dtype=float) * (_xlogx(rho) - rho)
-    return _kinetic_energy(psi) - psi.angular_weight * integrate_radial(
-        psi.grid, log_term, origin_power=0
-    )

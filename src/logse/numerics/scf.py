@@ -24,9 +24,10 @@ numerics._lapack.solve_banded) with the right-hand sides [F, u] and the
 relaxation's border elimination (imagtime.bordered_newton_update), O(n).
 After a step z is recomputed from the new density, so F2 = 0 holds exactly,
 and omega is the iterate's Rayleigh quotient.  The coupled residual is then
-max|F1| / max|u| in the field the state's own density sources.  As in the
-relaxation, a step is accepted only if its iterate has no node (nodeless;
-unlike the relaxation's guard it folds no sign overshoot) and its residual
+max|F1| / max|u| in the field the state's own density sources.  A step is
+accepted only if its iterate passes the relaxation's sign test
+(imagtime.fold_shallow: taken as |u| when its negative entries are a
+shallow far-tail overshoot, rejected with a deeper lobe) and its residual
 falls.
 
 Globalization: one relaxation, then natural continuation in the source
@@ -71,7 +72,9 @@ from ._lapack import solve_banded
 from .imagtime import (
     _initial_guess,
     bordered_newton_update,
+    fold_shallow,
     ground_state_from_coupling_values,
+    jacobian_diagonal,
     stationary,
 )
 from .options import SolverOptions, check_count
@@ -80,9 +83,6 @@ from .poisson import FieldState, field_gradient, solve_radial_poisson
 # the continuation gives up once a rejected rung would halve its lambda
 # step below this
 _MIN_LAMBDA_STEP = 2.0**-10
-# a coupled Newton iterate with an entry below -_NODE_ROUNDOFF max(u) has a
-# node; far-tail entries within roundoff of zero may take either sign
-_NODE_ROUNDOFF = 1e-10
 
 
 @dataclass
@@ -93,11 +93,6 @@ class SCFResult:
     sweeps: int  # coupled Newton steps over all rungs
     converged: bool
     history: list  # rows (lam, newton_step, residual, omega); see the solver
-
-
-def nodeless(u: np.ndarray) -> bool:
-    """No entry below -_NODE_ROUNDOFF max(u): the coupled Newton guard."""
-    return bool(u.min() > -_NODE_ROUNDOFF * u.max())
 
 
 def f_constant_over_r(b0: float):
@@ -161,15 +156,16 @@ def self_consistent_minimal_model(
 
     f(rho, r) maps the density to the field source (kappa * rho_phi); three
     ready-made maps are provided: f_constant_over_r, f_zero, f_linear_density.
-    The returned state is nodeless, its field is solve_radial_poisson of its
-    own density and its residual in that field is below opts.convergence_tol.
+    The returned state is the relaxed one or a coupled Newton iterate taken
+    as |u| by fold_shallow, its field is solve_radial_poisson of its own
+    density and its residual in that field is below opts.convergence_tol.
     max_sweeps bounds the coupled Newton steps over all rungs.  history has
     one row (lam, newton_step, residual, omega) per coupled state: the start
     of a rung (newton_step 0) and each Newton iterate, a rejected one
-    included (residual inf when it has a node).  Raises ConvergenceError,
-    carrying the last accepted state and the history, when the budget runs
-    out or the lambda step falls below _MIN_LAMBDA_STEP; a failure of the
-    relaxation is raised as it is.
+    included (residual inf when it has a deep negative lobe).  Raises
+    ConvergenceError, carrying the last accepted state and the history, when
+    the budget runs out or the lambda step falls below _MIN_LAMBDA_STEP; a
+    failure of the relaxation is raised as it is.
     """
     opts = opts or SolverOptions()
     check_count("max_sweeps", max_sweeps, 1)
@@ -199,7 +195,7 @@ def self_consistent_minimal_model(
         # band storage ab[2 + row - col, col]: u_i is column 2i, z_i 2i + 1
         ab = np.zeros((6, 2 * u.size), order="F")
         ab[0, 2::2] = inv_h2                              # F1_{i-1}
-        ab[2, 0::2] = w + 2.0 * coupling * (rho > LOG_FLOOR) + omega - 2.0 * inv_h2
+        ab[2, 0::2] = jacobian_diagonal(u, w, omega, coupling, r, h)
         ab[3, 0::2] = dsource                             # F2_i
         ab[4, 0:-2:2] = inv_h2                            # F1_{i+1}
         ab[5, 0:-2:2] = dsource[:-1]                      # F2_{i+1}
@@ -232,7 +228,7 @@ def self_consistent_minimal_model(
             step += 1
             u_new = newton_iterate(u, state, lam)
             trial = None
-            if u_new is not None and nodeless(u_new):
+            if u_new is not None and fold_shallow(u_new) is not None:
                 trial = coupled(u_new, lam)
             history.append((lam, step, math.inf if trial is None else trial[4],
                             math.nan if trial is None else trial[3]))

@@ -126,6 +126,33 @@ def test_history_and_sweep_accounting():
     assert tail[-1] < 1e3 * tail[-2] ** 2
 
 
+@pytest.mark.parametrize("iterate", ["tail", "minus"])
+def test_coupled_newton_shares_the_relaxation_guard(monkeypatch, iterate):
+    # a coupled Newton iterate whose last two nodes have flipped sign
+    # (entries of about 1e-2 max u next to the wall of this box-like state)
+    # is taken as |u| (imagtime.fold_shallow) and lands where the unaltered
+    # ones do; -u is rejected at every rung, so the continuation gives up
+    opts = SolverOptions(convergence_tol=1e-10)
+    plain = self_consistent_minimal_model(f_linear_density(5.0), 1.0, GRID512, opts)
+    update = scf.bordered_newton_update
+
+    def altered(*args):
+        u_new, norm = update(*args)
+        if iterate == "minus":
+            return -u_new, norm
+        u_new[-2:] *= -1.0
+        return u_new, norm
+
+    monkeypatch.setattr(scf, "bordered_newton_update", altered)
+    if iterate == "minus":
+        with pytest.raises(ConvergenceError, match="rejected"):
+            self_consistent_minimal_model(f_linear_density(5.0), 1.0, GRID512, opts)
+        return
+    res = self_consistent_minimal_model(f_linear_density(5.0), 1.0, GRID512, opts)
+    assert res.sweeps == plain.sweeps > 0
+    assert np.array_equal(res.psi.values, plain.psi.values)
+
+
 def test_density_independent_source_takes_no_newton_step():
     # df/drho = 0: the field of the guess is the self-consistent field, so
     # the first rung's relaxation is the whole solve
