@@ -1,4 +1,4 @@
-"""The solvers' seven LAPACK routines, from the LAPACK that numpy has loaded.
+"""The solvers' six LAPACK routines, from the LAPACK that numpy has loaded.
 
 numpy's linalg extension links an OpenBLAS that exports LAPACKE's `_work`
 entry points with 64-bit integers (scipy_LAPACKE_<name>_work64_ in the
@@ -20,11 +20,11 @@ contiguous (Fortran order for right-hand-side blocks) and of the lengths it
 passes.  The public functions and classes copy or check what they are given
 and raise ValueError for a shape that does not fit.  The systems that live
 across a solve own their buffers and bind their call once, so each solve
-passes pointers looked up at construction: the flow step's
-(SPDTridiagonalSystem, ptsv), the Newton step's (TridiagonalSystem, gtsv)
-and the Crank-Nicolson factors (TridiagonalLU, gttrf then gttrs), which on
-even grids of 2,000 points or more factor the system that realtime's
-odd-even reduction leaves rather than the whole matrix.
+passes pointers looked up at construction: the relaxation's flow and
+Newton steps (TridiagonalSystem, gtsv, one instance each) and the
+Crank-Nicolson factors (TridiagonalLU, gttrf then gttrs), which on even
+grids of 2,000 points or more factor the system that realtime's odd-even
+reduction leaves rather than the whole matrix.
 
 eigh_tridiagonal_lowest and solve_banded make the LAPACK calls that scipy's
 eigh_tridiagonal(d, e, select="i", select_range=(0, 0)) and
@@ -46,7 +46,6 @@ _COLUMN_MAJOR = 102  # LAPACK_COL_MAJOR; the calls that take a layout get this o
 
 # LAPACKE_<name>_work's arguments (lapack_int is 64-bit), in order
 _PROTOTYPES = {
-    "dptsv": (ctypes.c_int, _I, _I, _P, _P, _P, _I),
     "dgtsv": (ctypes.c_int, _I, _I, _P, _P, _P, _P, _I),
     "dgbsv": (ctypes.c_int, _I, _I, _I, _I, _P, _I, _P, _P, _I),
     "dstebz": (_C, _C, _I, _D, _D, _I, _I, _D, _P, _P, _P, _P, _P, _P, _P, _P, _P),
@@ -118,9 +117,6 @@ class NumpyLapack:
             return None
         return cls(functions)
 
-    def ptsv(self, d, e, b):
-        return _bind(self._f["dptsv"], _COLUMN_MAJOR, d.size, _columns(b), d, e, b, d.size)
-
     def gttrs(self, dl, d, du, du2, ipiv):
         x = np.zeros(d.size, dtype=complex)
         call = _bind(self._f["zgttrs"], _COLUMN_MAJOR, b"N", d.size, 1, dl, d, du, du2, ipiv,
@@ -174,10 +170,6 @@ class ScipyFlapack:
     @classmethod
     def load(cls):
         return cls(_load_flapack())
-
-    def ptsv(self, d, e, b):
-        dptsv = self._m.dptsv
-        return lambda: dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)[3]
 
     def gttrs(self, dl, d, du, du2, ipiv):
         zgttrs = self._m.zgttrs
@@ -257,34 +249,16 @@ def _order(n, least, what="order"):
     return n
 
 
-class SPDTridiagonalSystem:
-    """A symmetric positive definite tridiagonal system of order n, in
-    buffers of its own: diagonal d, off-diagonal e, right-hand side b.
-
-    solve() runs ptsv on them: b becomes the solution, d and e its factors;
-    it returns ptsv's info (k > 0: the leading minor of order k is not
-    positive definite).  The buffers are fixed for the object's life, so the
-    call's pointers are looked up once.
-    """
-
-    def __init__(self, n):
-        n = _order(n, 2)
-        self._d, self._e, self._b = np.zeros(n), np.zeros(n - 1), np.zeros(n)
-        self.solve = _backend.ptsv(self._d, self._e, self._b)
-
-    d = property(lambda self: self._d)
-    e = property(lambda self: self._e)
-    b = property(lambda self: self._b)
-
-
 class TridiagonalSystem:
     """A real tridiagonal system of order n with k right-hand sides, in
     buffers of its own: sub-, main and superdiagonals dl, d, du and the
     (n, k) block b.
 
     solve() runs gtsv (LU with partial pivoting) on them: b becomes the
-    solution; it returns gtsv's info (k > 0: A is singular, its U(k, k) is
-    exactly zero).  Bound once, as SPDTridiagonalSystem.
+    solution, dl, d and du are overwritten by the factor U; it returns gtsv's
+    info (k > 0: A is singular, its U(k, k) is exactly zero).  The buffers
+    are fixed for the object's life, so the call's pointers are looked up
+    once.
     """
 
     def __init__(self, n, k):

@@ -16,16 +16,17 @@ stiff = min(w + 2b, 0), each step solves
 
     (I - dt D2 - dt diag(stiff)) u_new = u + dt (w - stiff + omega_n) u
 
-(an SPD tridiagonal system: one LAPACK ptsv call on its diagonal and
-off-diagonal, in buffers a relaxation keeps for all its steps) and
-renormalizes to a h u.u = N (a = angular_weight).  w + 2b = d(w u)/du is
-the log term's Jacobian; taking its non-positive part (the -2q/r^2
-stiffness near the origin) implicitly lifts the h^2 step limit and keeps
-the matrix SPD and diagonally dominant.  omega_n makes the fixed point
-H u + omega u = 0 for every dt, where renormalization alone drifts with dt
-when b(r) varies.  The run stops once the stationary residual
-max|H u + omega_n u| / max|u| is below tol, and returns that iterate as it
-is.
+(one LAPACK gtsv call on its three diagonals, in buffers a relaxation
+keeps for all its steps) and renormalizes to a h u.u = N
+(a = angular_weight).  w + 2b = d(w u)/du is the log term's Jacobian;
+taking its non-positive part (the -2q/r^2 stiffness near the origin)
+implicitly lifts the h^2 step limit and keeps the matrix SPD and strictly
+diagonally dominant (diagonal at least 1 + 2 dt/h^2 against off-diagonals
+summing to 2 dt/h^2), so gtsv's partial pivoting never swaps a row.
+omega_n makes the fixed point H u + omega u = 0 for every dt, where
+renormalization alone drifts with dt when b(r) varies.  The run stops once
+the stationary residual max|H u + omega_n u| / max|u| is below tol, and
+returns that iterate as it is.
 
 Without psi0 the flow starts from the far-field Gausson exp(-a r^2/2),
 a = b(r_max) clamped to [(r_max/8)^-2, 1/h^2] (_start_exponent): for
@@ -149,7 +150,7 @@ import numpy as np
 from ..errors import ConvergenceError, DomainError
 from ..grids import FULL_SPHERE, RadialGrid, RadialWavefunction, grid_values
 from ..observables import LOG_FLOOR
-from ._lapack import SPDTridiagonalSystem, TridiagonalSystem, eigh_tridiagonal_lowest
+from ._lapack import TridiagonalSystem, eigh_tridiagonal_lowest
 from .options import SolverOptions
 from .stencils import second_difference_dirichlet
 
@@ -243,18 +244,19 @@ def stationary(u: np.ndarray, coupling: np.ndarray, r: np.ndarray, h: float):
 def flow_step(u, w, omega, coupling, dt, h, N, angular_weight, system):
     """One step of the normalized flow from u, whose w and omega are those
     of stationary(u, ...).  The step's matrix and right-hand side go in the
-    buffers of system, an SPDTridiagonalSystem of order u.size, which a
-    relaxation keeps for all its steps.
+    buffers of system, a TridiagonalSystem of order u.size with one
+    right-hand side, which a relaxation keeps for all its steps.
 
     Returns (u_new, norm, info): norm is the solve's norm a h sum u^2
-    (a = angular_weight) before u_new is renormalized to N, info is ptsv's.
+    (a = angular_weight) before u_new is renormalized to N, info is gtsv's.
     Unless info == 0 and norm is finite and positive, u_new is the solve as
     it came out.
     """
     stiff = np.minimum(w + 2.0 * coupling, 0.0)
-    d, b = system.d, system.b
+    d, b = system.d, system.b[:, 0]
     np.subtract(1.0 + 2.0 * dt / (h * h), np.multiply(dt, stiff, out=d), out=d)
-    system.e.fill(-dt / (h * h))
+    system.dl.fill(-dt / (h * h))  # gtsv overwrites both off-diagonals
+    system.du.fill(-dt / (h * h))
     # b = u + dt (w - stiff + omega) u, in the order of that expression
     np.subtract(w, stiff, out=b)
     b += omega
@@ -382,7 +384,7 @@ def ground_state_from_coupling_values(
 
     exponent = None if psi0 is not None else _start_exponent(coupling, grid, h)
     u = r * _initial_guess(grid, psi0, N, angular_weight, exponent)
-    system = SPDTridiagonalSystem(r.size)  # each flow step's matrix and right-hand side
+    system = TridiagonalSystem(r.size, 1)  # each flow step's matrix and right-hand side
     jacobian = TridiagonalSystem(r.size, 2)  # each Newton step's, with [F u]
     history = []
     newton_steps = rejected_steps = 0
@@ -439,7 +441,7 @@ def ground_state_from_coupling_values(
                 elif dt <= dt0:
                     raise ConvergenceError(
                         f"relaxation step {step} left no finite positive norm "
-                        f"(norm {norm:.3e}, ptsv info {info})",
+                        f"(norm {norm:.3e}, gtsv info {info})",
                         last=result(u, omega, step - 1, False),
                         history=history,
                     )

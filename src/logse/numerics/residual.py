@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..grids import RadialWavefunction
-from ..observables import DENSITY_FLOOR
+from ..observables import LOG_FLOOR
 from ..scales import CouplingProfile
 from .stencils import radial_laplacian_interior
 
@@ -36,8 +36,8 @@ def residual_profile(
         raise DomainError("grid too coarse: need at least 16 interior points")
     values = psi.values
     rho = np.abs(values) ** 2
-    log_rho = np.log(np.maximum(rho, DENSITY_FLOOR))
-    lap = radial_laplacian_interior(r, values)
+    log_rho = np.log(np.maximum(rho, LOG_FLOOR))
+    lap = radial_laplacian_interior(r, values, psi.grid.h)
     ri = r[1:-1]
     coupling = profile.evaluate(ri)
     res = lap + coupling * log_rho[1:-1] * values[1:-1] + omega * values[1:-1]

@@ -1,23 +1,18 @@
-"""Second-order finite-difference stencils on radial grids."""
+"""Second-order finite-difference stencils on uniform radial grids."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def radial_laplacian_interior(r: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """d^2 f/dr^2 + (2/r) df/dr at interior nodes via 3-point central stencils.
-
-    The classic central differences, written in the Lagrange form of the
-    3-point stencil with each node's own steps: its rounding is what
-    criterion 1's residual rows are pinned to.  Returns n-2 values.
+def radial_laplacian_interior(r: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """d^2 f/dr^2 + (2/r) df/dr at interior nodes via 3-point central
+    differences on the grid step h: (f+ - 2 f + f-)/h^2 and (f+ - f-)/(2h).
+    Returns n-2 values.
     """
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
     f0, fm, fp = f[1:-1], f[:-2], f[2:]
-    denom = hp * hm * (hp + hm)
-    d2 = 2.0 * (hm * fp - (hp + hm) * f0 + hp * fm) / denom
-    d1 = (hm**2 * fp + (hp**2 - hm**2) * f0 - hp**2 * fm) / denom
+    d2 = (fp - 2.0 * f0 + fm) / (h * h)
+    d1 = (fp - fm) / (2.0 * h)
     return d2 + (2.0 / r[1:-1]) * d1
 
 

@@ -25,11 +25,10 @@ from .grids import (RadialGrid, RadialWavefunction, grid_values, integrate_radia
                     simpson)
 from .scales import CouplingProfile
 
-# Densities below this are treated as exact zeros in x*ln(x) terms
-# (continuous extension x ln x -> 0).
-DENSITY_FLOOR = 1e-300
-# The floor under ln|psi|^2 in the relaxation, the SCF and the propagator.
-# Not DENSITY_FLOOR: the relaxed state's far tail depends on this value.
+# The floor under ln|psi|^2 in the relaxation, the SCF, the propagator and
+# the residual; in x*ln(x) terms densities at or below it are exact zeros
+# (the continuous extension x ln x -> 0).  The relaxed state's far tail
+# depends on this value.
 LOG_FLOOR = 1e-30
 
 
@@ -51,10 +50,10 @@ class GpExpansion(NamedTuple):
 
 
 def _xlogx(rho: np.ndarray) -> np.ndarray:
-    """rho * ln(rho) with the x ln x -> 0 limit at vanishing density."""
+    """rho * ln(rho), exactly 0 where rho <= LOG_FLOOR (the x ln x -> 0 limit)."""
     rho = np.asarray(rho, dtype=float)
     out = np.zeros_like(rho)
-    mask = rho > DENSITY_FLOOR
+    mask = rho > LOG_FLOOR
     out[mask] = rho[mask] * np.log(rho[mask])
     return out
 

@@ -29,7 +29,7 @@ from logse.numerics import (
 )
 from logse.numerics import f_constant_over_r, imagtime
 from logse.numerics.poisson import field_gradient
-from logse.numerics._lapack import SPDTridiagonalSystem
+from logse.numerics._lapack import TridiagonalSystem
 from logse.numerics.stencils import second_difference_dirichlet
 
 PI = math.pi
@@ -185,7 +185,7 @@ def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
     omega of imagtime.stationary, as the relaxation takes them before Newton."""
     r, h = grid.r, grid.h
     u = r * imagtime._initial_guess(grid, psi0, 1.0, weight)
-    system = SPDTridiagonalSystem(r.size)
+    system = TridiagonalSystem(r.size, 1)
     iterates = []
     for _ in range(n_steps):
         w, _, omega, _ = imagtime.stationary(u, b, r, h)

@@ -2,6 +2,8 @@
 argument checks before any pointer is passed."""
 
 import contextlib
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 
 from logse.numerics import _lapack
 from logse.numerics._lapack import (
-    SPDTridiagonalSystem,
     TridiagonalLU,
     TridiagonalSystem,
     eigh_tridiagonal_lowest,
@@ -89,31 +90,6 @@ def test_singular_band_raises_linalg_error():
 
 SIZES = st.integers(2, 400)
 SEEDS = st.integers(0, 2**32 - 1)
-
-
-def ptsv_outcome(d, e, b):
-    system = SPDTridiagonalSystem(d.size)
-    system.d[:], system.e[:], system.b[:] = d, e, b
-    info = system.solve()
-    return info, system.d.copy(), system.e.copy(), system.b.copy()
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=SIZES, seed=SEEDS, shift=st.sampled_from([-1.0, 0.0, 3.0]))
-def test_backends_agree_on_ptsv(n, seed, shift):
-    # shift -1 and 0 give matrices that are often not positive definite
-    rng = np.random.default_rng(seed)
-    d = shift + 2.0 * rng.random(n)
-    e, b = rng.standard_normal(n - 1), rng.standard_normal(n)
-    (info, *arrays), (info2, *arrays2) = on_both(ptsv_outcome, d, e, b)
-    assert info == info2
-    assert all(same_bits(x, y) for x, y in zip(arrays, arrays2))
-
-
-def test_backends_agree_on_ptsv_info_of_a_matrix_that_is_not_spd():
-    d = np.array([2.0, 1.0, -3.0, 2.0])
-    infos = [outcome[0] for outcome in on_both(ptsv_outcome, d, np.full(3, 0.5), np.ones(4))]
-    assert infos == [3, 3]
 
 
 def gtsv_outcome(dl, d, du, b):
@@ -287,7 +263,6 @@ def test_inputs_are_not_overwritten():
     lambda: TridiagonalLU(DL, D, DU).solve(np.ones(N - 1)),
     lambda: TridiagonalLU(DL, D, DU).solve(np.ones((N, 1))),
     lambda: TridiagonalLU(DL, D, DU).solve(np.ones(1)),   # would broadcast
-    lambda: SPDTridiagonalSystem(1),
     lambda: TridiagonalSystem(1, 2),
     lambda: TridiagonalSystem(4, 0),
 ])
@@ -297,15 +272,33 @@ def test_shapes_that_do_not_fit_raise_value_error(call):
 
 
 def test_the_bound_buffers_cannot_be_replaced():
-    spd, general = SPDTridiagonalSystem(4), TridiagonalSystem(4, 2)
-    for system, names in ((spd, ("d", "e", "b")), (general, ("dl", "d", "du", "b"))):
-        for name in names:
-            with pytest.raises(AttributeError):
-                setattr(system, name, np.zeros(100))
-    assert [a.shape for a in (spd.d, spd.e, spd.b)] == [(4,), (3,), (4,)]
-    assert [a.shape for a in (general.dl, general.d, general.du, general.b)] == [
+    system = TridiagonalSystem(4, 2)
+    for name in ("dl", "d", "du", "b"):
+        with pytest.raises(AttributeError):
+            setattr(system, name, np.zeros(100))
+    assert [a.shape for a in (system.dl, system.d, system.du, system.b)] == [
         (3,), (4,), (3,), (4, 2)]
-    assert general.b.flags.f_contiguous
+    assert system.b.flags.f_contiguous
+
+
+# ---- the two backends, routine for routine ------------------------------------
+
+def routine_methods(backend_class):
+    """The names of a backend's routine methods (its plain public functions)."""
+    return {name for name, value in vars(backend_class).items()
+            if inspect.isfunction(value) and not name.startswith("_")}
+
+
+def test_backends_define_the_same_routines():
+    assert routine_methods(_lapack.NumpyLapack) == routine_methods(_lapack.ScipyFlapack)
+
+
+def test_every_prototype_is_bound_by_a_numpy_routine():
+    bound = set()
+    for name in routine_methods(_lapack.NumpyLapack):
+        source = inspect.getsource(getattr(_lapack.NumpyLapack, name))
+        bound.update(re.findall(r'self\._f\["(\w+)"\]', source))
+    assert bound == set(_lapack._PROTOTYPES)
 
 
 # ---- the fallback's loader ------------------------------------------------------
@@ -317,7 +310,7 @@ sys.path.insert(0, {src!r})
 {first}
 {second}
 import scipy.linalg.lapack
-assert flapack.dptsv is scipy.linalg.lapack.dptsv
+assert flapack.dgtsv is scipy.linalg.lapack.dgtsv
 assert sys.modules["scipy.linalg._flapack"] is flapack
 """
 

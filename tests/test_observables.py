@@ -20,6 +20,7 @@ from logse import (
     internal_energy,
     quantum_temperature,
 )
+from logse.observables import LOG_FLOOR
 
 PI = math.pi
 
@@ -60,6 +61,18 @@ def test_entropy_density_underflow_nodes_contribute_zero():
     s = entropy_density(psi)
     assert np.all(np.isfinite(s))
     assert np.all(s[-3:] == 0.0)
+
+
+def test_entropy_density_is_zero_at_and_below_the_log_floor():
+    grid = RadialGrid.uniform_from_origin(8.0, 81)
+    psi = RadialWavefunction(grid, np.logspace(0.0, -40.0, 81), target_norm=1.0)
+    rho, r = psi.density(), grid.r
+    s = entropy_density(psi)
+    above = rho > LOG_FLOOR
+    assert above.any() and not above.all()
+    assert np.all(s[~above] == 0.0)
+    assert np.array_equal(s[above], -psi.angular_weight * r[above] ** 2
+                          * (rho[above] * np.log(rho[above])))
 
 
 # ------------------------------------------------------------------ entropy
