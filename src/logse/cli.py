@@ -240,7 +240,6 @@ def cmd_analytic(args, conf) -> int:
         "S_psi_quadrature": entropy(psi),
         "observables": {
             "kinetic": report.kinetic,
-            "potential": report.potential,
             "entropy": report.entropy,
             "entropy_term": report.entropy_term,
             "internal_energy": report.internal_energy,
@@ -363,7 +362,7 @@ def cmd_evolve(args, conf) -> int:
             "a smaller --n (the edge sits at r_max/n)")
     result = evolve_real_time(psi0, sol.profile, dt, n_steps=conf["steps"],
                               snapshot_stride=conf["stride"], keep_snapshots=True)
-    rho0 = psi0.normalized().density()
+    rho0 = np.abs(result.snapshots[0][1]) ** 2  # the propagator's t = 0 state
     density_drift = float(np.max(np.abs(result.psi.density() - rho0)))
     t_end = float(result.times[-1])
     phase_expected = -sol.omega * t_end

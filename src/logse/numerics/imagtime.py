@@ -106,9 +106,9 @@ Newton step follows the step that reached tol, within opts.max_steps; it
 takes the residual to roundoff, and omega with it.  For constant b the
 returned state is the first below tol.
 
-A state that reaches tol is refused with ConvergenceError when it is as
-narrow as the grid: when origin_scale, h^2 max|D2 u| / max|u|, is above
-_GRID_SCALE = 0.5.  For q < 0 the discrete functional is unbounded
+A state that reaches tol, or the last iterate of a spent budget, is
+refused with ConvergenceError when it is as narrow as the grid: when
+origin_scale, h^2 max|D2 u| / max|u|, is above _GRID_SCALE = 0.5.  For q < 0 the discrete functional is unbounded
 below as the state concentrates at the origin, and at N = 8 Newton reaches
 such a grid-scale collapse in tens of iterations (rho(r_min) 1e5 and more,
 omega -716 to -5.6e5, origin scale 1.05 to 1.93 on (8, 640) and
@@ -129,15 +129,17 @@ Every LAPACK routine here comes from numerics._lapack, which calls the
 LAPACK that numpy has loaded (scipy's extension where numpy's library does
 not export the routines).
 
-One inner product for the engines: the flow, Newton and the SCF hold the
-norm as the h-sum a h u.u, in which D2 is symmetric, E_h and omega are
-taken and the real-time Cayley step is unitary.  So the returned state
-minimizes E_h on a h u.u = N, and dE_h*/db0 = S_h + N_h holds on the grid
-(S_h = -a h sum r^2 rho ln rho, N_h = a h u.u), as does
+One inner product for every engine state, the start included: the
+h-sum a h u.u, in which D2 is symmetric, E_h and omega are taken and the
+real-time Cayley step is unitary.  The relaxation's and the SCF's start,
+linear_ground_state's eigenvector and the propagator's psi0 are scaled onto
+a h u.u = N (norm_scale), and the flow, Newton and the SCF hold it.  So the
+returned state minimizes E_h on it, and dE_h*/db0 = S_h + N_h holds on the
+grid (S_h = -a h sum r^2 rho ln rho, N_h = a h u.u), as does
 dE_h*/dq = a h sum (rho ln rho - rho).  The grid rule
-(grids.integrate_radial) stays with sampled states and the start
-(_initial_guess); a returned state's grid-rule norm reads N to O(h^2)
-(6.6e-7 relative for the catalog's inverse-square states at n = 800).
+(grids.integrate_radial) is for sampled states only; an engine state's
+grid-rule norm reads N to O(h^2) (6.6e-7 relative for the catalog's
+inverse-square states at n = 800).
 """
 
 from __future__ import annotations
@@ -213,12 +215,23 @@ def _constant(coupling: np.ndarray) -> bool:
     return float(coupling.max()) - float(coupling.min()) <= _coupling_slack(coupling)
 
 
+def norm_scale(u: np.ndarray, h: float, N: float, angular_weight: float) -> float:
+    """sqrt(N / (a h sum |u|^2)) (a = angular_weight), which puts u = r psi on
+    the engines' norm; DomainError unless N and that norm are positive and finite."""
+    if not 0.0 < N < math.inf:
+        raise DomainError(f"the norm N must be positive and finite, got {N!r}")
+    with np.errstate(over="ignore"):
+        norm = angular_weight * h * float(np.sum(np.abs(u) ** 2))
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"cannot normalize a state whose norm a h sum |u|^2 is {norm:g}")
+    return math.sqrt(N / norm)
+
+
 def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float,
                    exponent: float | None = None) -> np.ndarray:
-    """|psi0| normalized to N by the grid rule (the first flow step moves it
-    onto the h-sum norm).  If psi0 is None, the Gaussian
-    exp(-exponent r^2/2) (_start_exponent), exponent (r_max/8)^-2 when None:
-    the Gaussian of width r_max/8."""
+    """u = r |psi0| on the norm a h u.u = N (norm_scale).  If psi0 is None,
+    the Gaussian exp(-exponent r^2/2) (_start_exponent), exponent
+    (r_max/8)^-2 when None: the Gaussian of width r_max/8."""
     if psi0 is None:
         if exponent is None:
             exponent = (grid.r_max / 8.0) ** -2
@@ -226,8 +239,8 @@ def _initial_guess(grid: RadialGrid, psi0, N: float, angular_weight: float,
     else:
         if isinstance(psi0, RadialWavefunction):
             psi0 = psi0.values
-        psi = np.abs(np.asarray(psi0, dtype=complex))
-    return RadialWavefunction(grid, psi, N, angular_weight).normalized().values
+        psi = grid_values(np.abs(np.asarray(psi0, dtype=complex)), grid, "psi0")
+    return grid.r * (psi * norm_scale(grid.r * psi, grid.origin_step(), N, angular_weight))
 
 
 def stationary(u: np.ndarray, coupling: np.ndarray, r: np.ndarray, h: float):
@@ -365,11 +378,13 @@ def ground_state_from_coupling_values(
     (carrying the last iterate and the residual history) when opts.max_steps
     is exhausted, when a flow step leaves no finite positive norm (then
     the last iterate is the one before it), or when the state that reached
-    tol is grid-scale (origin_scale above _GRID_SCALE).  Raises
-    DomainError, before the first step, when opts.convergence_tol is not
-    above eps/h^2: roundoff in D2 u keeps the residual above about 1.6-2.1
-    eps/h^2, so no budget would reach it.  A tolerance between eps/h^2 and that measured floor passes
-    this check and may still exhaust opts.max_steps.
+    tol, or the last iterate of a spent budget, is grid-scale (origin_scale
+    above _GRID_SCALE).  Raises DomainError for N not positive and finite,
+    a psi0 without finite positive norm, and, before the first step, when
+    opts.convergence_tol is not above eps/h^2: roundoff in D2 u keeps the
+    residual above about 1.6-2.1 eps/h^2, so no budget would reach it.  A
+    tolerance between eps/h^2 and that measured floor passes this check and
+    may still exhaust opts.max_steps.
     """
     opts = opts or SolverOptions()
     coupling = grid_values(coupling, grid, "coupling")
@@ -383,7 +398,7 @@ def ground_state_from_coupling_values(
     dt = dt0 = _RELAX_DT
 
     exponent = None if psi0 is not None else _start_exponent(coupling, grid, h)
-    u = r * _initial_guess(grid, psi0, N, angular_weight, exponent)
+    u = _initial_guess(grid, psi0, N, angular_weight, exponent)
     system = TridiagonalSystem(r.size, 1)  # each flow step's matrix and right-hand side
     jacobian = TridiagonalSystem(r.size, 2)  # each Newton step's, with [F u]
     history = []
@@ -471,25 +486,20 @@ def ground_state_from_coupling_values(
             step += 1
             newton_steps += 1
             history.append((step, residual, norm, omega))
-    final = result(u, omega, step, converged)
-    if not converged:
-        raise ConvergenceError(
-            f"relaxation did not reach residual < {tol:g} within "
-            f"{step} steps (last residual {residual:.3e})",
-            last=final,
-            history=history,
-        )
     scale = origin_scale(u, h)
-    if not scale <= _GRID_SCALE:
-        raise ConvergenceError(
-            f"relaxation converged onto a grid-scale state after {step} steps: "
-            f"h^2 max|D2 u| / max|u| = {scale:.3g} is above {_GRID_SCALE:g} "
-            f"(omega {omega:.6g}, rho(r_min) {(u[0] / r[0]) ** 2:.3g}); a collapse "
-            f"onto the origin, or a grid too coarse for the state",
-            last=result(u, omega, step, False),
-            history=history,
-        )
-    return final
+    if converged and scale <= _GRID_SCALE:
+        return result(u, omega, step, True)
+    if scale <= _GRID_SCALE:
+        message = (f"relaxation did not reach residual < {tol:g} within {step} steps "
+                   f"(last residual {residual:.3e})")
+    else:
+        how = ("converged onto" if converged else
+               f"stalled above tol {tol:g} (last residual {residual:.3e}) on")
+        message = (f"relaxation {how} a grid-scale state after {step} steps: "
+                   f"h^2 max|D2 u| / max|u| = {scale:.3g} is above {_GRID_SCALE:g} "
+                   f"(omega {omega:.6g}, rho(r_min) {(u[0] / r[0]) ** 2:.3g}); a collapse "
+                   f"onto the origin, or a grid too coarse for the state")
+    raise ConvergenceError(message, last=result(u, omega, step, False), history=history)
 
 
 def linear_ground_state(
@@ -506,11 +516,13 @@ def linear_ground_state(
     below on the grid.  Solved directly as the lowest eigenpair of
     -D2 + diag(V_ext) on u = r*psi (diagonal 2/h^2 + V, off-diagonals -1/h^2:
     the Dirichlet ghosts of second_difference_dirichlet); omega is that
-    eigenvalue.  opts and psi0 are accepted, for call compatibility with the
-    relaxation, and unused.  Used to check that a linear problem with the
+    eigenvalue, and u is scaled onto a h u.u = N (a = angular_weight).
+    opts and psi0 are accepted, for call compatibility with the relaxation,
+    and unused.  Used to check that a linear problem with the
     effective potential of a nonlinear solution reproduces that solution.
     Raises DomainError if the matrix is not finite (h so small that 1/h^2
-    overflows) and ConvergenceError if the eigensolve fails.
+    overflows) or N is not positive and finite, and ConvergenceError if the
+    eigensolve fails.
     """
     v = grid_values(V_ext, grid, "V_ext")
     h = grid.origin_step()
@@ -524,7 +536,5 @@ def linear_ground_state(
         raise ConvergenceError(f"linear ground state: {exc}") from exc
     if u[np.argmax(np.abs(u))] < 0.0:
         u = -u  # the ground state is nodeless; take it positive
-    psi = RadialWavefunction(
-        grid=grid, values=u / grid.r, target_norm=N, angular_weight=angular_weight
-    ).normalized()
-    return psi, float(omega)
+    psi = u / grid.r * norm_scale(u, h, N, angular_weight)
+    return RadialWavefunction(grid, psi, N, angular_weight), float(omega)

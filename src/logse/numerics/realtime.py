@@ -48,6 +48,7 @@ from ..observables import LOG_FLOOR
 from ..scales import CouplingProfile
 # solve_banded is unused here: perfbench/tracing.py HOOKS wraps this name
 from ._lapack import TridiagonalLU, solve_banded  # noqa: F401
+from .imagtime import norm_scale
 from .options import check_count
 
 _NORM_DRIFT_LIMIT = 1e-6  # allowed relative drift per 1000 steps
@@ -161,11 +162,13 @@ def evolve_real_time(
 ) -> EvolutionResult:
     """Propagate psi0 for n_steps of size dt.
 
-    snapshot_stride > 0 records diagnostics every that many steps (plus the
-    initial and final states), 0 only those two; keep_snapshots additionally
-    stores the field values for trajectory output.  A dt that is not positive
-    and finite, n_steps or snapshot_stride that is not a non-negative integer,
-    or a grid without r_min == h raise DomainError.  Aborts with
+    psi0 is first scaled onto the conserved h-sum norm (imagtime.norm_scale);
+    the t = 0 snapshot is that state.  snapshot_stride > 0 records diagnostics
+    every that many steps (plus the initial and final states), 0 only those
+    two; keep_snapshots additionally stores the field values for trajectory
+    output.  A dt that is not positive and finite, n_steps or snapshot_stride
+    that is not a non-negative integer, a grid without r_min == h or a psi0
+    of zero norm raise DomainError.  Aborts with
     ConvergenceError if the conserved discrete norm drifts by more than 1e-6
     per 1000 steps.
     """
@@ -178,8 +181,8 @@ def evolve_real_time(
     h = grid.origin_step()
     n = r.size
 
-    psi0 = psi0.normalized()
-    u = (r * np.asarray(psi0.values, dtype=complex)).copy()
+    values = np.asarray(psi0.values, dtype=complex)
+    u = r * (values * norm_scale(r * values, h, psi0.target_norm, psi0.angular_weight))
     u0 = u.copy()
     coupling = profile.evaluate(r)
     # the phase kick at the innermost node reacts to density perturbations

@@ -239,7 +239,7 @@ def self_consistent_minimal_model(
             u, state = u_new, trial
         return u, state
 
-    u = r * _initial_guess(grid, psi0, N, FULL_SPHERE)
+    u = _initial_guess(grid, psi0, N, FULL_SPHERE)
     lam0 = 0.0 if np.any(source_derivative((u / r) ** 2, r)) else 1.0
     relaxed_source = source(u, lam0)
     relaxed = ground_state_from_coupling_values(

@@ -3,10 +3,9 @@
 The entropy of a state is S = -int w r^2 rho ln(rho) dr + S_Y * N / w with
 rho = |psi|^2, where w is the wavefunction's angular weight and S_Y its
 angular entropy constant; both reductions (spherically symmetric and
-separable-radial) are covered by the same expressions.  Entropies and the
-kinetic energy use the grid rule (grids.integrate_radial: Simpson plus the
-[0, r_min] panel); the potential integral is Simpson alone (grids.simpson),
-as the origin behaviour of its integrand depends on the caller's V_ext.
+separable-radial) are covered by the same expressions.  Every integral
+here is the grid rule (grids.integrate_radial: Simpson plus the [0, r_min]
+panel).
 """
 
 from __future__ import annotations
@@ -21,8 +20,9 @@ import numpy as np
 from .errors import DomainError
 # the grid and wavefunction types are re-exported: they live here from a
 # user's point of view
-from .grids import (RadialGrid, RadialWavefunction, grid_values, integrate_radial,
-                    simpson)
+from .grids import RadialGrid, RadialWavefunction, integrate_radial
+# simpson is unused here: perfbench/tracing.py HOOKS wraps this name
+from .grids import simpson  # noqa: F401
 from .scales import CouplingProfile
 
 # The floor under ln|psi|^2 in the relaxation, the SCF, the propagator and
@@ -38,7 +38,6 @@ class ObservableReport:
 
     entropy: float
     kinetic: float
-    potential: float
     entropy_term: float
     internal_energy: float
 
@@ -123,49 +122,35 @@ def information_profile(psi: RadialWavefunction) -> np.ndarray:
     return out
 
 
-def internal_energy(
-    psi: RadialWavefunction,
-    profile: CouplingProfile,
-    V_ext=None,
-    temperature_offset: float = 0.0,
-) -> ObservableReport:
-    """Internal energy <H> + int T(r) s(r) dr and its pieces.
+def internal_energy(psi: RadialWavefunction, profile: CouplingProfile) -> ObservableReport:
+    """Internal energy: the kinetic energy plus int T(r) s(r) dr, and its pieces.
 
     kinetic   = int w r^2 |d psi/dr|^2 dr      (units where hbar^2/2m -> 1)
-    potential = int w r^2 V_ext |psi|^2 dr
-    entropy_term pairs the temperature profile with the entropy density
-    position by position; for a constant temperature it reduces exactly to
-    T * S.  V_ext is an array on the grid or a callable of r, one finite
-    value per node.  temperature_offset shifts T(r) by a reference value
-    before the pairing (default 0; it must be finite).  psi must hold its
+    entropy_term pairs the temperature profile T(r) = b(r) with the entropy
+    density position by position; for a constant temperature it reduces
+    exactly to T * S.  Every integral is the grid rule.  psi must hold its
     target norm (is_normalized).
     """
-    if not np.isfinite(temperature_offset):
-        raise DomainError("temperature_offset must be finite")
     if not psi.is_normalized():
         raise DomainError(
             f"wavefunction is not normalized: quadrature norm {psi.norm():.12g} "
             f"vs target {psi.target_norm:.12g}"
         )
     r = psi.grid.r
-    w = psi.angular_weight
     kinetic = _kinetic_energy(psi)
-    v = np.zeros_like(r) if V_ext is None else grid_values(V_ext, psi.grid, "V_ext")
-    potential = w * simpson(r**2 * v * psi.density(), psi.grid)
     s = entropy_density(psi)
     total_entropy = integrate_radial(psi.grid, s)
-    # split T(r) s(r) = (b0 - T0) s(r) - q s(r)/r^2 so each integrand stays
-    # regular at the origin (s ~ r^2 makes s/r^2 finite there)
-    entropy_term = (profile.b0_tilde - temperature_offset) * total_entropy
+    # split T(r) s(r) = b0 s(r) - q s(r)/r^2 so each integrand stays regular
+    # at the origin (s ~ r^2 makes s/r^2 finite there)
+    entropy_term = profile.b0_tilde * total_entropy
     if profile.q_tilde != 0.0:
         entropy_term -= profile.q_tilde * integrate_radial(psi.grid, s / r**2,
                                                            origin_power=0)
     return ObservableReport(
         entropy=total_entropy,
         kinetic=kinetic,
-        potential=potential,
         entropy_term=entropy_term,
-        internal_energy=kinetic + potential + entropy_term,
+        internal_energy=kinetic + entropy_term,
     )
 
 

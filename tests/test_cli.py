@@ -510,7 +510,7 @@ def test_analytic_observable_block(tmp_path):
     # constant temperature: the entropy term is T * S = pi * 3/2
     assert obs["entropy_term"] == pytest.approx(PI * 1.5, rel=1e-6)
     assert obs["internal_energy"] == pytest.approx(
-        obs["kinetic"] + obs["potential"] + obs["entropy_term"]
+        obs["kinetic"] + obs["entropy_term"]
     )
 
 

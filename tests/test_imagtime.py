@@ -1,6 +1,7 @@
 """Imaginary-time relaxation against the closed-form catalog."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from logse import (
     case_general,
     case_inverse_square,
     case_q1,
+    effective_potential,
     l2_distance,
 )
 from logse.observables import LOG_FLOOR
@@ -137,7 +139,8 @@ def _reference_iterates(b, grid, weight, guess, n_steps, tol=None, step_rule=Fal
     one multiplies the step by min(residual before / residual after, 2),
     the guess's residual counting as infinite."""
     r, h, dt = grid.r, grid.h, 0.01
-    u = r * RadialWavefunction(grid, guess, 1.0, weight).normalized().values
+    u = r * guess
+    u *= math.sqrt(1.0 / (weight * h * (u @ u)))
 
     def log_term(u):
         return b * np.log(np.maximum((u / r) ** 2, LOG_FLOOR))
@@ -184,7 +187,7 @@ def _engine_flow_iterates(b, grid, weight, psi0, n_steps):
     psi0: imagtime.flow_step at the fixed step _RELAX_DT, each from the w and
     omega of imagtime.stationary, as the relaxation takes them before Newton."""
     r, h = grid.r, grid.h
-    u = r * imagtime._initial_guess(grid, psi0, 1.0, weight)
+    u = imagtime._initial_guess(grid, psi0, 1.0, weight)
     system = TridiagonalSystem(r.size, 1)
     iterates = []
     for _ in range(n_steps):
@@ -328,7 +331,8 @@ def test_relax_blow_up_raises_with_last_finite_iterate():
     assert last.steps == 0 and not last.converged and err.value.history == []
     assert last.initial_exponent == 1.0 / GRID8.h**2
     assert np.all(np.isfinite(last.psi.values))
-    assert last.psi.norm() == pytest.approx(1.0, rel=1e-12)
+    u = GRID8.r * last.psi.values
+    assert 4.0 * PI * GRID8.h * (u @ u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_step_size_underflow_raises_with_the_guess(monkeypatch):
@@ -618,6 +622,22 @@ def test_collapse_is_refused_within_the_budget(n, N, q):
         ground_state_from_coupling_values(b, N, grid, SolverOptions(max_steps=1000))
 
 
+def test_budget_exhausted_on_a_grid_scale_collapse_names_the_collapse():
+    # q = -1, N = 1 on (8, 2560) collapses by step 11 (omega -1.3e6) and
+    # then stalls above tol; the budget's end names the collapse, not only
+    # the budget
+    grid = RadialGrid.uniform_from_origin(8.0, 2560)
+    b = CouplingProfile(PI, -1.0).evaluate(grid.r)
+    with pytest.raises(ConvergenceError, match="stalled above tol") as err:
+        ground_state_from_coupling_values(b, 1.0, grid, SolverOptions(max_steps=50))
+    found = re.search(r"grid-scale state after 50 steps: .*\(omega (\S+), "
+                      r"rho\(r_min\) (\S+)\)", str(err.value))
+    assert found and float(found[1]) < -1e6 and float(found[2]) > 1e6
+    last = err.value.last
+    assert last.steps == 50 and not last.converged
+    assert imagtime.origin_scale(grid.r * last.psi.values.real, grid.h) > 1.0
+
+
 def _relaxed_on_grid8(b0, q, N):
     """(u, E_h) of the state relaxed at tol 1e-11 in b0 - q/r^2 on GRID8."""
     b = CouplingProfile(b0, q).evaluate(GRID8.r)
@@ -679,6 +699,22 @@ def test_coupling_array_must_be_finite():
     bad = np.full_like(GRID8.r, np.nan)
     with pytest.raises(DomainError):
         ground_state_from_coupling_values(bad, 1.0, GRID8, SolverOptions())
+
+
+def test_linear_state_and_propagator_start_hold_the_h_sum_norm():
+    # the engines' one norm is a h sum |u|^2 (a = angular weight); on the
+    # inverse-square grid the grid rule differs from it by 1.0e-7 relative
+    grid = RadialGrid.uniform_from_origin(30.0, 800)
+    sol = case_inverse_square(1)
+    psi, _ = linear_ground_state(effective_potential(sol, grid.r), sol.norm, grid,
+                                 angular_weight=1.0)
+    res = evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=1,
+                           keep_snapshots=True)
+    t0, values = res.snapshots[0]
+    assert t0 == 0.0
+    for state in (psi.values, values):
+        u = grid.r * state
+        assert grid.h * np.sum(np.abs(u) ** 2) == pytest.approx(sol.norm, rel=1e-12)
 
 
 def test_engines_require_origin_step_grid():

@@ -169,16 +169,16 @@ def test_internal_energy_gaussian_kinetic_oracle():
     psi = RadialWavefunction(grid, values, target_norm=1.0)
     report = internal_energy(psi, CouplingProfile(0.0, 0.0))
     assert report.entropy_term == 0.0
-    assert report.potential == 0.0
     assert report.kinetic == pytest.approx(1.5, rel=2e-5)
     assert report.internal_energy == report.kinetic
 
 
 def test_internal_energy_zero_temperature_reduces_to_hamiltonian():
+    # T = b = 0: no entropy term, the internal energy is the kinetic <H>
     sol = case_general(1, 2.0)
-    psi = sample(sol)
-    report = internal_energy(psi, CouplingProfile(0.0, 0.0), V_ext=lambda r: r**2)
-    assert report.internal_energy == pytest.approx(report.kinetic + report.potential)
+    report = internal_energy(sample(sol), CouplingProfile(0.0, 0.0))
+    assert report.entropy_term == 0.0
+    assert report.internal_energy == report.kinetic
 
 
 def test_internal_energy_position_resolved_pairing_oracle():
@@ -201,10 +201,11 @@ def test_internal_energy_position_resolved_pairing_oracle():
 
 
 def test_internal_energy_temperature_offset_shifts_linearly():
+    # a reference temperature T0 is a shift of the profile, b0 -> b0 - T0
     sol = case_constant(1, PI)
     psi = sample(sol, r_max=10.0, n=2001)
     base = internal_energy(psi, sol.profile)
-    shifted = internal_energy(psi, sol.profile, temperature_offset=0.5)
+    shifted = internal_energy(psi, CouplingProfile(sol.profile.b0_tilde - 0.5, 0.0))
     assert shifted.entropy_term == pytest.approx(
         base.entropy_term - 0.5 * base.entropy, rel=1e-12
     )
@@ -228,7 +229,6 @@ def test_internal_energy_of_stationary_states_equals_omega_N():
         r_max = 14.0 if sol.case.value != "inverse_square" else 50.0
         psi = sample(sol, r_max=r_max, n=8001).normalized()
         report = internal_energy(psi, sol.profile)
-        assert report.potential == 0.0
         assert report.internal_energy == pytest.approx(
             sol.omega * sol.norm, rel=2e-4
         ), sol.case
@@ -242,30 +242,11 @@ def test_entropy_simpson_path_on_skewed_q1_state():
     assert entropy(psi) == pytest.approx(sol.entropy_closed_form(), rel=1e-8)
 
 
-@pytest.mark.parametrize("offset", [math.nan, math.inf], ids=["nan", "inf"])
-def test_internal_energy_rejects_non_finite_temperature_offset(offset):
-    sol = case_constant(1, PI)
-    with pytest.raises(DomainError, match="temperature_offset must be finite"):
-        internal_energy(sample(sol, r_max=10.0, n=2001), sol.profile,
-                        temperature_offset=offset)
-
-
 def test_internal_energy_rejects_unnormalized_input():
     grid = RadialGrid.uniform_from_origin(10.0, 512)
     psi = RadialWavefunction(grid, np.exp(-grid.r), target_norm=1.0)
     with pytest.raises(DomainError):
         internal_energy(psi, CouplingProfile(1.0, 0.0))
-
-
-@pytest.mark.parametrize("V_ext", [
-    np.zeros(511),
-    np.full(512, np.nan),
-    lambda r: np.where(r > 5.0, np.inf, r**2),
-], ids=["one-node-short", "nan", "callable-inf"])
-def test_internal_energy_potential_needs_one_finite_value_per_node(V_ext):
-    psi = case_constant(1, PI).sample(RadialGrid.uniform_from_origin(10.0, 512))
-    with pytest.raises(DomainError, match="V_ext must be finite with one value per grid node"):
-        internal_energy(psi, CouplingProfile(0.0, 0.0), V_ext=V_ext)
 
 
 # ---------------------------------------------------------------- information

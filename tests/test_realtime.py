@@ -19,6 +19,7 @@ from logse import (
 )
 from logse.numerics import evolve_real_time
 from logse.numerics._lapack import TridiagonalLU
+from logse.numerics.imagtime import norm_scale
 from logse.numerics.realtime import CayleyStep, half_angle_phase
 from logse.observables import LOG_FLOOR
 
@@ -213,7 +214,7 @@ def test_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi0 = RadialWavefunction(grid, u / grid.r)
     res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=2.0 * lam, n_steps=1)
-    u_in = grid.r * psi0.normalized().values
+    u_in = u / math.sqrt(4.0 * PI * np.sum(np.abs(u) ** 2))  # a h u.u = 1, h = 1
     u_out = grid.r * res.psi.values
     norm_in, norm_out = np.sum(np.abs(u_in) ** 2), np.sum(np.abs(u_out) ** 2)
     assert abs(norm_out - norm_in) <= 1e-13 * norm_in
@@ -242,7 +243,7 @@ def test_reduced_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi0 = RadialWavefunction(grid, u / grid.r)
     res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=2.0 * lam, n_steps=1)
-    u_in = grid.r * psi0.normalized().values
+    u_in = u / math.sqrt(4.0 * PI * np.sum(np.abs(u) ** 2))  # a h u.u = 1, h = 1
     u_out = grid.r * res.psi.values
     norm_in, norm_out = np.sum(np.abs(u_in) ** 2), np.sum(np.abs(u_out) ** 2)
     assert abs(norm_out - norm_in) <= 1e-13 * norm_in
@@ -283,7 +284,8 @@ def test_grid_below_the_reduction_cut_off_steps_bit_for_bit_as_plain_gttrs():
 
     r, h, n = grid.r, grid.h, grid.r.size
     assert CayleyStep(n, 0.5j * dt / (h * h)).levels == 0
-    u = (r * np.asarray(sol.sample(grid).normalized().values, dtype=complex)).copy()
+    values = np.asarray(sol.sample(grid).values, dtype=complex)
+    u = r * (values * norm_scale(r * values, h, 1.0, 4.0 * PI))
     lam = 0.5j * dt / (h * h)
     off = np.full(n - 1, -0.5 * lam)
     lu = TridiagonalLU(off, np.full(n, 0.5 + lam), off)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logse import (
     DomainError,
@@ -56,6 +58,18 @@ def test_residual_second_order_convergence(make):
         ratio = coarse / fine
         # measured convergence order in [1.8, 2.2]
         assert 3.5 < ratio < 4.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_N=st.floats(0.0, math.log(64.0)),
+       q=st.one_of(st.floats(-1.0, -0.25), st.floats(0.25, 0.75), st.floats(1.25, 3.0)))
+def test_residual_refinement_ratio_of_drawn_general_states(log_N, q):
+    # criterion 1's draws: N log-uniform in [1, 64], q in [-1, 3] at least
+    # 0.25 from 0 and 1; halving h quarters the residual (order 2)
+    sol = case_general(math.exp(log_N), q)
+    coarse, fine = (residual(sol.sample(RadialGrid.uniform(1e-3, 12.0, n)), sol.omega,
+                             sol.profile) for n in (2048, 4096))
+    assert 3.5 <= coarse / fine <= 4.5
 
 
 def test_wrong_eigenvalue_leaves_constant_offset():
