@@ -1,9 +1,9 @@
 """Solvers and verification tools for the logarithmic wave equation with a
 radially varying nonlinear coupling b(r) = b0 - q/r^2.
 
-The package provides the closed-form stationary catalog (analytic), entropy /
-temperature / energy observables (observables), numerical oracles and solvers
-(numerics), unit conversion (scales) and a command-line front end (cli).
+The package provides the closed-form stationary catalog (analytic), entropy and
+energy observables (observables), numerical oracles and solvers (numerics), unit
+conversion (scales) and a command-line front end (cli).
 """
 
 from .scales import CouplingProfile, ScaleSet, coupling_from_temperature, to_dimensionless, to_physical
@@ -25,10 +25,7 @@ from .observables import (
     entropy,
     entropy_density,
     gp_expansion_error,
-    information_content,
-    information_profile,
     internal_energy,
-    quantum_temperature,
 )
 from .errors import ConvergenceError, DomainError
 from . import numerics
@@ -43,8 +40,7 @@ __all__ = [
     "case_inverse_square", "case_q1", "constant_entropy_candidates",
     "effective_potential", "solve_k_transcendental", "transcendental_residual",
     "ObservableReport", "entropy", "entropy_density", "gp_expansion_error",
-    "information_content", "information_profile", "internal_energy",
-    "quantum_temperature",
+    "internal_energy",
     "ConvergenceError", "DomainError",
     "numerics",
     "__version__",

@@ -223,7 +223,7 @@ def criterion_6(check, notes):
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, dt=1e-4, n_steps=1000)
+    res = evolve_real_time(psi0, sol.profile.evaluate(grid.r), dt=1e-4, n_steps=1000)
     check("norm drift over 1000 steps", res.norm_drift, "< 1e-8")
     drift = float(np.max(np.abs(res.psi.density() - psi0.normalized().density())))
     check("density max-norm drift", drift, "< 1e-4")

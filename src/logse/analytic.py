@@ -84,25 +84,6 @@ class AnalyticSolution:
             angular_entropy=self.S_Y,
         )
 
-    def stationary_residual_exact(self, r):
-        """Residual of the stationary equation using exact derivatives.
-
-        For INVERSE_SQUARE this is the separated radial equation, which adds
-        a centrifugal term -L^2/r^2 to the generic operator.  Values are pure
-        floating-point roundoff for catalog members.
-        """
-        r = np.asarray(r, dtype=float)
-        if not np.all(r > 0.0):
-            raise DomainError("residual is defined for r > 0")
-        gp = self.g1 + 2.0 * self.g2 * r
-        gpp = 2.0 * self.g2
-        lap_over_psi = gpp + gp**2 + 2.0 * gp / r
-        coupling = self.profile.evaluate(r)
-        res = lap_over_psi + coupling * 2.0 * self.log_amplitude(r) + self.omega
-        if self.case is CaseTag.INVERSE_SQUARE:
-            res = res - self.L_sq / r**2
-        return res * self.psi(r)
-
     def entropy_closed_form(self) -> float:
         """Closed-form entropy consistent with quadrature of the density."""
         N = self.norm
@@ -116,47 +97,6 @@ class AnalyticSolution:
         if self.case is CaseTag.CONSTANT:
             return constant_entropy_candidates(N, self.profile.b0_tilde)["n_scaled"]
         return N * (self.L_sq + self.S_Y + 3.0)
-
-    def entropy_density_closed_form(self, r):
-        """Case-specific closed form of the radial entropy density."""
-        r = np.asarray(r, dtype=float)
-        N = self.norm
-        if self.case is CaseTag.GENERAL:
-            a = math.pi / N ** (2.0 / 3.0)
-            return 4.0 * math.pi * a * r**4 * np.exp(-a * r**2)
-        if self.case is CaseTag.Q_ONE:
-            b0, k = self.profile.b0_tilde, self.k_tilde
-            return 4.0 * math.pi * r**3 * (b0 * r - 2.0 * k) * np.exp(2.0 * k * r - b0 * r**2)
-        if self.case is CaseTag.CONSTANT:
-            b0 = self.profile.b0_tilde
-            logx = math.log(b0 * N ** (2.0 / 3.0) / math.pi)
-            pref = 4.0 * b0**1.5 * N / math.sqrt(math.pi)
-            return pref * r**2 * (b0 * r**2 - 1.5 * logx) * np.exp(-b0 * r**2)
-        mu2 = self.mu_sq
-        pref = 8.0 * mu2**4 * N
-        return pref * r**3 * (1.0 + (self.L_sq + self.S_Y) / (2.0 * mu2 * r)) * np.exp(
-            -2.0 * mu2 * r
-        )
-
-    def effective_potential_closed_form(self, r):
-        """Case-specific closed form of the effective external potential.
-
-        For CONSTANT the harmonic form carries the additive constant
-        omega - 3*b0 (the log of the amplitude prefactor); it vanishes
-        exactly when b0 * N^(2/3) = pi.
-        """
-        r = np.asarray(r, dtype=float)
-        b0 = self.profile.b0_tilde
-        if self.case is CaseTag.GENERAL:
-            omega_eff = 2.0 * b0
-            q_n = self.profile.q_tilde / b0
-            return 0.25 * omega_eff**2 * (r**2 - q_n)
-        if self.case is CaseTag.Q_ONE:
-            k = self.k_tilde
-            return 2.0 * k / r + b0**2 * (r - k / b0) ** 2 - b0 - k**2
-        if self.case is CaseTag.CONSTANT:
-            return b0**2 * r**2 + (self.omega - 3.0 * b0)
-        return -2.0 * self.mu_sq / r - self.L_sq / r**2
 
 
 def case_general(N: float, q_tilde: float) -> AnalyticSolution:

@@ -34,7 +34,7 @@ from .analytic import (
 )
 from .errors import ConvergenceError, DomainError
 from .grids import RadialGrid, l2_distance
-from .observables import entropy, entropy_density, internal_energy, quantum_temperature
+from .observables import entropy, entropy_density, internal_energy
 from .output import parse_config_file, save_config_file, write_csv, write_json
 from .scales import CouplingProfile, ScaleSet, to_dimensionless
 from .numerics import (
@@ -260,7 +260,7 @@ def cmd_analytic(args, conf) -> int:
         ["r[a]", "psi_re", "psi_im", "density",
          "entropy_density[1/a]", "T_psi[hbar/tau]", "V_eff[hbar/tau]"],
         [r, values.real, values.imag, psi.density(),
-         entropy_density(psi), quantum_temperature(sol.profile, r),
+         entropy_density(psi), sol.profile.evaluate(r),
          effective_potential(sol, r)],
     )
     print(f"wrote {paths['json']} and {paths['csv']}")
@@ -352,15 +352,22 @@ def cmd_evolve(args, conf) -> int:
     grid = _grid_from(conf)
     psi0 = sol.sample(grid)
     dt = conf["dt"]
+    coupling = sol.profile.evaluate(grid.r)
     # the library only warns: a stiff kick still returns a trajectory
-    max_coupling = float(np.max(np.abs(sol.profile.evaluate(grid.r))))
+    max_coupling = float(np.max(np.abs(coupling)))
     if dt * max_coupling > 1.0:
         raise DomainError(
-            f"dt * max|b(r)| = {dt * max_coupling:.2f} > 1: the nonlinear phase "
+            f"dt * max|b(r)| = {dt * max_coupling:.3g} > 1: the nonlinear phase "
             f"step is unstable at the inner grid edge (r = {grid.r_min:g}); lower "
             f"--dt to at most {1.0 / max_coupling:.3g}, or move the edge out with "
             "a smaller --n (the edge sits at r_max/n)")
-    result = evolve_real_time(psi0, sol.profile, dt, n_steps=conf["steps"],
+    # phases are unwrapped between records: a turn of pi or more there aliases
+    interval = min(conf["stride"] or conf["steps"], conf["steps"])
+    turn = abs(sol.omega) * interval * dt
+    if turn >= PI:
+        raise DomainError(f"|omega| * {interval} steps * dt = {turn:.3g} >= pi: the phase "
+                          "aliases between recorded snapshots; lower --stride or --dt")
+    result = evolve_real_time(psi0, coupling, dt, n_steps=conf["steps"],
                               snapshot_stride=conf["stride"], keep_snapshots=True)
     rho0 = np.abs(result.snapshots[0][1]) ** 2  # the propagator's t = 0 state
     density_drift = float(np.max(np.abs(result.psi.density() - rho0)))

@@ -17,6 +17,7 @@ a h sum u^2 instead (numerics.imagtime).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,6 +68,12 @@ def integrate_radial(grid: RadialGrid, f: np.ndarray, origin_power: int = 2) -> 
     return simpson(f, grid) + float(f[0]) * grid.r_min / (origin_power + 1.0)
 
 
+def _check_nodes(n) -> None:
+    """DomainError unless the node count n is an integer (not a bool) >= 4."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 4:
+        raise DomainError(f"a grid needs an integer number of nodes n >= 4, got {n!r}")
+
+
 # steps of a uniform grid lie within this many eps * r_max of the first one;
 # np.linspace's deviate by at most 0.9 (r_max in [1, 1000], n <= 1e5)
 _UNIFORM_ULPS = 8.0
@@ -100,6 +107,7 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
+        _check_nodes(n)
         return cls(np.linspace(r_min, r_max, n))
 
     @classmethod
@@ -110,8 +118,8 @@ class RadialGrid:
         r = 0 exactly, where u = r*psi vanishes by regularity; the solvers'
         left boundary condition is then exact rather than approximate.
         """
-        h = r_max / n
-        return cls(np.linspace(h, r_max, n))
+        _check_nodes(n)
+        return cls(np.linspace(r_max / n, r_max, n))
 
     @property
     def r_min(self) -> float:

@@ -8,7 +8,7 @@ from .imagtime import (
     linear_ground_state,
 )
 from .realtime import EvolutionResult, evolve_real_time
-from .poisson import FieldState, extract_coupling_asymptotics, solve_radial_poisson
+from .poisson import FieldState, solve_radial_poisson
 from .scf import (
     SCFResult,
     f_constant_over_r,
@@ -27,7 +27,6 @@ __all__ = [
     "EvolutionResult",
     "evolve_real_time",
     "FieldState",
-    "extract_coupling_asymptotics",
     "solve_radial_poisson",
     "SCFResult",
     "f_constant_over_r",

@@ -13,8 +13,8 @@ the origin, which is exact for the leading extended-source term S ~ 1/r
 field_gradient is that phi' alone, for the loops that need no phi.
 
 Fields of the form phi = phi0 + q/r + b0*r are the far-field shape of the
-auxiliary-field model; extract_coupling_asymptotics recovers (q, b0) by a
-least-squares fit against the basis {1, 1/r, r} on the outer half of the grid.
+auxiliary-field model; solve_radial_poisson recovers (q, b0) by a least-squares
+fit against the basis {1, 1/r, r} on the outer half of the grid.
 """
 
 from __future__ import annotations
@@ -123,25 +123,9 @@ def solve_radial_poisson(
     )
 
 
-def extract_coupling_asymptotics(field) -> tuple[float, float]:
-    """Recover (q, b0) from phi ~ phi0 + q/r + b0*r on the outer grid.
-
-    Accepts a FieldState or a (grid, phi) pair.  The fit uses the outer half
-    of the nodes, where corrections decaying faster than 1/r are below the
-    fit tolerance; a grid whose outer half has fewer than 3 nodes (one per
-    unknown) is rejected, and so is a design matrix with condition number
-    above 1e12, with its condition number.
-    """
-    if isinstance(field, FieldState):
-        r, phi = field.grid.r, field.phi
-    else:
-        grid, phi = field
-        r, phi = grid.r, np.asarray(phi, dtype=float)
-    q, b0, _, _ = _fit_asymptotics(r, phi)
-    return q, b0
-
-
 def _fit_asymptotics(r, phi):
+    """(q, b0, condition number, rms misfit) of phi ~ phi0 + q/r + b0*r on the outer
+    half of the nodes; DomainError below 3 nodes there or above condition 1e12."""
     start = len(r) // 2
     if len(r) - start < 3:
         raise DomainError(f"asymptotic fit of 3 unknowns needs at least 3 nodes on the "

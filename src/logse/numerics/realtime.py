@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConvergenceError, DomainError
-from ..grids import RadialWavefunction
+from ..grids import RadialWavefunction, grid_values
 from ..observables import LOG_FLOOR
-from ..scales import CouplingProfile
 # solve_banded is unused here: perfbench/tracing.py HOOKS wraps this name
 from ._lapack import TridiagonalLU, solve_banded  # noqa: F401
 from .imagtime import norm_scale
@@ -154,29 +153,32 @@ def _odd_rows(even, b, scale, p, out):
 
 def evolve_real_time(
     psi0: RadialWavefunction,
-    profile: CouplingProfile,
+    coupling,
     dt: float,
     n_steps: int,
     snapshot_stride: int = 0,
     keep_snapshots: bool = False,
 ) -> EvolutionResult:
-    """Propagate psi0 for n_steps of size dt.
+    """Propagate psi0 for n_steps of size dt under the coupling b(r): values on
+    psi0's grid or a callable of r, as ground_state_from_coupling_values takes
+    it (profile.evaluate(grid.r) for a closed-form coupling).
 
     psi0 is first scaled onto the conserved h-sum norm (imagtime.norm_scale);
     the t = 0 snapshot is that state.  snapshot_stride > 0 records diagnostics
     every that many steps (plus the initial and final states), 0 only those
     two; keep_snapshots additionally stores the field values for trajectory
-    output.  A dt that is not positive and finite, n_steps or snapshot_stride
-    that is not a non-negative integer, a grid without r_min == h or a psi0
-    of zero norm raise DomainError.  Aborts with
-    ConvergenceError if the conserved discrete norm drifts by more than 1e-6
-    per 1000 steps.
+    output.  DomainError for a dt that is not positive and finite, n_steps or
+    snapshot_stride that is not a non-negative integer, a coupling that is not
+    finite with one value per node, a grid without r_min == h or a psi0 of zero
+    norm.  Aborts with ConvergenceError if the conserved discrete norm drifts
+    by more than 1e-6 per 1000 steps.
     """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"the time step dt must be positive and finite, got {dt:g}")
     check_count("n_steps", n_steps, 0)
     check_count("snapshot_stride", snapshot_stride, 0)
     grid = psi0.grid
+    coupling = grid_values(coupling, grid, "coupling")
     r = grid.r
     h = grid.origin_step()
     n = r.size
@@ -184,7 +186,6 @@ def evolve_real_time(
     values = np.asarray(psi0.values, dtype=complex)
     u = r * (values * norm_scale(r * values, h, psi0.target_norm, psi0.angular_weight))
     u0 = u.copy()
-    coupling = profile.evaluate(r)
     # the phase kick at the innermost node reacts to density perturbations
     # with gain ~ dt * |b(r_min)|; past O(1) the splitting goes unstable
     stiffness = dt * float(np.max(np.abs(coupling)))

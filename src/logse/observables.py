@@ -1,4 +1,4 @@
-"""Entropy, temperature, information and energy functionals on radial grids.
+"""Entropy and energy functionals on radial grids.
 
 The entropy of a state is S = -int w r^2 rho ln(rho) dr + S_Y * N / w with
 rho = |psi|^2, where w is the wavefunction's angular weight and S_Y its
@@ -91,35 +91,6 @@ def entropy(psi: RadialWavefunction) -> float:
             stacklevel=2,
         )
     return integrate_radial(psi.grid, s)
-
-
-def quantum_temperature(profile: CouplingProfile, r):
-    """Conjugate temperature profile; identical to the coupling b(r)."""
-    return profile.evaluate(r)
-
-
-def information_content(psi: RadialWavefunction, r: float) -> float:
-    """Information content -log2 rho at radius r (bits); inf at zero density.
-
-    rho is interpolated linearly between nodes; r outside [r_min, r_max]
-    raises DomainError.
-    """
-    if not psi.grid.r_min <= r <= psi.grid.r_max:
-        raise DomainError(f"r = {r!r} lies outside the grid "
-                          f"[{psi.grid.r_min:g}, {psi.grid.r_max:g}]")
-    rho = float(np.interp(r, psi.grid.r, psi.density()))
-    if rho <= 0.0:
-        return math.inf
-    return -math.log(rho) / math.log(2.0)
-
-
-def information_profile(psi: RadialWavefunction) -> np.ndarray:
-    """-log2 rho on the grid, with +inf where the density vanishes."""
-    rho = psi.density()
-    out = np.full_like(rho, np.inf, dtype=float)
-    mask = rho > 0.0
-    out[mask] = -np.log(rho[mask]) / math.log(2.0)
-    return out
 
 
 def internal_energy(psi: RadialWavefunction, profile: CouplingProfile) -> ObservableReport:

@@ -18,7 +18,6 @@ The Boltzmann constant is 1 throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +71,6 @@ class CouplingProfile:
         if not np.all(r > 0.0):
             raise DomainError("coupling profile is defined for r > 0 only")
         return self.b0_tilde - self.q_tilde / r**2
-
-    def sign_change_radius(self):
-        """Radius where b(r) crosses zero, or None if it keeps one sign."""
-        if self.b0_tilde == 0.0 or self.q_tilde / self.b0_tilde <= 0.0:
-            return None
-        return math.sqrt(self.q_tilde / self.b0_tilde)
 
 
 def to_dimensionless(b0: float, q: float, scales: ScaleSet) -> CouplingProfile:

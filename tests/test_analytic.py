@@ -29,6 +29,11 @@ from logse import (
     transcendental_residual,
 )
 from logse.analytic import _erfcx
+from closed_forms import (
+    effective_potential_closed_form,
+    entropy_density_closed_form,
+    stationary_residual_exact,
+)
 
 PI = math.pi
 FINE = RadialGrid.uniform(1e-3, 20.0, 6001)
@@ -80,7 +85,7 @@ def test_general_q3_zero_frequency():
 def test_general_norm_and_residual(N, q):
     sol = case_general(N, q)
     assert quad_norm(sol) == pytest.approx(N, rel=1e-9)
-    assert np.max(np.abs(sol.stationary_residual_exact(FINE.r))) < 1e-8
+    assert np.max(np.abs(stationary_residual_exact(sol, FINE.r))) < 1e-8
 
 
 def test_general_rejects_excluded_charges():
@@ -212,7 +217,7 @@ def test_q1_unit_norm_is_pure_gaussian():
 def test_q1_norm_and_residual(N, b0):
     sol = case_q1(N, b0)
     assert quad_norm(sol) == pytest.approx(N, rel=1e-8)
-    assert np.max(np.abs(sol.stationary_residual_exact(FINE.r))) < 1e-8
+    assert np.max(np.abs(stationary_residual_exact(sol, FINE.r))) < 1e-8
 
 
 def test_q1_entropy_closed_form_matches_quadrature():
@@ -239,7 +244,7 @@ def test_constant_n8_omega():
 def test_constant_norm_and_residual(N, b0):
     sol = case_constant(N, b0)
     assert quad_norm(sol) == pytest.approx(N, rel=1e-9)
-    assert np.max(np.abs(sol.stationary_residual_exact(FINE.r))) < 1e-8
+    assert np.max(np.abs(stationary_residual_exact(sol, FINE.r))) < 1e-8
 
 
 def test_constant_entropy_candidates_against_quadrature():
@@ -281,7 +286,7 @@ def test_inverse_square_entropy_value():
 
 def test_inverse_square_residual_includes_centrifugal_term():
     sol = case_inverse_square(2, 1.5, 0.3)
-    assert np.max(np.abs(sol.stationary_residual_exact(FINE.r))) < 1e-8
+    assert np.max(np.abs(stationary_residual_exact(sol, FINE.r))) < 1e-8
 
 
 @pytest.mark.parametrize("call, message", [
@@ -289,9 +294,9 @@ def test_inverse_square_residual_includes_centrifugal_term():
     (lambda: case_constant(1, 0.0), "b0_tilde must be positive"),
     (lambda: solve_k_transcendental(1, -1.0), "b0_tilde must be positive"),
     (lambda: case_inverse_square(1, 0.0, math.nan), "S_Y must be finite"),
-    (lambda: case_constant(1, PI).stationary_residual_exact(np.array([0.0, 1.0])),
+    (lambda: stationary_residual_exact(case_constant(1, PI), np.array([0.0, 1.0])),
      "r > 0"),
-    (lambda: case_constant(1, PI).stationary_residual_exact(np.array([1.0, math.nan])),
+    (lambda: stationary_residual_exact(case_constant(1, PI), np.array([1.0, math.nan])),
      "r > 0"),
     (lambda: transcendental_residual(0.0, 1.0, -1.0), "b0_tilde must be positive"),
     (lambda: transcendental_residual(0.0, 1.0, 0.0), "b0_tilde must be positive"),
@@ -347,7 +352,7 @@ def test_effective_potential_inverse_square_value():
 def test_closed_form_potentials_match_generic_definition(sol):
     r = np.linspace(1e-3, 20.0, 4001)
     generic = effective_potential(sol, r)
-    closed = sol.effective_potential_closed_form(r)
+    closed = effective_potential_closed_form(sol, r)
     assert np.max(np.abs(generic - closed)) < 1e-12 * max(1.0, np.max(np.abs(closed)))
 
 
@@ -380,7 +385,7 @@ def test_entropy_density_closed_forms_match_definition():
         rho = sol.psi(grid) ** 2
         definition = -sol.angular_weight * grid**2 * rho * np.log(rho) \
             + sol.S_Y * grid**2 * rho
-        closed = sol.entropy_density_closed_form(grid)
+        closed = entropy_density_closed_form(sol, grid)
         assert np.max(np.abs(definition - closed)) < 1e-10 * max(1.0, np.max(np.abs(closed)))
 
 

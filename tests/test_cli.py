@@ -74,16 +74,33 @@ def test_groundstate_reports_l2_vs_analytic(tmp_path):
 
 
 def test_evolve_refuses_stiff_phase_step(tmp_path, capsys):
-    # q1 at its defaults: dt max|b| = 1e-4 |pi - 1/0.005^2| = 4.00, where the
+    # q1 at its defaults: dt max|b| = 1e-4 |pi - 1/0.005^2| = 3.9997, where the
     # kick is unstable (density drift 15 over the run)
     assert run(tmp_path, "evolve", "--case", "q1") == 2
     err = capsys.readouterr().err
-    assert "dt * max|b(r)| = 4.00 > 1" in err
+    assert "dt * max|b(r)| = 4 > 1" in err
     assert "--dt" in err and "--n" in err
     assert not (tmp_path / "evolve_result.json").exists()
     assert run(tmp_path, "evolve", "--case", "q1", "--dt", "2e-5", "--steps", "10") == 0
     # a coarser grid moves the inner edge out: dt max|b| = 1e-4 |pi - 1/0.01^2| = 0.9997
     assert run(tmp_path, "evolve", "--case", "q1", "--n", "1000") == 0
+    # the figure has three significant digits, however large
+    assert run(tmp_path, "evolve", "--case", "general", "--q", "1e300") == 2
+    assert "dt * max|b(r)| = 4e+300 > 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, turn", [
+    (["--dt", "5e-3", "--steps", "200", "--stride", "100"], "4.71"),  # 3 pi * 100 * 5e-3
+    (["--dt", "1e-4", "--steps", "20000", "--stride", "0"], "18.8"),  # 3 pi * 20000 * 1e-4
+], ids=["stride", "no-stride"])
+def test_evolve_refuses_a_phase_turn_of_pi_between_snapshots(tmp_path, capsys, argv, turn):
+    # the Gausson's phase turns by omega = 3 pi per unit time; unwrapped only
+    # between records, a turn of pi or more there aliased (phase_rel_error
+    # 1.33 and 1.0001 at exit 0)
+    assert run(tmp_path, "evolve", "--n", "500", *argv) == 2
+    err = capsys.readouterr().err
+    assert f"* dt = {turn} >= pi" in err and "--stride" in err and "--dt" in err
+    assert not (tmp_path / "evolve_result.json").exists()
 
 
 def test_groundstate_refuses_tolerance_below_roundoff_floor(tmp_path, capsys):
@@ -273,6 +290,10 @@ def test_exit_code_2_on_bad_domain(tmp_path, capsys):
         assert "dt" in err and "relaxation" not in err
     assert run(tmp_path, "groundstate", "--tol", "inf", "--max-steps", "5") == 2
     assert run(tmp_path, "field", "--max-sweeps", "0") == 2
+    for command in ("analytic", "groundstate", "evolve", "field"):
+        for n in ("0", "-5"):
+            assert run(tmp_path, command, "--n", n) == 2
+            assert f"n >= 4, got {n}" in capsys.readouterr().err
     for only in ("11", "0", "x"):
         assert run(tmp_path, "report", "--only", only) == 2
         assert "criterion ids 1-10" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
 from logse import (
-    CouplingProfile,
     DomainError,
     RadialGrid,
     RadialWavefunction,
@@ -84,7 +83,7 @@ OFF_ORIGIN = RadialGrid.uniform(0.5, 8.0, 640)
 @pytest.mark.parametrize("solve", [
     lambda g: ground_state_from_coupling_values(np.full(g.n_points, PI), 1.0, g),
     lambda g: linear_ground_state(g.r**2, 1.0, g),
-    lambda g: evolve_real_time(case_constant(1, PI).sample(g), CouplingProfile(PI, 0.0),
+    lambda g: evolve_real_time(case_constant(1, PI).sample(g), np.full_like(g.r, PI),
                                dt=1e-4, n_steps=1),
     lambda g: self_consistent_minimal_model(f_constant_over_r(1.0), 1.0, g),
 ], ids=["relaxation", "linear", "real_time", "scf"])
@@ -95,7 +94,7 @@ def test_solvers_reject_a_non_uniform_grid(solve):
 
 def _evolve_counts(n_steps=1, snapshot_stride=0):
     grid = RadialGrid.uniform_from_origin(8.0, 64)
-    evolve_real_time(case_constant(1, PI).sample(grid), CouplingProfile(PI, 0.0), dt=1e-4,
+    evolve_real_time(case_constant(1, PI).sample(grid), np.full_like(grid.r, PI), dt=1e-4,
                      n_steps=n_steps, snapshot_stride=snapshot_stride)
 
 
@@ -122,6 +121,17 @@ def test_grid_validation():
         RadialGrid(np.array([0.0, 1.0, 2.0, 3.0]))  # starts at the origin
     with pytest.raises(DomainError):
         RadialGrid(np.array([1.0, 0.5, 2.0, 3.0]))  # not increasing
+
+
+@pytest.mark.parametrize("n", [0, -5, 3, 4.0, True])
+def test_uniform_grids_need_an_integer_of_at_least_four_nodes(n):
+    # n = 0 divided by zero in uniform_from_origin and n = -5 reached
+    # np.linspace, which refused it with a bare ValueError
+    for build in (lambda: RadialGrid.uniform(0.1, 8.0, n),
+                  lambda: RadialGrid.uniform_from_origin(8.0, n)):
+        with pytest.raises(DomainError, match=f"n >= 4, got {n!r}"):
+            build()
+    assert RadialGrid.uniform_from_origin(8.0, np.int64(4)).n_points == 4
 
 
 def test_wavefunction_norm_and_normalize():

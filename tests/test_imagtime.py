@@ -33,6 +33,7 @@ from logse.numerics import f_constant_over_r, imagtime
 from logse.numerics.poisson import field_gradient
 from logse.numerics._lapack import TridiagonalSystem
 from logse.numerics.stencils import second_difference_dirichlet
+from closed_forms import effective_potential_closed_form
 
 PI = math.pi
 GRID8 = RadialGrid.uniform_from_origin(8.0, 640)
@@ -708,7 +709,7 @@ def test_linear_state_and_propagator_start_hold_the_h_sum_norm():
     sol = case_inverse_square(1)
     psi, _ = linear_ground_state(effective_potential(sol, grid.r), sol.norm, grid,
                                  angular_weight=1.0)
-    res = evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=1,
+    res = evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=1e-4, n_steps=1,
                            keep_snapshots=True)
     t0, values = res.snapshots[0]
     assert t0 == 0.0
@@ -726,7 +727,7 @@ def test_engines_require_origin_step_grid():
     with pytest.raises(DomainError):
         linear_ground_state(np.zeros_like(grid.r), 1.0, grid)
     with pytest.raises(DomainError):
-        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=10)
+        evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=1e-4, n_steps=10)
 
 
 @pytest.mark.parametrize("N", [0.0, -1.0, math.inf, math.nan])
@@ -835,7 +836,7 @@ def test_relaxation_energy_monotone_along_engine_iterates(profile, grid, weight)
 def test_linear_harmonic_recovers_gausson():
     sol = case_constant(1, PI)
     psi, omega = linear_ground_state(
-        lambda r: sol.effective_potential_closed_form(r), 1.0, GRID8, SolverOptions()
+        lambda r: effective_potential_closed_form(sol, r), 1.0, GRID8, SolverOptions()
     )
     assert l2_distance(psi, sol.psi) < 3e-4
 

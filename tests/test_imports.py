@@ -16,9 +16,13 @@ acceptance.py, where criterion 3's quad oracle lives: every grid is uniform,
 so Simpson is one dot product (grids.simpson) and the cumulative trapezoid
 one cumsum (numerics.poisson).  The sources are parsed, so docstrings and
 comments that name the module do not count.
+
+Every name a package exports in __all__ must exist on it, so that a deletion
+that leaves a stale export fails here rather than in a user's import *.
 """
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -88,3 +92,10 @@ def test_scipy_integrate_only_in_acceptance():
              for path in sorted(package.rglob("*.py"))
              for line in _integrate_imports(path.read_text(encoding="utf-8"))]
     assert [entry for entry in found if not entry.startswith("acceptance.py:")] == []
+
+
+def test_every_exported_name_resolves():
+    for name in ("logse", "logse.numerics"):
+        module = importlib.import_module(name)
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert missing == [], name

@@ -12,15 +12,15 @@ from logse import (
     case_constant,
     case_general,
     case_inverse_square,
+    case_q1,
     entropy,
     entropy_density,
     gp_expansion_error,
-    information_content,
-    information_profile,
     internal_energy,
-    quantum_temperature,
 )
+from logse.cli import main
 from logse.observables import LOG_FLOOR
+from closed_forms import entropy_density_closed_form
 
 PI = math.pi
 
@@ -49,7 +49,7 @@ def test_entropy_density_inverse_square_matches_closed_form():
     psi = sample(sol, r_max=40.0, n=4001)
     r = psi.grid.r
     direct = entropy_density(psi)
-    closed = sol.entropy_density_closed_form(r)
+    closed = entropy_density_closed_form(sol, r)
     assert np.max(np.abs(direct - closed)) < 1e-12
 
 
@@ -136,19 +136,26 @@ def test_nfree_relation_from_quadrature():
 # -------------------------------------------------------------- temperature
 
 def test_temperature_examples():
-    assert quantum_temperature(CouplingProfile(PI, 0.0), 0.37) == PI
-    assert quantum_temperature(CouplingProfile(0.0, 1.0), 1.0) == -1.0
-    assert quantum_temperature(CouplingProfile(1.0, 4.0), 2.0) == 0.0
+    # the temperature conjugate to the entropy is the coupling b(r) itself
+    assert CouplingProfile(PI, 0.0).evaluate(0.37) == PI
+    assert CouplingProfile(0.0, 1.0).evaluate(1.0) == -1.0
+    assert CouplingProfile(1.0, 4.0).evaluate(2.0) == 0.0
 
 
-def test_temperature_equals_profile_everywhere():
+def test_temperature_equals_profile_everywhere(tmp_path):
+    # the analytic CSV's T_psi column is b(r) at every node, bit for bit
+    for sol in (case_constant(1, PI), case_general(1, 2.0), case_q1(2, PI),
+                case_inverse_square(1)):
+        case = sol.case.value
+        assert main(["analytic", "--case", case, "--N", f"{sol.norm:g}",
+                     "--n", "257", "--out", str(tmp_path), "--prefix", case]) == 0
+        table = np.loadtxt(tmp_path / f"{case}_profiles.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 5], sol.profile.evaluate(table[:, 0]))
     prof = CouplingProfile(0.8, -2.5)
-    r = np.geomspace(1e-3, 50.0, 300)
-    assert np.array_equal(quantum_temperature(prof, r), prof.evaluate(r))
     with pytest.raises(DomainError):
-        quantum_temperature(prof, -1.0)
+        prof.evaluate(-1.0)
     with pytest.raises(DomainError):  # NaN fails r > 0 but passes r <= 0 too
-        quantum_temperature(prof, [1.0, math.nan])
+        prof.evaluate([1.0, math.nan])
 
 
 # ----------------------------------------------------------- internal energy
@@ -247,34 +254,6 @@ def test_internal_energy_rejects_unnormalized_input():
     psi = RadialWavefunction(grid, np.exp(-grid.r), target_norm=1.0)
     with pytest.raises(DomainError):
         internal_energy(psi, CouplingProfile(1.0, 0.0))
-
-
-# ---------------------------------------------------------------- information
-
-def test_information_content_bit_values():
-    grid = RadialGrid.uniform(0.5, 2.0, 64)
-    for density, bits in [(1.0, 0.0), (0.5, 1.0), (0.125, 3.0)]:
-        psi = RadialWavefunction(grid, np.full(64, math.sqrt(density)), target_norm=1.0)
-        assert information_content(psi, 1.0) == pytest.approx(bits, abs=1e-14)
-
-
-@pytest.mark.parametrize("r", [100.0, -1.0, 0.5 - 1e-12, 2.0 + 1e-12, math.nan])
-def test_information_content_refuses_radii_off_the_grid(r):
-    grid = RadialGrid.uniform(0.5, 2.0, 64)
-    psi = RadialWavefunction(grid, np.ones(64), target_norm=1.0)
-    assert information_content(psi, 0.5) == information_content(psi, 2.0) == 0.0
-    with pytest.raises(DomainError, match="outside the grid"):
-        information_content(psi, r)
-
-
-def test_information_profile_flags_zero_density():
-    grid = RadialGrid.uniform(0.5, 2.0, 64)
-    values = np.ones(64)
-    values[10] = 0.0
-    psi = RadialWavefunction(grid, values, target_norm=1.0)
-    prof = information_profile(psi)
-    assert math.isinf(prof[10])
-    assert prof[0] == 0.0
 
 
 # ------------------------------------------------------------------ GP limit

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from logse import DomainError, RadialGrid
-from logse.numerics import extract_coupling_asymptotics, solve_radial_poisson
-from logse.numerics.poisson import field_gradient
+from logse.numerics import solve_radial_poisson
+from logse.numerics.poisson import _fit_asymptotics, field_gradient
 
 GRID = RadialGrid.uniform_from_origin(100.0, 8192)
 
@@ -46,18 +46,18 @@ def test_round_trip_property(q, b0):
 
 def test_extraction_on_exact_basis_members():
     phi = 3.0 / GRID.r + 2.0 * GRID.r
-    q, b0 = extract_coupling_asymptotics((GRID, phi))
+    q, b0, _, _ = _fit_asymptotics(GRID.r, phi)
     assert q == pytest.approx(3.0, abs=1e-8)
     assert b0 == pytest.approx(2.0, rel=1e-12)
 
-    q, b0 = extract_coupling_asymptotics((GRID, np.full_like(GRID.r, 5.0)))
+    q, b0, _, _ = _fit_asymptotics(GRID.r, np.full_like(GRID.r, 5.0))
     assert abs(q) < 1e-10 and abs(b0) < 1e-10
 
 
 def test_extraction_with_faster_decaying_perturbation():
     grid = RadialGrid.uniform(10.0, 100.0, 4000)
     phi = 3.0 / grid.r + 2.0 * grid.r + 0.01 / grid.r**2
-    q, b0 = extract_coupling_asymptotics((grid, phi))
+    q, b0, _, _ = _fit_asymptotics(grid.r, phi)
     # error bounded by the dropped O(1/r^2) term
     assert abs(q - 3.0) < 1e-3
     assert abs(b0 - 2.0) < 1e-6
@@ -66,7 +66,7 @@ def test_extraction_with_faster_decaying_perturbation():
 def test_ill_conditioned_fit_reports_condition_number():
     grid = RadialGrid.uniform(1e7, 1e7 + 1.0, 128)
     with pytest.raises(DomainError, match="condition number"):
-        extract_coupling_asymptotics((grid, grid.r.copy()))
+        _fit_asymptotics(grid.r, grid.r.copy())
 
 
 def test_fit_needs_three_outer_nodes():
@@ -91,11 +91,6 @@ def test_non_integrable_source_rejected():
 def test_source_needs_one_value_per_node(source):
     with pytest.raises(DomainError, match="one value per grid node"):
         solve_radial_poisson(source, GRID)
-
-
-def test_extraction_from_a_field_state_reads_its_fit():
-    fs = solve_radial_poisson(4.0 / GRID.r, GRID, point_charge=3.0)
-    assert extract_coupling_asymptotics(fs) == (fs.extracted_q, fs.extracted_b0)
 
 
 def test_non_finite_inputs_rejected():

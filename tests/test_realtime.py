@@ -10,7 +10,6 @@ from scipy.linalg import solve, solve_banded
 
 from logse import (
     ConvergenceError,
-    CouplingProfile,
     DomainError,
     RadialGrid,
     RadialWavefunction,
@@ -30,7 +29,7 @@ def test_stationary_gausson_phase_and_density():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, dt=1e-4,
+    res = evolve_real_time(psi0, sol.profile.evaluate(grid.r), dt=1e-4,
                            n_steps=1000, snapshot_stride=100)
     assert res.norm_drift < 1e-10
     rho0 = psi0.normalized().density()
@@ -42,7 +41,7 @@ def test_stationary_gausson_phase_and_density():
 def test_free_propagation_conserves_norm():
     grid = RadialGrid.uniform_from_origin(10.0, 2000)
     psi0 = case_constant(1, PI).sample(grid)
-    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=1e-4, n_steps=1000)
+    res = evolve_real_time(psi0, np.zeros_like(grid.r), dt=1e-4, n_steps=1000)
     assert res.norm_drift < 1e-10
     # free spreading: the density does move
     assert np.max(np.abs(res.psi.density() - psi0.normalized().density())) > 1e-4
@@ -53,7 +52,7 @@ def test_variable_coupling_stationary_state():
     sol = case_general(1, 2.0)
     grid = RadialGrid.uniform_from_origin(10.0, 1500)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, dt=2e-5, n_steps=5000)
+    res = evolve_real_time(psi0, sol.profile.evaluate(grid.r), dt=2e-5, n_steps=5000)
     rho0 = psi0.normalized().density()
     assert np.max(np.abs(res.psi.density() - rho0)) < 5e-5
     assert res.phases[-1] == pytest.approx(-sol.omega * res.times[-1], rel=1e-3)
@@ -65,7 +64,7 @@ def test_skewed_q1_state_is_stationary():
     sol = case_q1(2, PI)  # k != 0: exp(k r) times Gaussian
     grid = RadialGrid.uniform_from_origin(10.0, 1500)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, dt=2e-5, n_steps=2500)
+    res = evolve_real_time(psi0, sol.profile.evaluate(grid.r), dt=2e-5, n_steps=2500)
     assert np.max(np.abs(res.psi.density() - psi0.normalized().density())) < 5e-5
     assert res.phases[-1] == pytest.approx(-sol.omega * res.times[-1], rel=1e-3)
 
@@ -74,13 +73,13 @@ def test_stiff_inner_node_warns():
     sol = case_general(1, 2.0)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     with pytest.warns(UserWarning, match="stiff"):
-        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=1)
+        evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=1e-4, n_steps=1)
 
 
 def test_snapshots_and_times():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(8.0, 512)
-    res = evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4,
+    res = evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=1e-4,
                            n_steps=500, snapshot_stride=100, keep_snapshots=True)
     assert len(res.snapshots) == 6  # t = 0 plus every 100 steps
     assert res.times[0] == 0.0
@@ -95,12 +94,17 @@ def test_evolve_preconditions():
     grid = RadialGrid.uniform_from_origin(8.0, 256)
     for dt in (0.0, -1e-4, math.nan, math.inf):
         with pytest.raises(DomainError, match="time step dt must be positive and finite"):
-            evolve_real_time(sol.sample(grid), sol.profile, dt=dt, n_steps=10)
+            evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=dt, n_steps=10)
     with pytest.raises(DomainError):
-        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=-3)
+        evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=1e-4, n_steps=-3)
     with pytest.raises(DomainError):
-        evolve_real_time(sol.sample(grid), sol.profile, dt=1e-4, n_steps=10,
+        evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=1e-4, n_steps=10,
                          snapshot_stride=-1)
+    b = sol.profile.evaluate(grid.r)
+    for bad in (np.append(b, PI), b[:-1], np.where(grid.r < 1.0, math.nan, b),
+                np.full_like(b, math.inf)):
+        with pytest.raises(DomainError, match="coupling must be finite with one value"):
+            evolve_real_time(sol.sample(grid), bad, dt=1e-4, n_steps=10)
 
 
 def _plain_strang(psi0, profile, dt, n_steps, stride, floor=1e-30):
@@ -145,7 +149,7 @@ def test_fused_kicks_match_plain_strang_loop():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(8.0, 512)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, dt=1e-4, n_steps=1100,
+    res = evolve_real_time(psi0, sol.profile.evaluate(grid.r), dt=1e-4, n_steps=1100,
                            snapshot_stride=7, keep_snapshots=True)
     times, norms, phases, snapshots, final = _plain_strang(
         psi0, sol.profile, 1e-4, 1100, 7)
@@ -165,7 +169,7 @@ def test_fused_kicks_match_plain_strang_loop_on_criterion_6_grid():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(10.0, 4000)
     psi0 = sol.sample(grid)
-    res = evolve_real_time(psi0, sol.profile, dt=1e-4, n_steps=200,
+    res = evolve_real_time(psi0, sol.profile.evaluate(grid.r), dt=1e-4, n_steps=200,
                            snapshot_stride=50, keep_snapshots=True)
     times, norms, phases, snapshots, final = _plain_strang(
         psi0, sol.profile, 1e-4, 200, 50)
@@ -213,7 +217,7 @@ def test_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi0 = RadialWavefunction(grid, u / grid.r)
-    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=2.0 * lam, n_steps=1)
+    res = evolve_real_time(psi0, np.zeros_like(grid.r), dt=2.0 * lam, n_steps=1)
     u_in = u / math.sqrt(4.0 * PI * np.sum(np.abs(u) ** 2))  # a h u.u = 1, h = 1
     u_out = grid.r * res.psi.values
     norm_in, norm_out = np.sum(np.abs(u_in) ** 2), np.sum(np.abs(u_out) ** 2)
@@ -242,7 +246,7 @@ def test_reduced_kinetic_step_is_the_unitary_cayley_map(n, log_lam, seed):
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi0 = RadialWavefunction(grid, u / grid.r)
-    res = evolve_real_time(psi0, CouplingProfile(0.0, 0.0), dt=2.0 * lam, n_steps=1)
+    res = evolve_real_time(psi0, np.zeros_like(grid.r), dt=2.0 * lam, n_steps=1)
     u_in = u / math.sqrt(4.0 * PI * np.sum(np.abs(u) ** 2))  # a h u.u = 1, h = 1
     u_out = grid.r * res.psi.values
     norm_in, norm_out = np.sum(np.abs(u_in) ** 2), np.sum(np.abs(u_out) ** 2)
@@ -280,7 +284,7 @@ def test_grid_below_the_reduction_cut_off_steps_bit_for_bit_as_plain_gttrs():
     sol = case_constant(1, PI)
     grid = RadialGrid.uniform_from_origin(8.0, 640)
     dt, n_steps = 1e-4, 200
-    res = evolve_real_time(sol.sample(grid), sol.profile, dt=dt, n_steps=n_steps)
+    res = evolve_real_time(sol.sample(grid), sol.profile.evaluate(grid.r), dt=dt, n_steps=n_steps)
 
     r, h, n = grid.r, grid.h, grid.r.size
     assert CayleyStep(n, 0.5j * dt / (h * h)).levels == 0
@@ -315,5 +319,5 @@ def test_nonfinite_state_raises_convergence_error(n_steps, failing_step):
     psi0 = case_constant(1, PI).sample(grid)
     with pytest.warns(UserWarning, match="stiff"):
         with pytest.raises(ConvergenceError, match=f"after {failing_step} steps"):
-            evolve_real_time(psi0, CouplingProfile(1e308, 0.0), dt=1.0,
+            evolve_real_time(psi0, np.full_like(grid.r, 1e308), dt=1.0,
                              n_steps=n_steps)

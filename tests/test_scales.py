@@ -67,10 +67,9 @@ def test_non_finite_coupling_inputs_rejected():
 
 def test_profile_evaluate_and_sign_change():
     prof = CouplingProfile(b0_tilde=1.0, q_tilde=4.0)
+    # b(r) = b0 - q/r^2 crosses zero at sqrt(q/b0) = 2
     assert prof.evaluate(2.0) == 0.0
-    assert prof.sign_change_radius() == pytest.approx(2.0)
-    assert CouplingProfile(1.0, -1.0).sign_change_radius() is None
-    assert CouplingProfile(0.0, 1.0).sign_change_radius() is None
+    assert prof.evaluate(1.9) < 0.0 < prof.evaluate(2.1)
     with pytest.raises(DomainError):
         prof.evaluate(0.0)
     with pytest.raises(DomainError):  # NaN fails r > 0 but passes r <= 0 too
